@@ -25,7 +25,7 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
@@ -142,18 +142,10 @@ def speedup_ratio(traces: list[ExitTrace], full_model_cost: int) -> float:
 def _confidence_matrix(cascade: Cascade, dataset: Dataset) -> np.ndarray:
     """Per-stage top probabilities, shape (num_stages, num_instances)."""
     X = dataset.feature_matrix()
-    return np.stack([predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages])
-
-
-def _exit_stages(conf: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Exit stage per instance given a (num_stages, N) confidence matrix."""
-    num_stages = conf.shape[0]
-    if num_stages == 1:
-        return np.zeros(conf.shape[1], dtype=np.int64)
-    gated = conf[:-1] > thresholds[:, None]
-    exited = gated.any(axis=0)
-    first = gated.argmax(axis=0)
-    return np.where(exited, first, num_stages - 1)
+    conf = np.stack([predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages])
+    if not np.isfinite(conf).all():
+        raise NumericError("a cascade stage produced non-finite confidences")
+    return conf
 
 
 def calibrate_threshold(
@@ -164,18 +156,19 @@ def calibrate_threshold(
 ) -> tuple[float, ...]:
     """Find a shared threshold whose measured speed-up matches the target.
 
-    Sweeps the threshold over every confidence value any non-final stage
+    Scores the threshold at every confidence value any non-final stage
     produces on the calibration set (plus 0 and 1), so every operating
-    point achievable on that set is tried.  Returns per-stage thresholds
-    all equal to the winning value.  Raises if the closest achievable
-    speed-up misses the target by more than ``tolerance * target``, or if
-    the target is outside [1, full_model_cost / smallest stage cost].
+    point achievable on that set is tried; ties go to the smallest such
+    value.  Returns per-stage thresholds all equal to the winning value.
+    Raises if the closest achievable speed-up misses the target by more
+    than ``tolerance * target``, or if the target is outside
+    [1, full_model_cost / smallest stage cost].
     """
     if not calibration.instances:
         raise ValidationError("calibration dataset is empty")
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
-    costs = np.array([s.layer_cost for s in cascade.stages], dtype=np.float64)
+    costs = [s.layer_cost for s in cascade.stages]
     max_speedup = cascade.full_model_cost / costs[0]
     if not 1.0 <= target_speedup <= max_speedup:
         raise ValidationError(
@@ -184,27 +177,24 @@ def calibrate_threshold(
         )
 
     conf = _confidence_matrix(cascade, calibration)
-    cum_costs = np.cumsum(costs)
+    n = conf.shape[1]
     candidates = np.unique(np.concatenate([conf[:-1].ravel(), [0.0, 1.0]]))
-
-    best_tau = 0.0
-    best_gap = np.inf
-    best_measured = np.nan
-    lo, hi = np.inf, -np.inf
-    for tau in candidates:
-        exit_stage = _exit_stages(conf, np.full(len(cascade.stages) - 1, tau))
-        measured = cascade.full_model_cost / cum_costs[exit_stage].mean()
-        lo, hi = min(lo, measured), max(hi, measured)
-        gap = abs(measured - target_speedup)
-        if gap < best_gap:
-            best_gap, best_tau, best_measured = gap, float(tau), measured
-    if best_gap > tolerance * target_speedup:
+    # Under a shared tau, stage s + 1 runs exactly on the instances whose
+    # running max confidence over stages 0..s is <= tau (no strict exit yet),
+    # so each candidate's total cost is an integer count-weighted sum.
+    total = np.full(candidates.shape, n * costs[0], dtype=np.int64)
+    running_max = np.maximum.accumulate(conf[:-1], axis=0)
+    for cost, stage_max in zip(costs[1:], running_max):
+        total += cost * np.searchsorted(np.sort(stage_max), candidates, side="right")
+    measured = cascade.full_model_cost / (total / n)
+    best = int(np.argmin(np.abs(measured - target_speedup)))
+    if abs(measured[best] - target_speedup) > tolerance * target_speedup:
         raise ValidationError(
             f"no threshold reaches {target_speedup:g}x within "
-            f"{tolerance:.0%}: closest {best_measured:g}x, achievable "
-            f"range [{lo:g}x, {hi:g}x] on this calibration set"
+            f"{tolerance:.0%}: closest {measured[best]:g}x, achievable "
+            f"range [{measured.min():g}x, {measured.max():g}x] on this calibration set"
         )
-    return (best_tau,) * (len(cascade.stages) - 1)
+    return (float(candidates[best]),) * (len(cascade.stages) - 1)
 
 
 def trace_to_dict(trace: ExitTrace) -> dict:

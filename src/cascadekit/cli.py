@@ -21,6 +21,7 @@ from .cascade import (
     StageSpec,
     calibrate_threshold,
     run_cascade,
+    save_cascade,
     save_traces,
     load_traces,
 )
@@ -242,7 +243,7 @@ def cmd_train(config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_label(config: PipelineConfig, threads: int = 1) -> int:
+def cmd_label(config: PipelineConfig) -> int:
     dataset = _load_split(config, config.train_dataset, "train")
     base = replace(config.train, dar_weight=0.0)
     report = label_difficulty(
@@ -251,7 +252,6 @@ def cmd_label(config: PipelineConfig, threads: int = 1) -> int:
         base,
         num_folds=config.difficulty_folds,
         num_seeds=config.difficulty_seeds,
-        threads=threads,
     )
     os.makedirs(config.output_dir, exist_ok=True)
     report_path = os.path.join(config.output_dir, "difficulty_report.json")
@@ -295,17 +295,7 @@ def cmd_run(config: PipelineConfig) -> int:
         cascade_path = os.path.join(config.output_dir, f"cascade_{label}.json")
         save_traces(traces, traces_path)
         save_metrics(report, metrics_path)
-        description = {
-            "stages": [
-                {"model_path": f"stage{i}_model.json", "layer_cost": s.layer_cost}
-                for i, s in enumerate(config.stages)
-            ],
-            "thresholds": list(thresholds),
-            "full_model_cost": config.full_model_cost,
-        }
-        with open(cascade_path, "w", encoding="utf-8") as fh:
-            json.dump(description, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        save_cascade(cascade, cascade_path)
         tau = thresholds[0] if thresholds else None
         print(
             f"target {label}: tau={tau}, measured {report.speedup:.3f}x, "
@@ -398,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_label = sub.add_parser("label", help="produce a difficulty report for the train split")
     add_common(p_label)
-    p_label.add_argument("--threads", type=int, default=1, help="parallel fold training")
 
     p_run = sub.add_parser("run", help="calibrate thresholds and evaluate each target")
     add_common(p_run)
@@ -430,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(config)
         if args.command == "label":
-            return cmd_label(config, threads=args.threads)
+            return cmd_label(config)
         if args.command == "run":
             return cmd_run(config)
         if args.command == "sweep":

@@ -10,7 +10,6 @@ so seeds vary initialization and batch order only.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +59,6 @@ def label_difficulty(
     base_config: TrainConfig,
     num_folds: int = 8,
     num_seeds: int = 5,
-    threads: int = 1,
 ) -> DifficultyReport:
     """Label every instance easy (0) or difficult (1) for an architecture.
 
@@ -68,14 +66,11 @@ def label_difficulty(
     seeds ``base_config.seed .. base_config.seed + num_seeds - 1``, and
     scores each instance with its held-out models.  Difficulty labeling
     uses the plain task loss, so ``base_config.dar_weight`` must be 0.
-    Deterministic regardless of ``threads``.
     """
     if num_seeds < 1:
         raise ValidationError("num_seeds must be >= 1")
     if base_config.dar_weight != 0:
         raise ValidationError("difficulty labeling requires dar_weight = 0")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
 
     folds = assign_folds(dataset, num_folds, base_config.seed)
     fold_indices: dict[int, list[int]] = {k: [] for k in range(num_folds)}
@@ -83,29 +78,17 @@ def label_difficulty(
         fold_indices[folds.fold_of[inst.id]].append(idx)
 
     seeds = tuple(base_config.seed + s for s in range(num_seeds))
-    jobs = [(si, seed, fold) for si, seed in enumerate(seeds) for fold in range(num_folds)]
-
-    def run_job(job: tuple[int, int, int]) -> tuple[int, int, np.ndarray]:
-        _, seed, fold = job
-        heldout = fold_indices[fold]
-        heldout_set = set(heldout)
-        train_ds = dataset.subset([i for i in range(len(dataset)) if i not in heldout_set])
-        model = train(train_ds, architecture, replace(base_config, seed=seed))
-        X = np.stack([dataset.instances[i].features for i in heldout])
-        y = np.array([dataset.instances[i].label for i in heldout])
-        preds = predict_batch(model, X).argmax(axis=1)
-        return job[0], fold, preds == y
-
-    if threads == 1:
-        results = [run_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_job, jobs))
-
     per_seed_correct = {inst.id: [False] * num_seeds for inst in dataset.instances}
-    for seed_index, fold, correct in results:
-        for offset, idx in enumerate(fold_indices[fold]):
-            per_seed_correct[dataset.instances[idx].id][seed_index] = bool(correct[offset])
+    for seed_index, seed in enumerate(seeds):
+        for heldout in fold_indices.values():
+            heldout_set = set(heldout)
+            train_ds = dataset.subset([i for i in range(len(dataset)) if i not in heldout_set])
+            model = train(train_ds, architecture, replace(base_config, seed=seed))
+            X = np.stack([dataset.instances[i].features for i in heldout])
+            y = np.array([dataset.instances[i].label for i in heldout])
+            correct = predict_batch(model, X).argmax(axis=1) == y
+            for idx, ok in zip(heldout, correct):
+                per_seed_correct[dataset.instances[idx].id][seed_index] = bool(ok)
 
     labels = {
         inst_id: 0 if all(outcomes) else 1

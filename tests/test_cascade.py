@@ -15,6 +15,7 @@ from cascadekit import (
     Dataset,
     ExitTrace,
     Instance,
+    NumericError,
     StageSpec,
     TrainConfig,
     ValidationError,
@@ -28,6 +29,7 @@ from cascadekit import (
     speedup_ratio,
 )
 from cascadekit.cascade import trace_from_dict
+from cascadekit.classifier import predict_batch
 
 
 def linear_stage(weight_scale, layer_cost):
@@ -253,19 +255,129 @@ def test_calibration_measured_matches_requested_within_tolerance():
 
 
 def test_calibration_agrees_with_sequential_execution():
-    # the vectorized sweep and cascade_predict must count exits identically,
-    # including at candidate values equal to observed confidences
+    # every operating point sequential execution reaches, including at tau
+    # equal to an observed confidence, is found exactly by calibration, and
+    # cascade_predict reproduces it at the returned threshold
     ds = planted_confidence_dataset([0.9, 0.75, 0.6, 0.55])
     cascade = two_stage_cascade()
-    from cascadekit.cascade import _confidence_matrix, _exit_stages
-
-    conf = _confidence_matrix(cascade, ds)
     for tau in [0.0, 0.55, 0.6, 0.7499999, 0.75, 0.9, 1.0]:
-        vector = _exit_stages(conf, np.array([tau]))
-        sequential = [
-            t.exit_stage for t in run_cascade(cascade.with_shared_threshold(tau), ds)
-        ]
-        np.testing.assert_array_equal(vector, sequential)
+        expected = speedup_ratio(run_cascade(cascade.with_shared_threshold(tau), ds), 12)
+        thresholds = calibrate_threshold(cascade, ds, expected, tolerance=1e-12)
+        traces = run_cascade(cascade.with_shared_threshold(thresholds[0]), ds)
+        assert speedup_ratio(traces, 12) == expected
+
+
+def _loop_exit_stages(conf, tau):
+    """Exit stage per instance under a shared tau, from a (stages, N) matrix."""
+    if conf.shape[0] == 1:
+        return np.zeros(conf.shape[1], dtype=np.int64)
+    gated = conf[:-1] > tau
+    return np.where(gated.any(axis=0), gated.argmax(axis=0), conf.shape[0] - 1)
+
+
+def loop_calibration_oracle(cascade, calibration, target_speedup, tolerance=0.04):
+    """The per-candidate search calibrate_threshold replaced: apply the exit
+    rule to the whole set once per candidate tau and keep the first best."""
+    if not calibration.instances:
+        raise ValidationError("calibration dataset is empty")
+    if tolerance <= 0:
+        raise ValidationError("tolerance must be positive")
+    costs = np.array([s.layer_cost for s in cascade.stages], dtype=np.float64)
+    max_speedup = cascade.full_model_cost / costs[0]
+    if not 1.0 <= target_speedup <= max_speedup:
+        raise ValidationError(
+            f"target speed-up {target_speedup:g} outside achievable range "
+            f"[1, {max_speedup:g}] for this cascade"
+        )
+    X = calibration.feature_matrix()
+    conf = np.stack([predict_batch(s.model, X).max(axis=1) for s in cascade.stages])
+    cum_costs = np.cumsum(costs)
+    candidates = np.unique(np.concatenate([conf[:-1].ravel(), [0.0, 1.0]]))
+    best_tau, best_gap, best_measured = 0.0, np.inf, np.nan
+    lo, hi = np.inf, -np.inf
+    for tau in candidates:
+        exit_stage = _loop_exit_stages(conf, tau)
+        measured = cascade.full_model_cost / cum_costs[exit_stage].mean()
+        lo, hi = min(lo, measured), max(hi, measured)
+        gap = abs(measured - target_speedup)
+        if gap < best_gap:
+            best_gap, best_tau, best_measured = gap, float(tau), measured
+    if best_gap > tolerance * target_speedup:
+        raise ValidationError(
+            f"no threshold reaches {target_speedup:g}x within "
+            f"{tolerance:.0%}: closest {best_measured:g}x, achievable "
+            f"range [{lo:g}x, {hi:g}x] on this calibration set"
+        )
+    return (best_tau,) * (len(cascade.stages) - 1)
+
+
+# a small pool so that confidences tie within and across stages
+CONFIDENCE_POOL = (0.5, 0.55, 0.6, 0.75, 0.9, 0.99)
+
+
+@st.composite
+def calibration_cases(draw):
+    """A 1-4 stage cascade where stage s reads only feature s, so each
+    instance's per-stage confidences are planted directly."""
+    num_stages = draw(st.integers(min_value=1, max_value=4))
+    costs = sorted(
+        draw(st.lists(st.integers(1, 12), min_size=num_stages, max_size=num_stages))
+    )
+    full = draw(st.integers(min_value=costs[0], max_value=2 * sum(costs)))
+    stages = []
+    for s, cost in enumerate(costs):
+        w = np.zeros((num_stages, 2))
+        w[s] = [1.0, -1.0]
+        model = ClassifierModel(
+            Architecture("linear"), num_stages, 2, {"w": w, "b": np.zeros(2)}, TrainConfig()
+        )
+        stages.append(StageSpec(model, cost))
+    cascade = Cascade(tuple(stages), (1.0,) * (num_stages - 1), full)
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.sampled_from(CONFIDENCE_POOL), min_size=num_stages, max_size=num_stages
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    instances = tuple(
+        Instance(f"i{i}", np.array([0.5 * math.log(c / (1.0 - c)) for c in row]), 0)
+        for i, row in enumerate(rows)
+    )
+    ds = Dataset(instances, num_classes=2, feature_dim=num_stages)
+    ceiling = full / costs[0]
+    target = draw(
+        st.one_of(
+            st.floats(min_value=1.0, max_value=ceiling),
+            st.floats(min_value=0.5, max_value=2.0 * ceiling),
+        )
+    )
+    tolerance = draw(st.sampled_from([0.01, 0.04, 0.25]))
+    return cascade, ds, target, tolerance
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=calibration_cases())
+def test_closed_form_calibration_matches_loop_oracle(case):
+    assert _outcome(calibrate_threshold, *case) == _outcome(loop_calibration_oracle, *case)
+
+
+def test_non_finite_confidence_is_a_numeric_error():
+    weights = {"w": np.array([[np.nan, -1.0]]), "b": np.zeros(2)}
+    broken = ClassifierModel(Architecture("linear"), 1, 2, weights, TrainConfig())
+    cascade = Cascade((StageSpec(broken, 2), linear_stage(20.0, 10)), (1.0,), 12)
+    ds = planted_confidence_dataset([0.9, 0.6])
+    with pytest.raises(NumericError, match="non-finite"):
+        calibrate_threshold(cascade, ds, target_speedup=1.0)
 
 
 # --- serialization -----------------------------------------------------------------

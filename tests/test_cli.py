@@ -8,6 +8,7 @@ import pytest
 from cascadekit import (
     ValidationError,
     evaluate,
+    load_cascade,
     load_dataset,
     load_metrics,
     load_model,
@@ -169,15 +170,21 @@ def test_label_writes_report_and_dataset(tmp_path, capsys):
 def test_run_calibrates_and_reports(tmp_path, capsys):
     cfg_path = write_experiment(tmp_path)
     main(["train", "--config", cfg_path])
-    assert main(["run", "--config", cfg_path]) == 0
     out = tmp_path / "out"
+    trained = [(out / f"stage{i}_model.json").read_bytes() for i in range(2)]
+    assert main(["run", "--config", cfg_path]) == 0
     report = load_metrics(out / "metrics_2x.json")
     assert abs(report.speedup - 2.0) <= 0.04 * 2.0
     # eval split ships difficulty flags, so dis must be populated
     assert report.dis is not None
-    cascade_doc = json.loads((out / "cascade_2x.json").read_text())
-    assert len(cascade_doc["thresholds"]) == 1
-    assert "target 2x" in capsys.readouterr().out
+    cascade = load_cascade(out / "cascade_2x.json")
+    assert len(cascade.thresholds) == 1
+    assert 0.0 <= cascade.thresholds[0] <= 1.0
+    assert [s.layer_cost for s in cascade.stages] == [2, 12]
+    assert cascade.full_model_cost == 12
+    # the bundle references the trained models, rewritten byte for byte
+    assert [(out / f"stage{i}_model.json").read_bytes() for i in range(2)] == trained
+    assert f"target 2x: tau={cascade.thresholds[0]}," in capsys.readouterr().out
 
 
 def test_run_metrics_match_offline_recomputation(tmp_path):
@@ -287,6 +294,18 @@ def test_exit_code_for_numeric_failure(tmp_path, capsys):
         rc = main(["train", "--config", cfg_path])
     assert rc == 2
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_exit_code_for_non_finite_stage_weights(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path)
+    main(["train", "--config", cfg_path])
+    model_path = tmp_path / "out" / "stage0_model.json"
+    doc = json.loads(model_path.read_text())
+    doc["weights"]["w"]["data"][0] = float("nan")
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_path]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_for_unknown_command(capsys):

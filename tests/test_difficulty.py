@@ -116,15 +116,6 @@ def test_labeling_is_deterministic():
     assert a == b
 
 
-def test_labeling_thread_count_does_not_change_result():
-    ds = blob_dataset_with_flip()
-    serial = label_difficulty(ds, Architecture("linear"), FAST, num_folds=3, num_seeds=2)
-    threaded = label_difficulty(
-        ds, Architecture("linear"), FAST, num_folds=3, num_seeds=2, threads=4
-    )
-    assert serial == threaded
-
-
 def test_more_seeds_never_relabel_difficult_as_easy():
     # seeds are consecutive from the base, so the 1-seed evidence is a
     # prefix of the 3-seed evidence: difficult can only grow
@@ -149,8 +140,6 @@ def test_labeling_rejects_bad_counts():
     ds = blob_dataset_with_flip()
     with pytest.raises(ValidationError):
         label_difficulty(ds, Architecture("linear"), FAST, num_folds=3, num_seeds=0)
-    with pytest.raises(ValidationError):
-        label_difficulty(ds, Architecture("linear"), FAST, num_folds=3, threads=0)
     with pytest.raises(ValidationError):
         label_difficulty(ds, Architecture("linear"), FAST, num_folds=1)
 
