@@ -90,9 +90,10 @@ class ClassDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise ValidationError("probs must be a flat vector")
-        if np.any(probs < 0) or np.any(probs > 1):
+        # Both checks are written so that NaN fails them.
+        if not np.all((probs >= 0) & (probs <= 1)):
             raise ValidationError("probabilities must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise ValidationError("probabilities must sum to 1")
 
     @property
@@ -170,14 +171,17 @@ def _forward(model: ClassifierModel, X: np.ndarray):
 
 
 def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities for a feature matrix, one row per instance."""
+    """Class probabilities, one row per instance; NumericError if any is non-finite."""
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ValidationError(
             f"feature matrix has {X.shape[-1] if X.ndim else 0} columns, "
             f"model expects {model.feature_dim}"
         )
     logits, _ = _forward(model, X)
-    return softmax(logits)
+    probs = softmax(logits)
+    if not np.isfinite(probs).all():
+        raise NumericError("model produced non-finite class probabilities")
+    return probs
 
 
 def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
@@ -207,81 +211,78 @@ def dar_pair_loss(conf_difficult: float, conf_easy: float, margin: float) -> flo
     return max(0.0, margin - (conf_easy - conf_difficult))
 
 
-def _cross_pairs(difficulty: np.ndarray) -> list[tuple[int, int]]:
-    """All (difficult_index, easy_index) pairs in a batch, difficult-major order."""
-    difficult = np.flatnonzero(difficulty == 1)
-    easy = np.flatnonzero(difficulty == 0)
-    return [(int(d), int(e)) for d in difficult for e in easy]
+Pairs = tuple[np.ndarray, np.ndarray]
 
 
 def _resolve_pairs(
-    difficulty: np.ndarray, config: TrainConfig, rng: np.random.Generator | None
-) -> list[tuple[int, int]]:
-    pairs = _cross_pairs(difficulty)
-    if len(pairs) > config.pair_cap:
+    difficulty: np.ndarray | None, config: TrainConfig, rng: np.random.Generator | None
+) -> Pairs | None:
+    """Row indices ``(d, e)`` of every (difficult, easy) pair, difficult-major,
+    cut to a sorted sample of ``pair_cap`` pairs (drawn from ``rng``, else from
+    the config seed) when there are more; None without difficulty labels."""
+    if difficulty is None:
+        return None
+    difficult = np.flatnonzero(difficulty == 1)
+    easy = np.flatnonzero(difficulty == 0)
+    d = np.repeat(difficult, easy.size)
+    e = np.tile(easy, difficult.size)
+    if d.size > config.pair_cap:
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        keep = rng.choice(len(pairs), size=config.pair_cap, replace=False)
-        pairs = [pairs[k] for k in sorted(keep)]
-    return pairs
+        keep = np.sort(rng.choice(d.size, size=config.pair_cap, replace=False))
+        d, e = d[keep], e[keep]
+    return d, e
+
+
+def _objective(
+    logits: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Training loss (mean cross-entropy plus ``dar_weight`` times the mean
+    :func:`dar_pair_loss` over ``pairs``), the softmax rows, and d loss / d
+    confidence per row (None when the regularizer is off or has no pairs)."""
+    n = len(y)
+    probs = softmax(logits)
+    ce = -float(log_softmax(logits)[np.arange(n), y].mean())
+    if config.dar_weight == 0 or pairs is None or pairs[0].size == 0:
+        return ce, probs, None
+    d, e = pairs
+    conf = probs.max(axis=1)
+    slack = config.margin - (conf[e] - conf[d])
+    active = slack > 0
+    # Summed in pair order, not np.sum's pairwise order, so that epoch losses
+    # (and the training log) do not change in their last bits.
+    dar = float(np.cumsum(np.where(active, slack, 0.0))[-1]) / d.size
+    counts = np.bincount(d[active], minlength=n) - np.bincount(e[active], minlength=n)
+    dconf = counts * (config.dar_weight / d.size)
+    return ce + config.dar_weight * dar, probs, dconf
 
 
 def _batch_loss(
-    model: ClassifierModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    pairs: list[tuple[int, int]],
+    model: ClassifierModel, X: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
 ) -> float:
     logits, _ = _forward(model, X)
-    logp = log_softmax(logits)
-    ce = -float(logp[np.arange(len(y)), y].mean())
-    if config.dar_weight == 0 or not pairs:
-        return ce
-    conf = softmax(logits).max(axis=1)
-    dar = sum(max(0.0, config.margin - (conf[e] - conf[d])) for d, e in pairs) / len(pairs)
-    return ce + config.dar_weight * float(dar)
+    return _objective(logits, y, config, pairs)[0]
 
 
 def _batch_loss_and_grads(
-    model: ClassifierModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    pairs: list[tuple[int, int]],
+    model: ClassifierModel, X: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
 ) -> tuple[float, dict[str, np.ndarray]]:
     n = len(y)
     logits, hidden = _forward(model, X)
-    probs = softmax(logits)
-    logp = log_softmax(logits)
-    ce = -float(logp[np.arange(n), y].mean())
+    loss, probs, dconf = _objective(logits, y, config, pairs)
 
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-
-    loss = ce
-    if config.dar_weight > 0 and pairs:
+    if dconf is not None:
         # Confidence is the argmax softmax entry; gradients flow through
         # that entry's softmax row (first index wins on ties).
-        top = np.argmax(probs, axis=1)
-        conf = probs[np.arange(n), top]
-        dconf = np.zeros(n)
-        dar = 0.0
-        for d, e in pairs:
-            slack = config.margin - (conf[e] - conf[d])
-            if slack > 0:
-                dar += slack
-                dconf[d] += 1.0
-                dconf[e] -= 1.0
-        dar /= len(pairs)
-        loss = ce + config.dar_weight * dar
-        dconf *= config.dar_weight / len(pairs)
         rows = np.flatnonzero(dconf)
-        if rows.size:
-            jac = -probs[rows] * conf[rows, None]
-            jac[np.arange(rows.size), top[rows]] += conf[rows]
-            dlogits[rows] += dconf[rows, None] * jac
+        top = np.argmax(probs[rows], axis=1)
+        conf = probs[rows, top]
+        jac = -probs[rows] * conf[:, None]
+        jac[np.arange(rows.size), top] += conf
+        dlogits[rows] += dconf[rows, None] * jac
 
     w = model.weights
     if model.architecture.kind == "linear":
@@ -322,8 +323,7 @@ def total_loss(model: ClassifierModel, batch: Sequence[Instance], config: TrainC
     this is exactly the mean cross-entropy.
     """
     X, y, difficulty = _batch_arrays(batch, config)
-    pairs = _resolve_pairs(difficulty, config, rng=None) if difficulty is not None else []
-    return _batch_loss(model, X, y, config, pairs)
+    return _batch_loss(model, X, y, config, _resolve_pairs(difficulty, config, rng=None))
 
 
 def train_with_log(
@@ -350,7 +350,7 @@ def train_with_log(
         total = 0.0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             take = perm[start : start + config.batch_size]
-            pairs: list[tuple[int, int]] = []
+            pairs = None
             if difficulty is not None:
                 pair_rng = np.random.default_rng([config.seed, epoch, batch_index])
                 pairs = _resolve_pairs(difficulty[take], config, pair_rng)
@@ -398,19 +398,17 @@ def gradient_check(
     (near-)zero true gradient compare as matching.
     """
     X, y, difficulty = _batch_arrays(batch, config)
-    pairs = _resolve_pairs(difficulty, config, rng=None) if difficulty is not None else []
+    pairs = _resolve_pairs(difficulty, config, rng=None)
 
-    if config.dar_weight > 0 and pairs:
+    if pairs is not None and pairs[0].size:
+        d, e = pairs
         probs = predict_batch(model, X)
         top2 = np.sort(probs, axis=1)[:, -2:]
+        tied = top2[:, 1] - top2[:, 0] <= KINK_TOLERANCE
         conf = probs.max(axis=1)
-        for d, e in pairs:
-            slack = config.margin - (conf[e] - conf[d])
-            if abs(slack) <= KINK_TOLERANCE:
-                return GradientCheckResult(math.nan, 0, True)
-            for idx in (d, e):
-                if top2[idx, 1] - top2[idx, 0] <= KINK_TOLERANCE:
-                    return GradientCheckResult(math.nan, 0, True)
+        slack = config.margin - (conf[e] - conf[d])
+        if np.any(np.abs(slack) <= KINK_TOLERANCE) or tied[d].any() or tied[e].any():
+            return GradientCheckResult(math.nan, 0, True)
 
     _, analytic = _batch_loss_and_grads(model, X, y, config, pairs)
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .analysis import gain_report, load_scenario
 from .cascade import (
@@ -90,6 +90,9 @@ def _resolve(base_dir: str, path: str | None) -> str | None:
 
 def config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
     try:
+        unknown = sorted(set(payload) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise ValidationError(f"config has unknown keys: {', '.join(unknown)}")
         stages = tuple(
             StageConfig(
                 architecture=Architecture(

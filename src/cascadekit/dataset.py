@@ -234,6 +234,8 @@ def load_dataset(
                     raise ValidationError(
                         f"{path}: line {lineno}: 'features' must be a flat array"
                     )
+                if not np.isfinite(features).all():
+                    raise ValidationError(f"{path}: line {lineno}: 'features' must be finite")
                 if inferred_dim is None:
                     inferred_dim = features.shape[0]
                 elif features.shape[0] != inferred_dim:

@@ -378,6 +378,9 @@ def test_non_finite_confidence_is_a_numeric_error():
     ds = planted_confidence_dataset([0.9, 0.6])
     with pytest.raises(NumericError, match="non-finite"):
         calibrate_threshold(cascade, ds, target_speedup=1.0)
+    # NaN > tau is false, so execution must not fall through silently either.
+    with pytest.raises(NumericError, match="non-finite"):
+        run_cascade(cascade, ds)
 
 
 # --- serialization -----------------------------------------------------------------
@@ -409,6 +412,24 @@ def test_trace_load_reports_bad_line(tmp_path):
 def test_trace_from_dict_rejects_missing_fields():
     with pytest.raises(ValidationError, match="malformed"):
         trace_from_dict({"instance_id": "a"})
+
+
+def test_trace_with_non_finite_probs_is_rejected(tmp_path):
+    record = {
+        "instance_id": "a",
+        "exit_stage": 0,
+        "probs": [math.nan, math.nan],
+        "confidence": math.nan,
+        "executed_costs": [2],
+        "total_cost": 2,
+    }
+    with pytest.raises(ValidationError, match="probabilities"):
+        trace_from_dict(record)
+    # json.dumps writes NaN literals, which json.loads reads back as floats.
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValidationError, match="probabilities"):
+        load_traces(path)
 
 
 def test_cascade_bundle_roundtrip(tmp_path):

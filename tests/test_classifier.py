@@ -26,7 +26,17 @@ from cascadekit import (
     train,
     train_with_log,
 )
-from cascadekit.classifier import log_softmax, model_from_dict, model_to_dict, softmax
+from cascadekit.classifier import (
+    KINK_TOLERANCE,
+    _batch_loss,
+    _batch_loss_and_grads,
+    _forward,
+    _resolve_pairs,
+    log_softmax,
+    model_from_dict,
+    model_to_dict,
+    softmax,
+)
 
 
 def fixed_linear_model():
@@ -87,6 +97,12 @@ def test_class_distribution_validation():
         ClassDistribution(np.array([-0.1, 1.1]))
     with pytest.raises(ValidationError):
         ClassDistribution(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.inf]])
+def test_class_distribution_rejects_non_finite(probs):
+    with pytest.raises(ValidationError, match="probabilities"):
+        ClassDistribution(np.array(probs))
 
 
 def test_model_rejects_wrong_weight_shapes():
@@ -369,6 +385,162 @@ def test_gradient_check_flags_margin_kink():
     # zero weights -> both confidences 0.5, argmax tied -> kink
     assert result.kink_excluded
     assert math.isnan(result.max_rel_error)
+
+
+# --- regularizer: index arrays against the per-pair loops they replaced ----------
+
+
+def oracle_pairs(difficulty, config, rng):
+    """All (difficult, easy) pairs as a list of tuples, difficult-major."""
+    difficult = np.flatnonzero(difficulty == 1)
+    easy = np.flatnonzero(difficulty == 0)
+    pairs = [(int(d), int(e)) for d in difficult for e in easy]
+    if len(pairs) > config.pair_cap:
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        keep = rng.choice(len(pairs), size=config.pair_cap, replace=False)
+        pairs = [pairs[k] for k in sorted(keep)]
+    return pairs
+
+
+def oracle_loss(model, X, y, config, pairs):
+    logits, _ = _forward(model, X)
+    logp = log_softmax(logits)
+    ce = -float(logp[np.arange(len(y)), y].mean())
+    if config.dar_weight == 0 or not pairs:
+        return ce
+    conf = softmax(logits).max(axis=1)
+    dar = sum(max(0.0, config.margin - (conf[e] - conf[d])) for d, e in pairs) / len(pairs)
+    return ce + config.dar_weight * float(dar)
+
+
+def oracle_loss_and_grads(model, X, y, config, pairs):
+    n = len(y)
+    logits, hidden = _forward(model, X)
+    probs = softmax(logits)
+    logp = log_softmax(logits)
+    ce = -float(logp[np.arange(n), y].mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    loss = ce
+    if config.dar_weight > 0 and pairs:
+        top = np.argmax(probs, axis=1)
+        conf = probs[np.arange(n), top]
+        dconf = np.zeros(n)
+        dar = 0.0
+        for d, e in pairs:
+            slack = config.margin - (conf[e] - conf[d])
+            if slack > 0:
+                dar += slack
+                dconf[d] += 1.0
+                dconf[e] -= 1.0
+        dar /= len(pairs)
+        loss = ce + config.dar_weight * dar
+        dconf *= config.dar_weight / len(pairs)
+        rows = np.flatnonzero(dconf)
+        if rows.size:
+            jac = -probs[rows] * conf[rows, None]
+            jac[np.arange(rows.size), top[rows]] += conf[rows]
+            dlogits[rows] += dconf[rows, None] * jac
+    w = model.weights
+    if model.architecture.kind == "linear":
+        return loss, {"w": X.T @ dlogits, "b": dlogits.sum(axis=0)}
+    dpre = (dlogits @ w["w2"].T) * (1.0 - hidden * hidden)
+    return loss, {
+        "w1": X.T @ dpre,
+        "b1": dpre.sum(axis=0),
+        "w2": hidden.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+
+
+def oracle_at_kink(model, X, config, pairs):
+    if config.dar_weight > 0 and pairs:
+        probs = predict_batch(model, X)
+        top2 = np.sort(probs, axis=1)[:, -2:]
+        conf = probs.max(axis=1)
+        for d, e in pairs:
+            if abs(config.margin - (conf[e] - conf[d])) <= KINK_TOLERANCE:
+                return True
+            for idx in (d, e):
+                if top2[idx, 1] - top2[idx, 0] <= KINK_TOLERANCE:
+                    return True
+    return False
+
+
+@st.composite
+def dar_batches(draw):
+    n = draw(st.integers(1, 40))
+    mix = draw(st.sampled_from(["mixed"] * 4 + ["all_easy", "all_difficult"]))
+    if mix == "mixed":
+        difficulty = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        difficulty = np.full(n, int(mix == "all_difficult"))
+    num_difficult = int(difficulty.sum())
+    cross = num_difficult * (n - num_difficult)
+    # caps both below and above the number of cross pairs
+    pair_cap = draw(st.integers(1, cross + 3))
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    dar_weight = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    margin = draw(st.floats(0.01, 0.99))
+    # weight scale 0 ties every argmax; 1e-4 nearly ties it
+    scale = draw(st.sampled_from([0.0, 1e-4, 0.5, 3.0]))
+    plant_margin_kink = draw(st.booleans())
+    tied_row = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    seed = draw(st.integers(0, 2**16))
+
+    rng = np.random.default_rng(seed)
+    arch = Architecture(kind, 4 if kind == "mlp" else None)
+    shapes = {"w": (3, 3), "b": (3,)} if kind == "linear" else {
+        "w1": (3, 4), "b1": (4,), "w2": (4, 3), "b2": (3,)
+    }
+    weights = {name: scale * rng.normal(size=shape) for name, shape in shapes.items()}
+    model = ClassifierModel(arch, 3, 3, weights, TrainConfig())
+    X = rng.normal(size=(n, 3))
+    if tied_row is not None:
+        # zero features and biases give that row all-equal logits
+        X[tied_row] = 0.0
+        for name in weights:
+            if name.startswith("b"):
+                weights[name][:] = 0.0
+    y = rng.integers(0, 3, size=n)
+    if plant_margin_kink and cross:
+        # put the first cross pair exactly on the hinge
+        conf = predict_batch(model, X).max(axis=1)
+        gap = conf[np.flatnonzero(difficulty == 0)[0]] - conf[np.flatnonzero(difficulty == 1)[0]]
+        if 0.0 < gap < 1.0:
+            margin = float(gap)
+    config = TrainConfig(dar_weight=dar_weight, margin=margin, pair_cap=pair_cap, seed=seed)
+    return model, X, y, difficulty, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(dar_batches())
+def test_dar_index_arrays_match_per_pair_oracle(case):
+    model, X, y, difficulty, config = case
+    for rng_seed in (None, [config.seed, 3, 7]):
+        new_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        old_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        d, e = _resolve_pairs(difficulty, config, new_rng)
+        old_pairs = oracle_pairs(difficulty, config, old_rng)
+        assert list(zip(d.tolist(), e.tolist())) == old_pairs
+
+    # the seeded pairs from the last draw, as training passes them
+    pairs = (d, e) if config.dar_weight > 0 else None
+    assert _batch_loss(model, X, y, config, pairs) == oracle_loss(model, X, y, config, old_pairs)
+    loss, grads = _batch_loss_and_grads(model, X, y, config, pairs)
+    old_loss, old_grads = oracle_loss_and_grads(model, X, y, config, old_pairs)
+    assert loss == old_loss
+    assert grads.keys() == old_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], old_grads[name]), name
+
+    batch = [
+        Instance(f"i{k}", X[k], int(y[k]), int(difficulty[k])) for k in range(len(y))
+    ]
+    at_kink = oracle_at_kink(model, X, config, oracle_pairs(difficulty, config, None))
+    assert gradient_check(model, batch, config).kink_excluded == at_kink
 
 
 # --- serialization ----------------------------------------------------------------

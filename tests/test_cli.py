@@ -78,6 +78,16 @@ def test_config_missing_key_rejected():
         config_from_dict({"stages": []})
 
 
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # `stage_dar_weight` is not a config key; dropping it silently trained without DAR.
+    cfg_path = write_experiment(tmp_path, stage_dar_weight=0.5, sweep_threshold=[0.5])
+    with pytest.raises(ValidationError, match="unknown keys: stage_dar_weight, sweep_threshold"):
+        load_config(cfg_path)
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "stage_dar_weight" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_requires_ascending_stage_costs():
     with pytest.raises(ValidationError, match="ascending"):
         PipelineConfig(
@@ -306,6 +316,9 @@ def test_exit_code_for_non_finite_stage_weights(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--config", cfg_path]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg_path]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_exit_code_for_unknown_command(capsys):

@@ -273,6 +273,18 @@ def test_load_reports_line_of_bad_json(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_features(tmp_path, literal):
+    # Python's JSON parser accepts these literals, so the loader must check.
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id": "r1", "label": 0, "features": [1.0, 2.0]}\n'
+        f'{{"id": "r2", "label": 1, "features": [0.5, {literal}]}}\n'
+    )
+    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: 'features' must be finite"):
+        load_dataset(path)
+
+
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": "r1", "features": [1.0]}\n')
