@@ -88,24 +88,30 @@ def _resolve(base_dir: str, path: str | None) -> str | None:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
+def _reject_unknown_keys(where: str, payload: dict, cls) -> None:
+    """Misspelled keys would otherwise fall back to defaults without a word."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys: {', '.join(unknown)}")
+
+
+def _stage_from_dict(index: int, entry: dict) -> StageConfig:
+    _reject_unknown_keys(f"config stage {index}", entry, StageConfig)
+    arch = entry["architecture"]
+    _reject_unknown_keys(f"config stage {index} architecture", arch, Architecture)
+    return StageConfig(
+        architecture=Architecture(kind=arch["kind"], hidden_size=arch.get("hidden_size")),
+        layer_cost=int(entry["layer_cost"]),
+        dar_weight=None if entry.get("dar_weight") is None else float(entry["dar_weight"]),
+    )
+
+
 def config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
     try:
-        unknown = sorted(set(payload) - {f.name for f in fields(PipelineConfig)})
-        if unknown:
-            raise ValidationError(f"config has unknown keys: {', '.join(unknown)}")
-        stages = tuple(
-            StageConfig(
-                architecture=Architecture(
-                    kind=entry["architecture"]["kind"],
-                    hidden_size=entry["architecture"].get("hidden_size"),
-                ),
-                layer_cost=int(entry["layer_cost"]),
-                dar_weight=(
-                    None if entry.get("dar_weight") is None else float(entry["dar_weight"])
-                ),
-            )
-            for entry in payload["stages"]
-        )
+        _reject_unknown_keys("config", payload, PipelineConfig)
+        stages = tuple(_stage_from_dict(i, entry) for i, entry in enumerate(payload["stages"]))
         train = TrainConfig(**payload.get("train", {}))
         return PipelineConfig(
             train_dataset=_resolve(base_dir, payload["train_dataset"]),
@@ -274,7 +280,12 @@ def cmd_run(config: PipelineConfig) -> int:
     if not config.target_speedups:
         raise ValidationError("config declares no target_speedups to run")
     calibration = _load_split(config, config.calibration_dataset, "calibration")
-    eval_ds = _load_split(config, config.eval_dataset, "eval")
+    if config.eval_dataset is not None and os.path.realpath(config.eval_dataset) == (
+        os.path.realpath(config.calibration_dataset)
+    ):
+        eval_ds = calibration  # a Dataset is immutable, so one load serves both roles
+    else:
+        eval_ds = _load_split(config, config.eval_dataset, "eval")
     base = _build_cascade(config, (1.0,) * (len(config.stages) - 1))
     dis_difficulty = _eval_difficulty(eval_ds)
     os.makedirs(config.output_dir, exist_ok=True)

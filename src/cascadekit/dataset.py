@@ -11,6 +11,7 @@ featurized with a signed hashing trick (see :func:`hash_featurize`).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections.abc import Mapping, Sequence
@@ -23,6 +24,8 @@ from .errors import ValidationError
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Distinct tokens whose hashes hash_featurize keeps; bounds the memo's memory.
+_TOKEN_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,21 +138,30 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _token_hash(token: str) -> int:
+    return fnv1a64(token.encode("utf-8"))
+
+
 def hash_featurize(text: str, dim: int) -> np.ndarray:
     """Signed hashing-trick featurizer.
 
     Lowercases, splits on whitespace, and for each token adds +1 or -1
     (sign from bit 63 of the token's FNV-1a 64 hash; +1 when clear) to
     bucket ``hash % dim``.  Non-empty results are L2-normalized; empty
-    text yields the zero vector.
+    text yields the zero vector.  Token hashes are memoized per process,
+    for at most 65,536 distinct tokens.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    vec = np.zeros(dim)
-    for token in text.lower().split():
-        h = fnv1a64(token.encode("utf-8"))
-        sign = 1.0 if h < (1 << 63) else -1.0
-        vec[h % dim] += sign
+    tokens = text.lower().split()
+    if not tokens:
+        return np.zeros(dim)  # np.bincount over no tokens would return int64
+    h = np.fromiter(map(_token_hash, tokens), np.uint64, len(tokens))
+    # Bucket counts are sums of +-1, which float64 holds exactly, so the
+    # result equals token-by-token accumulation.  np.uint64(dim) keeps the
+    # modulo in uint64 for a NumPy-integer dim too (uint64 % int64 is float).
+    vec = np.bincount(h % np.uint64(dim), weights=1.0 - 2.0 * (h >> 63), minlength=dim)
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm
@@ -229,7 +241,12 @@ def load_dataset(
                     raise ValidationError(
                         f"{path}: line {lineno}: record lacks a 'features' array"
                     )
-                features = np.asarray(record["features"], dtype=np.float64)
+                try:
+                    features = np.asarray(record["features"], dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"{path}: line {lineno}: 'features' must be an array of numbers"
+                    ) from None
                 if features.ndim != 1:
                     raise ValidationError(
                         f"{path}: line {lineno}: 'features' must be a flat array"

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import cascadekit.cli
 from cascadekit import (
     ValidationError,
     evaluate,
@@ -85,6 +86,32 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         load_config(cfg_path)
     assert main(["train", "--config", cfg_path]) == 1
     assert "stage_dar_weight" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+LINEAR = {"architecture": {"kind": "linear"}, "layer_cost": 2}
+MLP = {"architecture": {"kind": "mlp", "hidden_size": 4}, "layer_cost": 12}
+
+
+@pytest.mark.parametrize(
+    "stages, message",
+    [
+        ([{**LINEAR, "dar_wieght": 0.5}, MLP], "config stage 0 has unknown keys: dar_wieght"),
+        (
+            [LINEAR, {**MLP, "architecture": {"kind": "mlp", "hidden_size": 4, "hiden": 3}}],
+            "config stage 1 architecture has unknown keys: hiden",
+        ),
+        ([LINEAR, {**MLP, "architecture": "mlp"}], "config stage 1 architecture must be a JSON object"),
+    ],
+    ids=["stage", "architecture", "not-an-object"],
+)
+def test_config_rejects_unknown_stage_keys(tmp_path, capsys, stages, message):
+    # A misspelled stage key used to fall back to its default without a word.
+    cfg_path = write_experiment(tmp_path, stages=stages)
+    with pytest.raises(ValidationError, match=message):
+        load_config(cfg_path)
+    assert main(["train", "--config", cfg_path]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -214,6 +241,31 @@ def test_run_metrics_match_offline_recomputation(tmp_path):
     assert load_metrics(out / "metrics_2x.json") == recomputed
 
 
+def test_run_loads_a_shared_split_once(tmp_path, monkeypatch):
+    loads = []
+
+    def counting_load(path, *args, **kwargs):
+        loads.append(os.path.basename(path))
+        return load_dataset(path, *args, **kwargs)
+
+    monkeypatch.setattr(cascadekit.cli, "load_dataset", counting_load)
+    cfg_path = write_experiment(tmp_path)
+    main(["train", "--config", cfg_path])
+    out = tmp_path / "out"
+    loads.clear()
+    assert main(["run", "--config", cfg_path]) == 0
+    assert loads == ["eval.jsonl"]
+    shared = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    # The same split under a second name is loaded twice and gives the same run.
+    (tmp_path / "calibration.jsonl").write_bytes((tmp_path / "eval.jsonl").read_bytes())
+    cfg_path = write_experiment(tmp_path, calibration_dataset="calibration.jsonl")
+    loads.clear()
+    assert main(["run", "--config", cfg_path]) == 0
+    assert loads == ["calibration.jsonl", "eval.jsonl"]
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == shared
+
+
 def test_run_requires_models(tmp_path, capsys):
     cfg_path = write_experiment(tmp_path)
     assert main(["run", "--config", cfg_path]) == 1
@@ -319,6 +371,15 @@ def test_exit_code_for_non_finite_stage_weights(tmp_path, capsys):
     assert main(["sweep", "--config", cfg_path]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_exit_code_for_non_numeric_features(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path)
+    with open(tmp_path / "train.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "bad", "label": 0, "features": ["x", 1.0]}) + "\n")
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "train.jsonl: line 151: 'features' must be an array of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_for_unknown_command(capsys):

@@ -15,7 +15,7 @@ from cascadekit import (
     load_dataset,
     save_dataset,
 )
-from cascadekit.dataset import fnv1a64
+from cascadekit.dataset import _token_hash, fnv1a64
 
 # Published FNV-1a 64 test vectors (empty input is the offset basis).
 KNOWN_HASHES = {
@@ -87,6 +87,65 @@ def test_hash_featurize_norm_is_zero_or_one(text, dim):
     assert v.shape == (dim,)
     norm = np.linalg.norm(v)
     assert norm == 0.0 or abs(norm - 1.0) < 1e-12
+
+
+def hash_featurize_oracle(text, dim):
+    """Reference: FNV-1a byte by byte, one bucket update per token."""
+    vec = np.zeros(dim)
+    for token in text.lower().split():
+        h = 0xCBF29CE484222325
+        for byte in token.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        vec[h % dim] += 1.0 if h < (1 << 63) else -1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def assert_same_vector(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also tells 0.0 from -0.0
+
+
+# Tokens that repeat, differ only in case, or change length when lowercased
+# ("İ" lowercases to two code points), and whitespace that str.split() honours.
+TRICKY_WORDS = ["a", "A", "good", "GOOD", "Good", "İ", "ß", "ẞ", "Σσς", "ǅ", "ﬃ", "e\u0301", "日本"]
+WHITESPACE = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u00a0", "\u2003", "\u2028", "\u3000"]
+documents = st.one_of(
+    st.text(),
+    st.lists(st.tuples(st.sampled_from(TRICKY_WORDS), st.sampled_from(WHITESPACE))).map(
+        lambda parts: "".join(word + space for word, space in parts)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.integers(min_value=1, max_value=512))
+def test_hash_featurize_matches_per_byte_oracle(text, dim):
+    want = hash_featurize_oracle(text, dim)
+    _token_hash.cache_clear()
+    assert_same_vector(hash_featurize(text, dim), want)  # cold memo
+    assert_same_vector(hash_featurize(text, dim), want)  # warm memo
+    assert_same_vector(hash_featurize(text, np.int64(dim)), want)
+
+
+def test_load_text_rows_match_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    texts = ["", " \u3000 "] + [
+        "".join(w + s for w, s in zip(rng.choice(TRICKY_WORDS, 30), rng.choice(WHITESPACE, 30)))
+        for _ in range(60)
+    ]
+    path = tmp_path / "text.jsonl"
+    path.write_text(
+        "".join(json.dumps({"id": i, "label": i % 2, "text": t}) + "\n" for i, t in enumerate(texts)),
+        encoding="utf-8",
+    )
+    ds = load_dataset(path, format="jsonl_text", feature_dim=37)
+    for inst, text in zip(ds.instances, texts, strict=True):
+        assert_same_vector(inst.features, hash_featurize_oracle(text, 37))
 
 
 # --- instance / dataset validation ----------------------------------------
@@ -282,6 +341,22 @@ def test_load_rejects_non_finite_features(tmp_path, literal):
         f'{{"id": "r2", "label": 1, "features": [0.5, {literal}]}}\n'
     )
     with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: 'features' must be finite"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "features", [["x", 1.0], [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "object"]
+)
+def test_load_rejects_non_numeric_features(tmp_path, features):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id": "r1", "label": 0, "features": [1.0, 2.0]}\n'
+        + json.dumps({"id": "r2", "label": 1, "features": features})
+        + "\n"
+    )
+    with pytest.raises(
+        ValidationError, match=r"d\.jsonl: line 2: 'features' must be an array of numbers"
+    ):
         load_dataset(path)
 
 
