@@ -10,12 +10,12 @@ case.  :func:`empirical_gain` is the measured counterpart for real runs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cascade import Cascade, run_cascade, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
+from .jsonio import decoder, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
 FEASIBILITY_SLACK = 1e-9
@@ -198,38 +198,25 @@ def gain_report(scenario: GainScenario) -> dict:
 
 
 def scenario_to_dict(scenario: GainScenario) -> dict:
-    return {
-        "layer_counts": list(scenario.layer_counts),
-        "accuracies": list(scenario.accuracies),
-        "insert_after": scenario.insert_after,
-        "new_layers": scenario.new_layers,
-        "new_accuracy": scenario.new_accuracy,
-        "new_exits": list(scenario.new_exits),
-        "new_model_exits": scenario.new_model_exits,
-    }
+    return asdict(scenario)
 
 
+@decoder("gain scenario")
 def scenario_from_dict(payload: dict) -> GainScenario:
-    try:
-        return GainScenario(
-            layer_counts=tuple(int(c) for c in payload["layer_counts"]),
-            accuracies=tuple(float(a) for a in payload["accuracies"]),
-            insert_after=int(payload["insert_after"]),
-            new_layers=int(payload["new_layers"]),
-            new_accuracy=float(payload["new_accuracy"]),
-            new_exits=tuple(int(s) for s in payload["new_exits"]),
-            new_model_exits=int(payload["new_model_exits"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed gain scenario: {exc}")
+    return GainScenario(
+        layer_counts=tuple(int(c) for c in payload["layer_counts"]),
+        accuracies=tuple(float(a) for a in payload["accuracies"]),
+        insert_after=int(payload["insert_after"]),
+        new_layers=int(payload["new_layers"]),
+        new_accuracy=float(payload["new_accuracy"]),
+        new_exits=tuple(int(s) for s in payload["new_exits"]),
+        new_model_exits=int(payload["new_model_exits"]),
+    )
 
 
 def save_scenario(scenario: GainScenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(scenario))
 
 
 def load_scenario(path) -> GainScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    return read_json(path, scenario_from_dict)

@@ -9,7 +9,6 @@ for in full.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .classifier import (
 )
 from .dataset import Dataset, Instance
 from .errors import ValidationError
+from .jsonio import decoder, read_json, read_jsonl, write_json, write_jsonl
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
@@ -205,39 +205,29 @@ def trace_to_dict(trace: ExitTrace) -> dict:
     }
 
 
+@decoder("trace record")
 def trace_from_dict(payload: dict) -> ExitTrace:
-    try:
-        return ExitTrace(
-            instance_id=str(payload["instance_id"]),
-            exit_stage=int(payload["exit_stage"]),
-            distribution=ClassDistribution(np.asarray(payload["probs"], dtype=np.float64)),
-            confidence=float(payload["confidence"]),
-            executed_costs=tuple(int(c) for c in payload["executed_costs"]),
-            total_cost=int(payload["total_cost"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed trace record: {exc}")
+    distribution = ClassDistribution(np.asarray(payload["probs"], dtype=np.float64))
+    conf = float(payload["confidence"])
+    # Compared with the payload's own list: np.max would slow every trace load.
+    if conf != max(payload["probs"]):
+        raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
+    return ExitTrace(
+        instance_id=str(payload["instance_id"]),
+        exit_stage=int(payload["exit_stage"]),
+        distribution=distribution,
+        confidence=conf,
+        executed_costs=tuple(int(c) for c in payload["executed_costs"]),
+        total_cost=int(payload["total_cost"]),
+    )
 
 
 def save_traces(traces: list[ExitTrace], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace_to_dict(trace), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(trace_to_dict, traces))
 
 
 def load_traces(path) -> list[ExitTrace]:
-    traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {line_no}: invalid JSON ({exc.msg})")
-            traces.append(trace_from_dict(payload))
-    return traces
+    return read_jsonl(path, trace_from_dict)
 
 
 def save_cascade(cascade: Cascade, path, model_filenames: list[str] | None = None) -> None:
@@ -261,27 +251,24 @@ def save_cascade(cascade: Cascade, path, model_filenames: list[str] | None = Non
         "thresholds": list(cascade.thresholds),
         "full_model_cost": cascade.full_model_cost,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
+
+
+@decoder("cascade description")
+def _cascade_from_dict(payload: dict, directory: str) -> Cascade:
+    stages = tuple(
+        StageSpec(
+            model=load_model(os.path.join(directory, entry["model_path"])),
+            layer_cost=int(entry["layer_cost"]),
+        )
+        for entry in payload["stages"]
+    )
+    thresholds = tuple(float(t) for t in payload["thresholds"])
+    return Cascade(stages, thresholds, int(payload["full_model_cost"]))
 
 
 def load_cascade(path) -> Cascade:
     """Read a cascade description JSON, loading stage models from paths
     resolved relative to the description file."""
     directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        stages = tuple(
-            StageSpec(
-                model=load_model(os.path.join(directory, entry["model_path"])),
-                layer_cost=int(entry["layer_cost"]),
-            )
-            for entry in payload["stages"]
-        )
-        thresholds = tuple(float(t) for t in payload["thresholds"])
-        full_model_cost = int(payload["full_model_cost"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed cascade description: {exc}")
-    return Cascade(stages, thresholds, full_model_cost)
+    return read_json(path, lambda payload: _cascade_from_dict(payload, directory))

@@ -11,15 +11,15 @@ shuffling, and regularizer pair sampling all derive from it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import Dataset, Instance
 from .errors import NumericError, ValidationError
+from .jsonio import decoder, read_json, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
 
@@ -435,59 +435,44 @@ def gradient_check(
 
 def model_to_dict(model: ClassifierModel) -> dict:
     return {
-        "architecture": {
-            "kind": model.architecture.kind,
-            "hidden_size": model.architecture.hidden_size,
-        },
+        "architecture": asdict(model.architecture),
         "feature_dim": model.feature_dim,
         "num_classes": model.num_classes,
         "weights": {
             name: {"shape": list(array.shape), "data": [float(x) for x in array.ravel()]}
             for name, array in model.weights.items()
         },
-        "train_config": {
-            "epochs": model.train_config.epochs,
-            "learning_rate": model.train_config.learning_rate,
-            "batch_size": model.train_config.batch_size,
-            "dar_weight": model.train_config.dar_weight,
-            "margin": model.train_config.margin,
-            "seed": model.train_config.seed,
-            "pair_cap": model.train_config.pair_cap,
-        },
+        "train_config": asdict(model.train_config),
     }
 
 
+@decoder("model document")
 def model_from_dict(payload: dict) -> ClassifierModel:
-    try:
-        arch = Architecture(
-            kind=payload["architecture"]["kind"],
-            hidden_size=payload["architecture"]["hidden_size"],
-        )
-        config = TrainConfig(**payload["train_config"])
-        feature_dim = int(payload["feature_dim"])
-        num_classes = int(payload["num_classes"])
-        raw = payload["weights"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed model document: {exc}")
+    arch = Architecture(
+        kind=payload["architecture"]["kind"],
+        hidden_size=payload["architecture"]["hidden_size"],
+    )
+    config = TrainConfig(**payload["train_config"])
     weights = {}
-    for name, entry in raw.items():
+    for name, entry in payload["weights"].items():
         shape = tuple(entry["shape"])
         data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != int(np.prod(shape)):
             raise ValidationError(
                 f"weight {name!r}: {data.size} values do not fill shape {shape}"
             )
+        if not np.isfinite(data).all():
+            raise NumericError(f"weight {name!r} holds non-finite values")
         weights[name] = data.reshape(shape)
     # ClassifierModel.__post_init__ rejects any shape/architecture mismatch.
-    return ClassifierModel(arch, feature_dim, num_classes, weights, config)
+    return ClassifierModel(
+        arch, int(payload["feature_dim"]), int(payload["num_classes"]), weights, config
+    )
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict)

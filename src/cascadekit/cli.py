@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .analysis import gain_report, load_scenario
 from .cascade import (
@@ -29,6 +29,7 @@ from .classifier import Architecture, TrainConfig, load_model, save_model, train
 from .dataset import Dataset, load_dataset, save_dataset
 from .difficulty import apply_difficulty, label_difficulty, load_report, save_report
 from .errors import NumericError, ValidationError
+from .jsonio import decoder, read_json, write_json
 from .metrics import evaluate, metrics_to_dict, save_metrics, write_sweep_csv
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(i / 20 for i in range(21))
@@ -108,45 +109,37 @@ def _stage_from_dict(index: int, entry: dict) -> StageConfig:
     )
 
 
+@decoder("config")
 def config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
-    try:
-        _reject_unknown_keys("config", payload, PipelineConfig)
-        stages = tuple(_stage_from_dict(i, entry) for i, entry in enumerate(payload["stages"]))
-        train = TrainConfig(**payload.get("train", {}))
-        return PipelineConfig(
-            train_dataset=_resolve(base_dir, payload["train_dataset"]),
-            stages=stages,
-            output_dir=_resolve(base_dir, payload["output_dir"]),
-            full_model_cost=int(payload.get("full_model_cost", 12)),
-            train=train,
-            calibration_dataset=_resolve(base_dir, payload.get("calibration_dataset")),
-            eval_dataset=_resolve(base_dir, payload.get("eval_dataset")),
-            dataset_format=payload.get("dataset_format", "jsonl_features"),
-            feature_dim=payload.get("feature_dim"),
-            num_classes=payload.get("num_classes"),
-            difficulty_folds=int(payload.get("difficulty_folds", 8)),
-            difficulty_seeds=int(payload.get("difficulty_seeds", 5)),
-            difficulty_report=_resolve(base_dir, payload.get("difficulty_report")),
-            target_speedups=tuple(float(t) for t in payload.get("target_speedups", ())),
-            calibration_tolerance=float(payload.get("calibration_tolerance", 0.04)),
-            sweep_thresholds=tuple(
-                float(t) for t in payload.get("sweep_thresholds", DEFAULT_SWEEP_THRESHOLDS)
-            ),
-            positive_class=payload.get("positive_class"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"config is missing required key {exc}")
-    except TypeError as exc:
-        raise ValidationError(f"malformed config: {exc}")
+    _reject_unknown_keys("config", payload, PipelineConfig)
+    stages = tuple(_stage_from_dict(i, entry) for i, entry in enumerate(payload["stages"]))
+    train = TrainConfig(**payload.get("train", {}))
+    return PipelineConfig(
+        train_dataset=_resolve(base_dir, payload["train_dataset"]),
+        stages=stages,
+        output_dir=_resolve(base_dir, payload["output_dir"]),
+        full_model_cost=int(payload.get("full_model_cost", 12)),
+        train=train,
+        calibration_dataset=_resolve(base_dir, payload.get("calibration_dataset")),
+        eval_dataset=_resolve(base_dir, payload.get("eval_dataset")),
+        dataset_format=payload.get("dataset_format", "jsonl_features"),
+        feature_dim=payload.get("feature_dim"),
+        num_classes=payload.get("num_classes"),
+        difficulty_folds=int(payload.get("difficulty_folds", 8)),
+        difficulty_seeds=int(payload.get("difficulty_seeds", 5)),
+        difficulty_report=_resolve(base_dir, payload.get("difficulty_report")),
+        target_speedups=tuple(float(t) for t in payload.get("target_speedups", ())),
+        calibration_tolerance=float(payload.get("calibration_tolerance", 0.04)),
+        sweep_thresholds=tuple(
+            float(t) for t in payload.get("sweep_thresholds", DEFAULT_SWEEP_THRESHOLDS)
+        ),
+        positive_class=payload.get("positive_class"),
+    )
 
 
 def load_config(path: str, seed: int | None = None, out: str | None = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc.msg})")
-    config = config_from_dict(payload, base_dir=os.path.dirname(os.path.abspath(path)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    config = read_json(path, lambda payload: config_from_dict(payload, base_dir=base_dir))
     if seed is not None:
         config = replace(config, train=replace(config.train, seed=seed))
     if out is not None:
@@ -232,10 +225,7 @@ def cmd_train(config: PipelineConfig) -> int:
         log_entries.append(
             {
                 "stage": i,
-                "architecture": {
-                    "kind": stage.architecture.kind,
-                    "hidden_size": stage.architecture.hidden_size,
-                },
+                "architecture": asdict(stage.architecture),
                 "layer_cost": stage.layer_cost,
                 "dar_weight": stage_config.dar_weight,
                 "seed": stage_config.seed,
@@ -245,9 +235,7 @@ def cmd_train(config: PipelineConfig) -> int:
         print(f"stage {i}: trained {stage.architecture.kind} -> {path} "
               f"(final loss {losses[-1]:.4f})")
     log_path = os.path.join(config.output_dir, "train_log.json")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump({"stages": log_entries}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(log_path, {"stages": log_entries})
     print(f"training log -> {log_path}")
     return 0
 
@@ -358,9 +346,7 @@ def cmd_analyze(scenario_path: str, out_dir: str | None) -> int:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "gain_report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, report)
         print(f"report -> {path}")
     return 0
 
@@ -441,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "metrics":
             return cmd_metrics(config, args.traces)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

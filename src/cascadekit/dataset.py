@@ -12,7 +12,6 @@ featurized with a signed hashing trick (see :func:`hash_featurize`).
 from __future__ import annotations
 
 import functools
-import json
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .jsonio import decoder, read_jsonl, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -218,82 +218,56 @@ def load_dataset(
     if format == "jsonl_text" and feature_dim is None:
         raise ValidationError("jsonl_text requires an explicit feature_dim")
 
-    instances: list[Instance] = []
-    inferred_dim = feature_dim
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
-            if not isinstance(record, dict) or "id" not in record or "label" not in record:
-                raise ValidationError(
-                    f"{path}: line {lineno}: record needs 'id' and 'label' fields"
-                )
-            inst_id = str(record["id"])
-            label = record["label"]
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ValidationError(f"{path}: line {lineno}: label must be an integer")
-            if format == "jsonl_features":
-                if "features" not in record:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: record lacks a 'features' array"
-                    )
-                try:
-                    features = np.asarray(record["features"], dtype=np.float64)
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"{path}: line {lineno}: 'features' must be an array of numbers"
-                    ) from None
-                if features.ndim != 1:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: 'features' must be a flat array"
-                    )
-                if not np.isfinite(features).all():
-                    raise ValidationError(f"{path}: line {lineno}: 'features' must be finite")
-                if inferred_dim is None:
-                    inferred_dim = features.shape[0]
-                elif features.shape[0] != inferred_dim:
-                    raise ValidationError(
-                        f"instance {inst_id!r}: expected {inferred_dim} features, "
-                        f"got {features.shape[0]}"
-                    )
-            else:
-                if "text" not in record:
-                    raise ValidationError(f"{path}: line {lineno}: record lacks a 'text' field")
-                features = hash_featurize(str(record["text"]), feature_dim)
-            difficulty = record.get("difficulty")
-            if difficulty is not None and difficulty not in (0, 1):
-                raise ValidationError(
-                    f"instance {inst_id!r}: difficulty must be 0 or 1, got {difficulty!r}"
-                )
-            instances.append(Instance(inst_id, features, label, difficulty))
+    @decoder("dataset record")
+    def decode(record) -> Instance:
+        if not isinstance(record, dict) or "id" not in record or "label" not in record:
+            raise ValidationError("record needs 'id' and 'label' fields")
+        label = record["label"]
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ValidationError("label must be an integer")
+        if format == "jsonl_text":
+            if "text" not in record:
+                raise ValidationError("record lacks a 'text' field")
+            features = hash_featurize(str(record["text"]), feature_dim)
+        else:
+            if "features" not in record:
+                raise ValidationError("record lacks a 'features' array")
+            values = record["features"]
+            # np.asarray would read "1.5" and true as numbers; JSON numbers parse to int or float.
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                raise ValidationError("'features' must be an array of numbers")
+            if not values:
+                raise ValidationError("'features' is empty")
+            features = np.asarray(values, dtype=np.float64)
+            if not np.isfinite(features).all():
+                raise ValidationError("'features' must be finite")
+        # Instance checks the label sign and the difficulty flag.
+        return Instance(str(record["id"]), features, label, record.get("difficulty"))
 
+    instances = read_jsonl(path, decode)
     if not instances:
         raise ValidationError(f"{path}: empty dataset")
     if num_classes is None:
         num_classes = max(inst.label for inst in instances) + 1
-    else:
-        for inst in instances:
-            if inst.label >= num_classes:
-                raise ValidationError(
-                    f"instance {inst.id!r}: label {inst.label} out of range for "
-                    f"{num_classes} classes"
-                )
-    return Dataset(tuple(instances), num_classes=num_classes, feature_dim=inferred_dim)
+    if feature_dim is None:
+        feature_dim = instances[0].features.shape[0]
+    try:  # Dataset checks ids, dims and labels across records
+        return Dataset(tuple(instances), num_classes=num_classes, feature_dim=feature_dim)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _record(inst: Instance) -> dict:
+    record = {
+        "id": inst.id,
+        "label": int(inst.label),
+        "features": [float(x) for x in inst.features],
+    }
+    if inst.difficulty is not None:
+        record["difficulty"] = int(inst.difficulty)
+    return record
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset as jsonl_features; round-trips feature values exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in dataset.instances:
-            record = {
-                "id": inst.id,
-                "label": int(inst.label),
-                "features": [float(x) for x in inst.features],
-            }
-            if inst.difficulty is not None:
-                record["difficulty"] = int(inst.difficulty)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, map(_record, dataset.instances))

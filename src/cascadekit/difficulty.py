@@ -9,14 +9,14 @@ so seeds vary initialization and batch order only.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .classifier import Architecture, TrainConfig, predict_batch, train
 from .dataset import Dataset, assign_folds
 from .errors import ValidationError
+from .jsonio import decoder, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -103,34 +103,24 @@ def apply_difficulty(dataset: Dataset, report: DifficultyReport) -> Dataset:
 
 
 def report_to_dict(report: DifficultyReport) -> dict:
-    return {
-        "labels": dict(report.labels),
-        "per_seed_correct": {k: list(v) for k, v in report.per_seed_correct.items()},
-        "num_folds": report.num_folds,
-        "seeds": list(report.seeds),
-    }
+    return asdict(report)
 
 
+@decoder("difficulty report")
 def report_from_dict(payload: dict) -> DifficultyReport:
-    try:
-        return DifficultyReport(
-            labels={str(k): int(v) for k, v in payload["labels"].items()},
-            per_seed_correct={
-                str(k): [bool(b) for b in v] for k, v in payload["per_seed_correct"].items()
-            },
-            num_folds=int(payload["num_folds"]),
-            seeds=tuple(int(s) for s in payload["seeds"]),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed difficulty report: {exc}")
+    return DifficultyReport(
+        labels={str(k): int(v) for k, v in payload["labels"].items()},
+        per_seed_correct={
+            str(k): [bool(b) for b in v] for k, v in payload["per_seed_correct"].items()
+        },
+        num_folds=int(payload["num_folds"]),
+        seeds=tuple(int(s) for s in payload["seeds"]),
+    )
 
 
 def save_report(report: DifficultyReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path) -> DifficultyReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return read_json(path, report_from_dict)

@@ -9,14 +9,14 @@ everything plus cost accounting into one report.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cascade import ExitTrace, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
+from .jsonio import decoder, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
 
@@ -222,41 +222,28 @@ def evaluate(
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
-        "num_instances": report.num_instances,
-        "accuracy": report.accuracy,
-        "ece": report.ece,
-        "speedup": report.speedup,
-        "exit_histogram": list(report.exit_histogram),
-        "f1": report.f1,
-        "dis": report.dis,
-    }
+    return asdict(report)
 
 
+@decoder("metrics report")
 def metrics_from_dict(payload: dict) -> MetricsReport:
-    try:
-        return MetricsReport(
-            num_instances=int(payload["num_instances"]),
-            accuracy=float(payload["accuracy"]),
-            ece=float(payload["ece"]),
-            speedup=float(payload["speedup"]),
-            exit_histogram=tuple(int(c) for c in payload["exit_histogram"]),
-            f1=None if payload["f1"] is None else float(payload["f1"]),
-            dis=None if payload["dis"] is None else float(payload["dis"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed metrics report: {exc}")
+    return MetricsReport(
+        num_instances=int(payload["num_instances"]),
+        accuracy=float(payload["accuracy"]),
+        ece=float(payload["ece"]),
+        speedup=float(payload["speedup"]),
+        exit_histogram=tuple(int(c) for c in payload["exit_histogram"]),
+        f1=None if payload["f1"] is None else float(payload["f1"]),
+        dis=None if payload["dis"] is None else float(payload["dis"]),
+    )
 
 
 def save_metrics(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics_to_dict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, metrics_to_dict(report))
 
 
 def load_metrics(path) -> MetricsReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return metrics_from_dict(json.load(fh))
+    return read_json(path, metrics_from_dict)
 
 
 def write_sweep_csv(path, rows: list[tuple[float, MetricsReport]]) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -429,6 +430,22 @@ def test_trace_with_non_finite_probs_is_rejected(tmp_path):
     path = tmp_path / "traces.jsonl"
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(ValidationError, match="probabilities"):
+        load_traces(path)
+
+
+def test_trace_confidence_must_match_probs(tmp_path):
+    # An edited confidence used to load and silently move DIS and ECE.
+    traces = run_cascade(two_stage_cascade(), planted_confidence_dataset([0.9, 0.55]))
+    path = tmp_path / "traces.jsonl"
+    save_traces(traces, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["confidence"] = record["confidence"] - 0.01
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="confidence .* is not the largest of the probabilities"):
+        trace_from_dict(record)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2: confidence"):
         load_traces(path)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -585,3 +586,14 @@ def test_model_load_rejects_bad_payloads(tmp_path):
     renamed["weights"]["w_extra"] = renamed["weights"].pop("w")
     with pytest.raises(ValidationError):
         model_from_dict(renamed)
+
+    # Non-finite weights used to load and fail only at the first forward pass.
+    for value in (math.nan, math.inf):
+        bad = json.loads(json.dumps(payload))
+        bad["weights"]["b"]["data"][1] = value
+        with pytest.raises(NumericError, match="weight 'b' holds non-finite values"):
+            model_from_dict(bad)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(NumericError, match=f"^{re.escape(str(path))}: "):
+            load_model(path)

@@ -373,6 +373,64 @@ def test_exit_code_for_non_finite_stage_weights(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_exit_code_for_malformed_trace(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path)
+    main(["train", "--config", cfg_path])
+    main(["run", "--config", cfg_path])
+    traces = tmp_path / "out" / "traces_2x.jsonl"
+    lines = traces.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["executed_costs"] = ["x"]
+    lines[1] = json.dumps(record)
+    traces.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 1
+    assert f"{traces}: line 2: malformed trace record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda path: _edit_json(path, lambda doc: doc["weights"]["w1"].pop("shape")),
+        lambda path: path.write_text("{not json"),
+    ],
+    ids=["weight-without-shape", "invalid-json"],
+)
+def test_exit_code_for_malformed_stage_model(tmp_path, capsys, corrupt):
+    cfg_path = write_experiment(tmp_path)
+    main(["train", "--config", cfg_path])
+    model_path = tmp_path / "out" / "stage1_model.json"
+    corrupt(model_path)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_path]) == 1
+    assert f"error: {model_path}: " in capsys.readouterr().err
+
+
+def test_exit_code_for_malformed_scenario(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "layer_counts": ["x", 12],
+                "accuracies": [0.85, 0.94],
+                "insert_after": 0,
+                "new_layers": 6,
+                "new_accuracy": 0.91,
+                "new_exits": [50, 30],
+                "new_model_exits": 20,
+            }
+        )
+    )
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert f"error: {path}: malformed gain scenario" in capsys.readouterr().err
+
+
 def test_exit_code_for_non_numeric_features(tmp_path, capsys):
     cfg_path = write_experiment(tmp_path)
     with open(tmp_path / "train.jsonl", "a", encoding="utf-8") as fh:

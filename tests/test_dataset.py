@@ -345,7 +345,9 @@ def test_load_rejects_non_finite_features(tmp_path, literal):
 
 
 @pytest.mark.parametrize(
-    "features", [["x", 1.0], [[1, 2], [3]], {"a": 1}], ids=["string", "ragged", "object"]
+    "features",
+    [["x", 1.0], [[1, 2], [3]], {"a": 1}, ["1.5", 2.0], [True, 1.0]],
+    ids=["string", "ragged", "object", "numeric-string", "boolean"],
 )
 def test_load_rejects_non_numeric_features(tmp_path, features):
     path = tmp_path / "d.jsonl"
