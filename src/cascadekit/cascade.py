@@ -25,7 +25,7 @@ from .classifier import (
 )
 from .dataset import Dataset, Instance
 from .errors import ValidationError
-from .jsonio import decoder, read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import decoder, read_json, read_jsonl, string_field, write_json, write_jsonl
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
@@ -213,7 +213,7 @@ def trace_from_dict(payload: dict) -> ExitTrace:
     if conf != max(payload["probs"]):
         raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
     return ExitTrace(
-        instance_id=str(payload["instance_id"]),
+        instance_id=string_field(payload, "instance_id"),
         exit_stage=int(payload["exit_stage"]),
         distribution=distribution,
         confidence=conf,

@@ -63,20 +63,31 @@ class TrainConfig:
     pair_cap: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed", "pair_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        numbers = {"dar_weight": self.dar_weight, "margin": self.margin}
+        if self.learning_rate is not None:
+            numbers["learning_rate"] = self.learning_rate
+        for name, value in numbers.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.dar_weight < 0:
-            raise ValidationError("dar_weight must be >= 0")
-        if not 0.0 < self.margin < 1.0:
-            raise ValidationError("margin must lie in (0, 1)")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
         if self.pair_cap < 1:
             raise ValidationError("pair_cap must be >= 1")
+        # The range checks below are written so that NaN fails them.
+        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
+        if not 0 <= self.dar_weight < math.inf:
+            raise ValidationError("dar_weight must be finite and >= 0")
+        if not 0.0 < self.margin < 1.0:
+            raise ValidationError("margin must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -150,24 +161,35 @@ def _init_weights(
     return weights
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits minus their row maximum, its exp, and the exp's row sum: the
+    part that softmax and log_softmax share."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return shifted, exp, exp.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    _, exp, total = _shifted_exp(logits)
+    return exp / total
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, _, total = _shifted_exp(logits)
+    return shifted - np.log(total)
 
 
-def _forward(model: ClassifierModel, X: np.ndarray):
-    """Returns (logits, hidden activations or None)."""
-    w = model.weights
-    if model.architecture.kind == "linear":
-        return X @ w["w"] + w["b"], None
-    hidden = np.tanh(X @ w["w1"] + w["b1"])
-    return hidden @ w["w2"] + w["b2"], hidden
+def _forward(kind: str, weights: dict[str, np.ndarray], X: np.ndarray):
+    """Returns (logits, hidden activations or None).
+
+    Stacked models share a leading axis: ``X`` (M, B, d) with ``weights``
+    (M, d, h) and (M, h) runs M forward passes in one ``np.matmul``, each
+    slice with the bits of its own (B, d) pass.
+    """
+    if kind == "linear":
+        return X @ weights["w"] + weights["b"][..., None, :], None
+    hidden = np.tanh(X @ weights["w1"] + weights["b1"][..., None, :])
+    return hidden @ weights["w2"] + weights["b2"][..., None, :], hidden
 
 
 def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
@@ -177,7 +199,7 @@ def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
             f"feature matrix has {X.shape[-1] if X.ndim else 0} columns, "
             f"model expects {model.feature_dim}"
         )
-    logits, _ = _forward(model, X)
+    logits, _ = _forward(model.architecture.kind, model.weights, X)
     probs = softmax(logits)
     if not np.isfinite(probs).all():
         raise NumericError("model produced non-finite class probabilities")
@@ -236,15 +258,25 @@ def _resolve_pairs(
 
 def _objective(
     logits: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
-) -> tuple[float, np.ndarray, np.ndarray | None]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Training loss (mean cross-entropy plus ``dar_weight`` times the mean
-    :func:`dar_pair_loss` over ``pairs``), the softmax rows, and d loss / d
-    confidence per row (None when the regularizer is off or has no pairs)."""
-    n = len(y)
-    probs = softmax(logits)
-    ce = -float(log_softmax(logits)[np.arange(n), y].mean())
+    :func:`dar_pair_loss` over ``pairs``) and its gradient in the logits.
+
+    Stacked (M, B, C) logits give one loss per model; the regularizer takes
+    the logits of one model.
+    """
+    n = y.shape[-1]
+    shifted, exp, total = _shifted_exp(logits)
+    probs = exp / total
+    gold = y[..., None] == np.arange(logits.shape[-1])
+    # The gold entries of log_softmax, averaged as .mean() does: sum, then divide.
+    ce = -((shifted[gold].reshape(y.shape) - np.log(total[..., 0])).sum(axis=-1) / n)
+    # p - 1.0 at the gold entry and p - 0.0 == p elsewhere: the same bits as
+    # subtracting 1 in place at [row, y].
+    dlogits = (probs - gold) / n
     if config.dar_weight == 0 or pairs is None or pairs[0].size == 0:
-        return ce, probs, None
+        return ce, dlogits
+
     d, e = pairs
     conf = probs.max(axis=1)
     slack = config.margin - (conf[e] - conf[d])
@@ -254,49 +286,47 @@ def _objective(
     dar = float(np.cumsum(np.where(active, slack, 0.0))[-1]) / d.size
     counts = np.bincount(d[active], minlength=n) - np.bincount(e[active], minlength=n)
     dconf = counts * (config.dar_weight / d.size)
-    return ce + config.dar_weight * dar, probs, dconf
+    # Confidence is the argmax softmax entry; gradients flow through that
+    # entry's softmax row (first index wins on ties).
+    rows = np.flatnonzero(dconf)
+    top = np.argmax(probs[rows], axis=1)
+    top_conf = probs[rows, top]
+    jac = -probs[rows] * top_conf[:, None]
+    jac[np.arange(rows.size), top] += top_conf
+    dlogits[rows] += dconf[rows, None] * jac
+    return ce + config.dar_weight * dar, dlogits
 
 
 def _batch_loss(
     model: ClassifierModel, X: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
 ) -> float:
-    logits, _ = _forward(model, X)
+    logits, _ = _forward(model.architecture.kind, model.weights, X)
     return _objective(logits, y, config, pairs)[0]
 
 
 def _batch_loss_and_grads(
-    model: ClassifierModel, X: np.ndarray, y: np.ndarray, config: TrainConfig, pairs: Pairs | None
-) -> tuple[float, dict[str, np.ndarray]]:
-    n = len(y)
-    logits, hidden = _forward(model, X)
-    loss, probs, dconf = _objective(logits, y, config, pairs)
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    if dconf is not None:
-        # Confidence is the argmax softmax entry; gradients flow through
-        # that entry's softmax row (first index wins on ties).
-        rows = np.flatnonzero(dconf)
-        top = np.argmax(probs[rows], axis=1)
-        conf = probs[rows, top]
-        jac = -probs[rows] * conf[:, None]
-        jac[np.arange(rows.size), top] += conf
-        dlogits[rows] += dconf[rows, None] * jac
-
-    w = model.weights
-    if model.architecture.kind == "linear":
-        grads = {"w": X.T @ dlogits, "b": dlogits.sum(axis=0)}
-    else:
-        dhidden = dlogits @ w["w2"].T
-        dpre = dhidden * (1.0 - hidden * hidden)
-        grads = {
-            "w1": X.T @ dpre,
-            "b1": dpre.sum(axis=0),
-            "w2": hidden.T @ dlogits,
-            "b2": dlogits.sum(axis=0),
-        }
-    return loss, grads
+    kind: str,
+    weights: dict[str, np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    config: TrainConfig,
+    pairs: Pairs | None,
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
+    """Loss and weight gradients of one model, or of M stacked models when
+    ``X``, ``y`` and ``weights`` carry a leading model axis."""
+    logits, hidden = _forward(kind, weights, X)
+    loss, dlogits = _objective(logits, y, config, pairs)
+    Xt = np.swapaxes(X, -1, -2)
+    if kind == "linear":
+        return loss, {"w": Xt @ dlogits, "b": dlogits.sum(axis=-2)}
+    dhidden = dlogits @ np.swapaxes(weights["w2"], -1, -2)
+    dpre = dhidden * (1.0 - hidden * hidden)
+    return loss, {
+        "w1": Xt @ dpre,
+        "b1": dpre.sum(axis=-2),
+        "w2": np.swapaxes(hidden, -1, -2) @ dlogits,
+        "b2": dlogits.sum(axis=-2),
+    }
 
 
 def _batch_arrays(batch: Sequence[Instance], config: TrainConfig):
@@ -326,44 +356,118 @@ def total_loss(model: ClassifierModel, batch: Sequence[Instance], config: TrainC
     return _batch_loss(model, X, y, config, _resolve_pairs(difficulty, config, rng=None))
 
 
+def _lockstep_steps(
+    sizes: np.ndarray, batch_size: int
+) -> list[tuple[int, int, int, int | slice | np.ndarray]]:
+    """``(batch index, start, length, models)`` for every step of an epoch.
+
+    At each batch index, the models whose batches have one length take one
+    step together.  A single model is an int index, which drops the model
+    axis; all models are a slice, which keeps weight views.
+    """
+    steps = []
+    for batch_index, start in enumerate(range(0, int(sizes.max()), batch_size)):
+        lengths = np.minimum(sizes - start, batch_size)
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            members = np.flatnonzero(lengths == length)
+            if members.size == 1:
+                models = int(members[0])
+            elif members.size == sizes.size:
+                models = slice(None)
+            else:
+                models = members
+            steps.append((batch_index, start, length, models))
+    return steps
+
+
+def train_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[np.ndarray],
+    num_classes: int,
+    architecture: Architecture,
+    config: TrainConfig,
+    difficulty: np.ndarray | None = None,
+) -> list[tuple[ClassifierModel, list[float]]]:
+    """Train one model per entry of ``rows`` in lockstep; model m trains on
+    ``X[rows[m]]``.  Returns each model with its per-epoch mean loss.
+
+    Every model draws its initialization and epoch permutations from its own
+    ``np.random.default_rng(config.seed)`` stream, and every step slice keeps
+    the shape, so the bits, of training that model alone.  ``difficulty``
+    (one flag per row of ``X``) is needed when ``config.dar_weight > 0``,
+    which trains one model only.
+    """
+    sizes = np.array([len(r) for r in rows])
+    if sizes.size == 0 or not sizes.all():
+        raise ValidationError("cannot train on an empty dataset")
+    if config.dar_weight > 0 and (sizes.size != 1 or difficulty is None):
+        raise ValidationError("dar_weight > 0 needs difficulty labels and trains one model")
+    lr = config.learning_rate
+    if lr is None:
+        lr = DEFAULT_LEARNING_RATES[architecture.kind]
+    feature_dim = X.shape[1]
+
+    rngs = [np.random.default_rng(config.seed) for _ in rows]
+    inits = [_init_weights(architecture, feature_dim, num_classes, rng) for rng in rngs]
+    weights = {name: np.stack([w[name] for w in inits]) for name in inits[0]}
+
+    steps = _lockstep_steps(sizes, config.batch_size)
+    order = np.zeros((sizes.size, sizes.max()), dtype=np.intp)
+    loss_sums = np.zeros((config.epochs, sizes.size))
+    for epoch in range(config.epochs):
+        for m, rng in enumerate(rngs):
+            order[m, : sizes[m]] = rows[m][rng.permutation(len(rows[m]))]
+        for batch_index, start, length, models in steps:
+            take = order[models, start : start + length]
+            pairs = None
+            if config.dar_weight > 0:
+                pair_rng = np.random.default_rng([config.seed, epoch, batch_index])
+                pairs = _resolve_pairs(difficulty[take], config, pair_rng)
+            loss, grads = _batch_loss_and_grads(
+                architecture.kind,
+                {name: w[models] for name, w in weights.items()},
+                X[take],
+                y[take],
+                config,
+                pairs,
+            )
+            if not np.isfinite(loss).all():
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+            for name, grad in grads.items():
+                weights[name][models] -= lr * grad
+            loss_sums[epoch, models] += loss * length
+    epoch_losses = (loss_sums / sizes).T.tolist()
+    return [
+        (
+            ClassifierModel(
+                architecture,
+                feature_dim,
+                num_classes,
+                {name: w[m].copy() for name, w in weights.items()},
+                config,
+            ),
+            losses,
+        )
+        for m, losses in enumerate(epoch_losses)
+    ]
+
+
 def train_with_log(
     dataset: Dataset, architecture: Architecture, config: TrainConfig
 ) -> tuple[ClassifierModel, list[float]]:
     """Train and also return the per-epoch mean loss."""
-    if not dataset.instances:
-        raise ValidationError("cannot train on an empty dataset")
-    lr = config.learning_rate
-    if lr is None:
-        lr = DEFAULT_LEARNING_RATES[architecture.kind]
-    X = dataset.feature_matrix()
-    y = dataset.label_array()
     difficulty = dataset.difficulty_array() if config.dar_weight > 0 else None
-
-    rng = np.random.default_rng(config.seed)
-    weights = _init_weights(architecture, dataset.feature_dim, dataset.num_classes, rng)
-    model = ClassifierModel(architecture, dataset.feature_dim, dataset.num_classes, weights, config)
-
-    n = len(y)
-    epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            take = perm[start : start + config.batch_size]
-            pairs = None
-            if difficulty is not None:
-                pair_rng = np.random.default_rng([config.seed, epoch, batch_index])
-                pairs = _resolve_pairs(difficulty[take], config, pair_rng)
-            loss, grads = _batch_loss_and_grads(model, X[take], y[take], config, pairs)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            for name, grad in grads.items():
-                weights[name] -= lr * grad
-            total += loss * len(take)
-        epoch_losses.append(total / n)
-    return model, epoch_losses
+    [(model, losses)] = train_arrays(
+        dataset.feature_matrix(),
+        dataset.label_array(),
+        [np.arange(len(dataset))],
+        dataset.num_classes,
+        architecture,
+        config,
+        difficulty,
+    )
+    return model, losses
 
 
 def train(dataset: Dataset, architecture: Architecture, config: TrainConfig) -> ClassifierModel:
@@ -410,7 +514,9 @@ def gradient_check(
         if np.any(np.abs(slack) <= KINK_TOLERANCE) or tied[d].any() or tied[e].any():
             return GradientCheckResult(math.nan, 0, True)
 
-    _, analytic = _batch_loss_and_grads(model, X, y, config, pairs)
+    _, analytic = _batch_loss_and_grads(
+        model.architecture.kind, model.weights, X, y, config, pairs
+    )
 
     max_rel = 0.0
     checked = 0

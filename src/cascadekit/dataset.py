@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .jsonio import decoder, read_jsonl, write_jsonl
+from .jsonio import decoder, read_jsonl, string_field, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -242,7 +242,7 @@ def load_dataset(
             if not np.isfinite(features).all():
                 raise ValidationError("'features' must be finite")
         # Instance checks the label sign and the difficulty flag.
-        return Instance(str(record["id"]), features, label, record.get("difficulty"))
+        return Instance(string_field(record, "id"), features, label, record.get("difficulty"))
 
     instances = read_jsonl(path, decode)
     if not instances:

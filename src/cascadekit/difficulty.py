@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .classifier import Architecture, TrainConfig, predict_batch, train
+from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
 from .errors import ValidationError
 from .jsonio import decoder, read_json, write_json
@@ -73,22 +73,23 @@ def label_difficulty(
         raise ValidationError("difficulty labeling requires dar_weight = 0")
 
     folds = assign_folds(dataset, num_folds, base_config.seed)
-    fold_indices: dict[int, list[int]] = {k: [] for k in range(num_folds)}
-    for idx, inst in enumerate(dataset.instances):
-        fold_indices[folds.fold_of[inst.id]].append(idx)
+    fold = np.array([folds.fold_of[inst.id] for inst in dataset.instances])
+    X, y = dataset.feature_matrix(), dataset.label_array()
+    heldout = [np.flatnonzero(fold == k) for k in range(num_folds)]
+    train_rows = [np.flatnonzero(fold != k) for k in range(num_folds)]
 
     seeds = tuple(base_config.seed + s for s in range(num_seeds))
-    per_seed_correct = {inst.id: [False] * num_seeds for inst in dataset.instances}
+    correct = np.zeros((len(dataset), num_seeds), dtype=bool)
     for seed_index, seed in enumerate(seeds):
-        for heldout in fold_indices.values():
-            heldout_set = set(heldout)
-            train_ds = dataset.subset([i for i in range(len(dataset)) if i not in heldout_set])
-            model = train(train_ds, architecture, replace(base_config, seed=seed))
-            X = np.stack([dataset.instances[i].features for i in heldout])
-            y = np.array([dataset.instances[i].label for i in heldout])
-            correct = predict_batch(model, X).argmax(axis=1) == y
-            for idx, ok in zip(heldout, correct):
-                per_seed_correct[dataset.instances[idx].id][seed_index] = bool(ok)
+        # The fold models of one seed train in lockstep.
+        trained = train_arrays(
+            X, y, train_rows, dataset.num_classes, architecture, replace(base_config, seed=seed)
+        )
+        for (model, _), rows in zip(trained, heldout):
+            correct[rows, seed_index] = predict_batch(model, X[rows]).argmax(axis=1) == y[rows]
+    per_seed_correct = {
+        inst.id: outcomes for inst, outcomes in zip(dataset.instances, correct.tolist())
+    }
 
     labels = {
         inst_id: 0 if all(outcomes) else 1
@@ -106,12 +107,18 @@ def report_to_dict(report: DifficultyReport) -> dict:
     return asdict(report)
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"seed outcome {value!r} is not a JSON boolean")
+    return value
+
+
 @decoder("difficulty report")
 def report_from_dict(payload: dict) -> DifficultyReport:
     return DifficultyReport(
         labels={str(k): int(v) for k, v in payload["labels"].items()},
         per_seed_correct={
-            str(k): [bool(b) for b in v] for k, v in payload["per_seed_correct"].items()
+            str(k): [_json_bool(b) for b in v] for k, v in payload["per_seed_correct"].items()
         },
         num_folds=int(payload["num_folds"]),
         seeds=tuple(int(s) for s in payload["seeds"]),

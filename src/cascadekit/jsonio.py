@@ -42,6 +42,15 @@ def decoder(what: str):
     return wrap
 
 
+def string_field(payload: dict, key: str) -> str:
+    """``payload[key]``, which must be a JSON string: an id never comes
+    from ``str()`` of a null, a number or a container."""
+    value = payload[key]
+    if not isinstance(value, str):
+        raise ValidationError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

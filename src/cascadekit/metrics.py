@@ -9,6 +9,7 @@ everything plus cost accounting into one report.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,6 +63,8 @@ class MetricsReport:
         for name, value in rates.items():
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} = {value} outside [0, 1]")
+        if not 0.0 < self.speedup < math.inf:  # written so that NaN fails it
+            raise ValidationError(f"speedup = {self.speedup} is not a positive finite number")
         if sum(self.exit_histogram) != self.num_instances:
             raise ValidationError("exit_histogram must sum to num_instances")
 

@@ -433,6 +433,23 @@ def test_trace_with_non_finite_probs_is_rejected(tmp_path):
         load_traces(path)
 
 
+@pytest.mark.parametrize(
+    "bad_id", [None, [], {}, math.nan, True], ids=["null", "array", "object", "nan", "true"]
+)
+def test_trace_rejects_non_string_instance_id(tmp_path, bad_id):
+    # str() used to load null as the id "None" and NaN as "nan".
+    traces = run_cascade(two_stage_cascade(), planted_confidence_dataset([0.9, 0.55]))
+    path = tmp_path / "traces.jsonl"
+    save_traces(traces, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["instance_id"] = bad_id
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=r"traces\.jsonl: line 2: 'instance_id' must be a string"):
+        load_traces(path)
+
+
 def test_trace_confidence_must_match_probs(tmp_path):
     # An edited confidence used to load and silently move DIS and ECE.
     traces = run_cascade(two_stage_cascade(), planted_confidence_dataset([0.9, 0.55]))

@@ -11,6 +11,7 @@ from cascadekit import (
     Architecture,
     ClassDistribution,
     ClassifierModel,
+    Dataset,
     Instance,
     NumericError,
     TrainConfig,
@@ -28,10 +29,11 @@ from cascadekit import (
     train_with_log,
 )
 from cascadekit.classifier import (
+    DEFAULT_LEARNING_RATES,
     KINK_TOLERANCE,
     _batch_loss,
     _batch_loss_and_grads,
-    _forward,
+    _init_weights,
     _resolve_pairs,
     log_softmax,
     model_from_dict,
@@ -87,6 +89,36 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ValidationError):
         TrainConfig(pair_cap=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("batch_size", True),
+        ("batch_size", 32.0),
+        ("seed", 1.0),
+        ("pair_cap", "3"),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("learning_rate", True),
+        ("dar_weight", math.nan),
+        ("dar_weight", math.inf),
+        ("dar_weight", "0.5"),
+        ("margin", math.nan),
+    ],
+)
+def test_train_config_rejects_wrong_types_and_nan(tmp_path, field, value):
+    # These used to construct, and a model file carrying them loaded silently.
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**{field: value})
+    payload = model_to_dict(fixed_linear_model())
+    payload["train_config"][field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{field}"):
+        load_model(path)
 
 
 def test_class_distribution_validation():
@@ -404,8 +436,16 @@ def oracle_pairs(difficulty, config, rng):
     return pairs
 
 
+def oracle_forward(model, X):
+    w = model.weights
+    if model.architecture.kind == "linear":
+        return X @ w["w"] + w["b"], None
+    hidden = np.tanh(X @ w["w1"] + w["b1"])
+    return hidden @ w["w2"] + w["b2"], hidden
+
+
 def oracle_loss(model, X, y, config, pairs):
-    logits, _ = _forward(model, X)
+    logits, _ = oracle_forward(model, X)
     logp = log_softmax(logits)
     ce = -float(logp[np.arange(len(y)), y].mean())
     if config.dar_weight == 0 or not pairs:
@@ -417,7 +457,7 @@ def oracle_loss(model, X, y, config, pairs):
 
 def oracle_loss_and_grads(model, X, y, config, pairs):
     n = len(y)
-    logits, hidden = _forward(model, X)
+    logits, hidden = oracle_forward(model, X)
     probs = softmax(logits)
     logp = log_softmax(logits)
     ce = -float(logp[np.arange(n), y].mean())
@@ -530,7 +570,7 @@ def test_dar_index_arrays_match_per_pair_oracle(case):
     # the seeded pairs from the last draw, as training passes them
     pairs = (d, e) if config.dar_weight > 0 else None
     assert _batch_loss(model, X, y, config, pairs) == oracle_loss(model, X, y, config, old_pairs)
-    loss, grads = _batch_loss_and_grads(model, X, y, config, pairs)
+    loss, grads = _batch_loss_and_grads(model.architecture.kind, model.weights, X, y, config, pairs)
     old_loss, old_grads = oracle_loss_and_grads(model, X, y, config, old_pairs)
     assert loss == old_loss
     assert grads.keys() == old_grads.keys()
@@ -542,6 +582,76 @@ def test_dar_index_arrays_match_per_pair_oracle(case):
     ]
     at_kink = oracle_at_kink(model, X, config, oracle_pairs(difficulty, config, None))
     assert gradient_check(model, batch, config).kink_excluded == at_kink
+
+
+# --- training: the array trainer against the per-model loop it replaced ----------
+
+
+def oracle_train_with_log(dataset, architecture, config):
+    """The one-model training loop, step for step, on the per-pair oracles."""
+    lr = config.learning_rate
+    if lr is None:
+        lr = DEFAULT_LEARNING_RATES[architecture.kind]
+    X = dataset.feature_matrix()
+    y = dataset.label_array()
+    difficulty = dataset.difficulty_array() if config.dar_weight > 0 else None
+    rng = np.random.default_rng(config.seed)
+    weights = _init_weights(architecture, dataset.feature_dim, dataset.num_classes, rng)
+    model = ClassifierModel(architecture, dataset.feature_dim, dataset.num_classes, weights, config)
+    n = len(y)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for batch_index, start in enumerate(range(0, n, config.batch_size)):
+            take = perm[start : start + config.batch_size]
+            pairs = None
+            if difficulty is not None:
+                pair_rng = np.random.default_rng([config.seed, epoch, batch_index])
+                pairs = oracle_pairs(difficulty[take], config, pair_rng)
+            loss, grads = oracle_loss_and_grads(model, X[take], y[take], config, pairs)
+            for name, grad in grads.items():
+                weights[name] -= lr * grad
+            total += loss * len(take)
+        epoch_losses.append(total / n)
+    return model, epoch_losses
+
+
+@st.composite
+def training_runs(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    num_classes = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    arch = Architecture(kind, draw(st.integers(1, 5)) if kind == "mlp" else None)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([None, 0.05, 0.5, 2.0])),
+        batch_size=draw(st.integers(1, n + 3)),
+        dar_weight=draw(st.sampled_from([0.0, 0.3, 2.0])),
+        margin=draw(st.floats(0.01, 0.99)),
+        seed=draw(st.integers(0, 2**16)),
+        pair_cap=draw(st.integers(1, 30)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 5.0])), size=(n, dim))
+    instances = tuple(
+        Instance(f"i{k}", X[k], int(rng.integers(0, num_classes)), int(rng.integers(0, 2)))
+        for k in range(n)
+    )
+    return Dataset(instances, num_classes, dim), arch, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(training_runs())
+def test_train_with_log_matches_per_model_oracle(run):
+    dataset, arch, config = run
+    model, losses = train_with_log(dataset, arch, config)
+    old_model, old_losses = oracle_train_with_log(dataset, arch, config)
+    assert losses == old_losses
+    assert model.weights.keys() == old_model.weights.keys()
+    for name in model.weights:
+        assert np.array_equal(model.weights[name], old_model.weights[name]), name
 
 
 # --- serialization ----------------------------------------------------------------

@@ -440,6 +440,38 @@ def test_exit_code_for_non_numeric_features(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_code_for_non_integer_epochs(tmp_path, capsys):
+    # A float epoch count used to pass load_config and end in a TypeError traceback.
+    cfg_path = write_experiment(tmp_path, train={"epochs": 2.5})
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "epochs must be an integer, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("outcome", ["x", float("nan"), 1, None], ids=["string", "nan", "one", "null"])
+def test_exit_code_for_non_boolean_seed_outcome(tmp_path, capsys, outcome):
+    # bool() used to load "x", NaN and 1 as True, so a corrupted report still trained.
+    cfg_path = write_experiment(
+        tmp_path,
+        train={"epochs": 2, "learning_rate": 0.2, "seed": 0, "dar_weight": 0.5},
+        difficulty_folds=3,
+        difficulty_seeds=1,
+        difficulty_report="out/difficulty_report.json",
+    )
+    assert main(["label", "--config", cfg_path]) == 0
+    report_path = tmp_path / "out" / "difficulty_report.json"
+    doc = json.loads(report_path.read_text())
+    easy = next(k for k, v in doc["labels"].items() if v == 0)
+    doc["per_seed_correct"][easy] = [outcome]
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {report_path}: " in err
+    assert "is not a JSON boolean" in err
+    assert not (tmp_path / "out" / "stage0_model.json").exists()
+
+
 def test_exit_code_for_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()

@@ -140,7 +140,7 @@ def test_load_text_rows_match_oracle(tmp_path):
     ]
     path = tmp_path / "text.jsonl"
     path.write_text(
-        "".join(json.dumps({"id": i, "label": i % 2, "text": t}) + "\n" for i, t in enumerate(texts)),
+        "".join(json.dumps({"id": f"t{i}", "label": i % 2, "text": t}) + "\n" for i, t in enumerate(texts)),
         encoding="utf-8",
     )
     ds = load_dataset(path, format="jsonl_text", feature_dim=37)
@@ -359,6 +359,24 @@ def test_load_rejects_non_numeric_features(tmp_path, features):
     with pytest.raises(
         ValidationError, match=r"d\.jsonl: line 2: 'features' must be an array of numbers"
     ):
+        load_dataset(path)
+
+
+NON_STRING_IDS = pytest.mark.parametrize(
+    "bad_id", [None, [], {}, float("nan"), True], ids=["null", "array", "object", "nan", "true"]
+)
+
+
+@NON_STRING_IDS
+def test_load_rejects_non_string_id(tmp_path, bad_id):
+    # str() used to load null as the id "None" and NaN as "nan".
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"id": "r1", "label": 0, "features": [1.0]}\n'
+        + json.dumps({"id": bad_id, "label": 1, "features": [2.0]})
+        + "\n"
+    )
+    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: 'id' must be a string"):
         load_dataset(path)
 
 

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadekit import (
     Architecture,
@@ -9,10 +13,14 @@ from cascadekit import (
     TrainConfig,
     ValidationError,
     apply_difficulty,
+    assign_folds,
     label_difficulty,
     load_report,
+    predict_batch,
     save_report,
+    train,
 )
+from cascadekit.classifier import train_arrays
 from cascadekit.difficulty import report_from_dict, report_to_dict
 
 
@@ -151,6 +159,103 @@ def test_apply_difficulty_attaches_labels():
     assert labeled.ids() == ds.ids()
     arr = labeled.difficulty_array()
     assert arr.sum() == report.num_difficult
+
+
+# --- lockstep fold training against the per-fold loop it replaced -------------
+
+
+def oracle_label_difficulty(dataset, architecture, base_config, num_folds, num_seeds):
+    """One train(dataset.subset(...)) per (seed, fold), as labeling used to run;
+    returns the report and the fold models, seed-major."""
+    folds = assign_folds(dataset, num_folds, base_config.seed)
+    fold_indices = {k: [] for k in range(num_folds)}
+    for idx, inst in enumerate(dataset.instances):
+        fold_indices[folds.fold_of[inst.id]].append(idx)
+    seeds = tuple(base_config.seed + s for s in range(num_seeds))
+    per_seed_correct = {inst.id: [False] * num_seeds for inst in dataset.instances}
+    models = []
+    for seed_index, seed in enumerate(seeds):
+        for heldout in fold_indices.values():
+            heldout_set = set(heldout)
+            train_ds = dataset.subset([i for i in range(len(dataset)) if i not in heldout_set])
+            model = train(train_ds, architecture, replace(base_config, seed=seed))
+            models.append(model)
+            X = np.stack([dataset.instances[i].features for i in heldout])
+            y = np.array([dataset.instances[i].label for i in heldout])
+            correct = predict_batch(model, X).argmax(axis=1) == y
+            for idx, ok in zip(heldout, correct):
+                per_seed_correct[dataset.instances[idx].id][seed_index] = bool(ok)
+    labels = {k: 0 if all(v) else 1 for k, v in per_seed_correct.items()}
+    return DifficultyReport(labels, per_seed_correct, num_folds, seeds), models
+
+
+@st.composite
+def labeling_runs(draw):
+    num_folds = draw(st.integers(2, 5))
+    n = draw(st.integers(num_folds, 30))
+    dim = draw(st.integers(1, 4))
+    num_classes = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    arch = Architecture(kind, draw(st.integers(1, 4)) if kind == "mlp" else None)
+    # Fold train sizes differ by up to one per class, so batch sizes around
+    # them put ragged batches at different steps in different folds, and
+    # sizes above n put a fold's whole training set in one short batch.
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([None, 0.5, 2.0])),
+        batch_size=draw(st.integers(1, n + 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(scale=2.0, size=(n, dim))
+    instances = tuple(
+        Instance(f"i{k}", X[k], int(rng.integers(0, num_classes))) for k in range(n)
+    )
+    num_seeds = draw(st.integers(1, 3))
+    return Dataset(instances, num_classes, dim), arch, config, num_folds, num_seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeling_runs())
+def test_lockstep_labeling_matches_per_fold_oracle(run):
+    dataset, arch, config, num_folds, num_seeds = run
+    old_report, old_models = oracle_label_difficulty(dataset, arch, config, num_folds, num_seeds)
+    assert label_difficulty(dataset, arch, config, num_folds, num_seeds) == old_report
+
+    folds = assign_folds(dataset, num_folds, config.seed)
+    fold = np.array([folds.fold_of[inst.id] for inst in dataset.instances])
+    rows = [np.flatnonzero(fold != k) for k in range(num_folds)]
+    models = []
+    for s in range(num_seeds):
+        trained = train_arrays(
+            dataset.feature_matrix(),
+            dataset.label_array(),
+            rows,
+            dataset.num_classes,
+            arch,
+            replace(config, seed=config.seed + s),
+        )
+        models += [model for model, _ in trained]
+    assert len(models) == len(old_models)
+    for model, old in zip(models, old_models):
+        for name in old.weights:
+            assert np.array_equal(model.weights[name], old.weights[name]), name
+
+
+def test_lockstep_trainer_rejects_bad_inputs():
+    ds = blob_dataset_with_flip()
+    X, y, linear = ds.feature_matrix(), ds.label_array(), Architecture("linear")
+    dar = TrainConfig(epochs=1, dar_weight=0.5)
+    difficulty = np.zeros(len(ds), dtype=np.int64)
+    # The regularizer trains one model at a time, and needs difficulty flags.
+    with pytest.raises(ValidationError, match="dar_weight"):
+        train_arrays(X, y, [np.arange(10), np.arange(10, 20)], 2, linear, dar, difficulty)
+    with pytest.raises(ValidationError, match="dar_weight"):
+        train_arrays(X, y, [np.arange(10)], 2, linear, dar)
+    with pytest.raises(ValidationError, match="empty"):
+        train_arrays(X, y, [np.arange(3), np.arange(0)], 2, linear, FAST)
+    with pytest.raises(ValidationError, match="empty"):
+        train_arrays(X, y, [], 2, linear, FAST)
 
 
 # --- serialization -------------------------------------------------------------

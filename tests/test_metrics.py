@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -330,6 +333,21 @@ def test_metrics_roundtrip(tmp_path):
     path = tmp_path / "metrics.json"
     save_metrics(report, path)
     assert load_metrics(path) == report
+
+
+@pytest.mark.parametrize("field", ["speedup", "accuracy", "ece", "f1", "dis"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_metrics_load_rejects_non_finite(tmp_path, field, value):
+    # A NaN speedup used to load; no CLI command reads a metrics file, so the
+    # loader is the boundary.
+    report = MetricsReport(2, 0.5, 0.25, 2.0, (1, 1), f1=0.5, dis=0.75)
+    path = tmp_path / "metrics.json"
+    save_metrics(report, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: {field} = "):
+        load_metrics(path)
 
 
 def test_sweep_csv_golden(tmp_path):
