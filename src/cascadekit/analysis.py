@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from .cascade import Cascade, run_cascade, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
-from .jsonio import decoder, read_json, write_json
+from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
 FEASIBILITY_SLACK = 1e-9
@@ -203,15 +203,7 @@ def scenario_to_dict(scenario: GainScenario) -> dict:
 
 @decoder("gain scenario")
 def scenario_from_dict(payload: dict) -> GainScenario:
-    return GainScenario(
-        layer_counts=tuple(int(c) for c in payload["layer_counts"]),
-        accuracies=tuple(float(a) for a in payload["accuracies"]),
-        insert_after=int(payload["insert_after"]),
-        new_layers=int(payload["new_layers"]),
-        new_accuracy=float(payload["new_accuracy"]),
-        new_exits=tuple(int(s) for s in payload["new_exits"]),
-        new_model_exits=int(payload["new_model_exits"]),
-    )
+    return from_fields(GainScenario, payload)
 
 
 def save_scenario(scenario: GainScenario, path) -> None:

@@ -25,10 +25,11 @@ from .classifier import (
 )
 from .dataset import Dataset, Instance
 from .errors import ValidationError
-from .jsonio import decoder, read_json, read_jsonl, string_field, write_json, write_jsonl
+from .jsonio import decoder, numbers, read_json, read_jsonl, typed, write_json, write_jsonl
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
+_COSTS = tuple[int, ...]  # one hint object: building and hashing a new one per trace is slow
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def calibrate_threshold(
     """
     if not calibration.instances:
         raise ValidationError("calibration dataset is empty")
-    if tolerance <= 0:
+    if not tolerance > 0:  # written so that NaN fails it
         raise ValidationError("tolerance must be positive")
     costs = [s.layer_cost for s in cascade.stages]
     max_speedup = cascade.full_model_cost / costs[0]
@@ -188,7 +189,7 @@ def calibrate_threshold(
     if abs(measured[best] - target_speedup) > tolerance * target_speedup:
         raise ValidationError(
             f"no threshold reaches {target_speedup:g}x within "
-            f"{tolerance:.0%}: closest {measured[best]:g}x, achievable "
+            f"relative tolerance {tolerance:g}: closest {measured[best]:g}x, achievable "
             f"range [{measured.min():g}x, {measured.max():g}x] on this calibration set"
         )
     return (float(candidates[best]),) * (len(cascade.stages) - 1)
@@ -207,18 +208,18 @@ def trace_to_dict(trace: ExitTrace) -> dict:
 
 @decoder("trace record")
 def trace_from_dict(payload: dict) -> ExitTrace:
-    distribution = ClassDistribution(np.asarray(payload["probs"], dtype=np.float64))
-    conf = float(payload["confidence"])
+    distribution = ClassDistribution(numbers(payload["probs"], "probs"))
+    conf = typed(payload["confidence"], float, "confidence")
     # Compared with the payload's own list: np.max would slow every trace load.
     if conf != max(payload["probs"]):
         raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
     return ExitTrace(
-        instance_id=string_field(payload, "instance_id"),
-        exit_stage=int(payload["exit_stage"]),
+        instance_id=typed(payload["instance_id"], str, "instance_id"),
+        exit_stage=typed(payload["exit_stage"], int, "exit_stage"),
         distribution=distribution,
         confidence=conf,
-        executed_costs=tuple(int(c) for c in payload["executed_costs"]),
-        total_cost=int(payload["total_cost"]),
+        executed_costs=typed(payload["executed_costs"], _COSTS, "executed_costs"),
+        total_cost=typed(payload["total_cost"], int, "total_cost"),
     )
 
 
@@ -256,15 +257,13 @@ def save_cascade(cascade: Cascade, path, model_filenames: list[str] | None = Non
 
 @decoder("cascade description")
 def _cascade_from_dict(payload: dict, directory: str) -> Cascade:
-    stages = tuple(
-        StageSpec(
-            model=load_model(os.path.join(directory, entry["model_path"])),
-            layer_cost=int(entry["layer_cost"]),
-        )
-        for entry in payload["stages"]
-    )
-    thresholds = tuple(float(t) for t in payload["thresholds"])
-    return Cascade(stages, thresholds, int(payload["full_model_cost"]))
+    stages = []
+    for i, entry in enumerate(payload["stages"]):
+        model_path = typed(entry["model_path"], str, f"stages[{i}].model_path")
+        layer_cost = typed(entry["layer_cost"], int, f"stages[{i}].layer_cost")
+        stages.append(StageSpec(load_model(os.path.join(directory, model_path)), layer_cost))
+    thresholds = typed(payload["thresholds"], tuple[float, ...], "thresholds")
+    return Cascade(stages, thresholds, typed(payload["full_model_cost"], int, "full_model_cost"))
 
 
 def load_cascade(path) -> Cascade:

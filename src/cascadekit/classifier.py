@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, Instance
 from .errors import NumericError, ValidationError
-from .jsonio import decoder, read_json, write_json
+from .jsonio import decoder, from_fields, numbers, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
 
@@ -554,15 +554,12 @@ def model_to_dict(model: ClassifierModel) -> dict:
 
 @decoder("model document")
 def model_from_dict(payload: dict) -> ClassifierModel:
-    arch = Architecture(
-        kind=payload["architecture"]["kind"],
-        hidden_size=payload["architecture"]["hidden_size"],
-    )
-    config = TrainConfig(**payload["train_config"])
+    arch = from_fields(Architecture, payload["architecture"], "architecture")
+    config = from_fields(TrainConfig, payload["train_config"], "train_config")
     weights = {}
     for name, entry in payload["weights"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
+        shape = typed(entry["shape"], tuple[int, ...], f"weights[{name!r}].shape")
+        data = numbers(entry["data"], f"weights[{name!r}].data")
         if data.size != int(np.prod(shape)):
             raise ValidationError(
                 f"weight {name!r}: {data.size} values do not fill shape {shape}"
@@ -570,10 +567,10 @@ def model_from_dict(payload: dict) -> ClassifierModel:
         if not np.isfinite(data).all():
             raise NumericError(f"weight {name!r} holds non-finite values")
         weights[name] = data.reshape(shape)
+    feature_dim = typed(payload["feature_dim"], int, "feature_dim")
+    num_classes = typed(payload["num_classes"], int, "num_classes")
     # ClassifierModel.__post_init__ rejects any shape/architecture mismatch.
-    return ClassifierModel(
-        arch, int(payload["feature_dim"]), int(payload["num_classes"]), weights, config
-    )
+    return ClassifierModel(arch, feature_dim, num_classes, weights, config)
 
 
 def save_model(model: ClassifierModel, path) -> None:

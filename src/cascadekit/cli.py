@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from .analysis import gain_report, load_scenario
 from .cascade import (
@@ -29,7 +29,7 @@ from .classifier import Architecture, TrainConfig, load_model, save_model, train
 from .dataset import Dataset, load_dataset, save_dataset
 from .difficulty import apply_difficulty, label_difficulty, load_report, save_report
 from .errors import NumericError, ValidationError
-from .jsonio import decoder, read_json, write_json
+from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import evaluate, metrics_to_dict, save_metrics, write_sweep_csv
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(i / 20 for i in range(21))
@@ -83,58 +83,13 @@ class PipelineConfig:
         return self.train.dar_weight if index < len(self.stages) - 1 else 0.0
 
 
-def _resolve(base_dir: str, path: str | None) -> str | None:
-    if path is None:
-        return None
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
-def _reject_unknown_keys(where: str, payload: dict, cls) -> None:
-    """Misspelled keys would otherwise fall back to defaults without a word."""
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValidationError(f"{where} has unknown keys: {', '.join(unknown)}")
-
-
-def _stage_from_dict(index: int, entry: dict) -> StageConfig:
-    _reject_unknown_keys(f"config stage {index}", entry, StageConfig)
-    arch = entry["architecture"]
-    _reject_unknown_keys(f"config stage {index} architecture", arch, Architecture)
-    return StageConfig(
-        architecture=Architecture(kind=arch["kind"], hidden_size=arch.get("hidden_size")),
-        layer_cost=int(entry["layer_cost"]),
-        dar_weight=None if entry.get("dar_weight") is None else float(entry["dar_weight"]),
-    )
-
-
 @decoder("config")
 def config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
-    _reject_unknown_keys("config", payload, PipelineConfig)
-    stages = tuple(_stage_from_dict(i, entry) for i, entry in enumerate(payload["stages"]))
-    train = TrainConfig(**payload.get("train", {}))
-    return PipelineConfig(
-        train_dataset=_resolve(base_dir, payload["train_dataset"]),
-        stages=stages,
-        output_dir=_resolve(base_dir, payload["output_dir"]),
-        full_model_cost=int(payload.get("full_model_cost", 12)),
-        train=train,
-        calibration_dataset=_resolve(base_dir, payload.get("calibration_dataset")),
-        eval_dataset=_resolve(base_dir, payload.get("eval_dataset")),
-        dataset_format=payload.get("dataset_format", "jsonl_features"),
-        feature_dim=payload.get("feature_dim"),
-        num_classes=payload.get("num_classes"),
-        difficulty_folds=int(payload.get("difficulty_folds", 8)),
-        difficulty_seeds=int(payload.get("difficulty_seeds", 5)),
-        difficulty_report=_resolve(base_dir, payload.get("difficulty_report")),
-        target_speedups=tuple(float(t) for t in payload.get("target_speedups", ())),
-        calibration_tolerance=float(payload.get("calibration_tolerance", 0.04)),
-        sweep_thresholds=tuple(
-            float(t) for t in payload.get("sweep_thresholds", DEFAULT_SWEEP_THRESHOLDS)
-        ),
-        positive_class=payload.get("positive_class"),
-    )
+    config = from_fields(PipelineConfig, payload)
+    keys = "train_dataset output_dir calibration_dataset eval_dataset difficulty_report".split()
+    # Relative paths resolve against base_dir; os.path.join keeps an absolute one as it is.
+    paths = {k: os.path.join(base_dir, p) for k in keys if (p := getattr(config, k)) is not None}
+    return replace(config, **paths)
 
 
 def load_config(path: str, seed: int | None = None, out: str | None = None) -> PipelineConfig:

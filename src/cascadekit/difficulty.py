@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
 from .errors import ValidationError
-from .jsonio import decoder, read_json, write_json
+from .jsonio import decoder, from_fields, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,9 @@ def report_to_dict(report: DifficultyReport) -> dict:
     return asdict(report)
 
 
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"seed outcome {value!r} is not a JSON boolean")
-    return value
-
-
 @decoder("difficulty report")
 def report_from_dict(payload: dict) -> DifficultyReport:
-    return DifficultyReport(
-        labels={str(k): int(v) for k, v in payload["labels"].items()},
-        per_seed_correct={
-            str(k): [_json_bool(b) for b in v] for k, v in payload["per_seed_correct"].items()
-        },
-        num_folds=int(payload["num_folds"]),
-        seeds=tuple(int(s) for s in payload["seeds"]),
-    )
+    return from_fields(DifficultyReport, payload)
 
 
 def save_report(report: DifficultyReport, path) -> None:

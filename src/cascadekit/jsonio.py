@@ -6,18 +6,29 @@ readers hand each parsed document or JSONL record to a ``decode``
 function and report invalid JSON, and any ``ValidationError`` or
 ``NumericError`` it raises, with ``<path>:`` (plus ``line N:`` for JSONL)
 in front, so a malformed file always names itself.
+
+Fields are read by their type hints under one rule (:func:`typed`): an
+``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
+and containers and dataclasses are read element by element.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import math
+import reprlib
+import types
+import typing
 from collections.abc import Callable, Iterable
+
+import numpy as np
 
 from .errors import NumericError, ValidationError
 
 # What indexing, converting or iterating a wrong-shaped JSON value raises
-# (OverflowError: int() of an Infinity literal).
+# (OverflowError: a JSON integer too large for a float field).
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -42,13 +53,87 @@ def decoder(what: str):
     return wrap
 
 
-def string_field(payload: dict, key: str) -> str:
-    """``payload[key]``, which must be a JSON string: an id never comes
-    from ``str()`` of a null, a number or a container."""
-    value = payload[key]
-    if not isinstance(value, str):
-        raise ValidationError(f"{key!r} must be a string, got {value!r}")
-    return value
+def typed(value, hint, where: str):
+    """``value`` read as the field ``where`` of type ``hint``."""
+    # Each hint's reader is built once, so a read never dispatches on the hint.
+    read = _READERS.get(hint) or _READERS.setdefault(hint, _reader(hint))
+    return read(value, where)
+
+
+def from_fields(cls, payload, where: str = ""):
+    """Dataclass ``cls`` from a JSON object, each field read by its annotation;
+    unknown keys are errors, and only fields with a default may be left out."""
+    return typed(payload, cls, where)
+
+
+def numbers(value, where: str) -> np.ndarray:
+    """A JSON array of numbers as float64 (``np.asarray`` also takes "1.5" and true)."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError(f"{where} must be an array of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+_NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to
+_EXACT = {int: "an integer", str: "a string", bool: "a boolean"}  # type(True) is bool
+_READERS: dict = {}
+
+
+def _wrong(where: str, expected: str, value) -> TypeError:
+    return TypeError(f"{where} must be {expected}, got {reprlib.repr(value)}")
+
+
+def _reader(hint) -> Callable:
+    """Build the ``read(value, where)`` function of one type hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        def read(value, where):
+            if type(value) is int or (type(value) is float and math.isfinite(value)):
+                return float(value)
+            raise _wrong(where, "a finite number", value)
+    elif hint in _EXACT:
+        def read(value, where):
+            if type(value) is not hint:
+                raise _wrong(where, _EXACT[hint], value)
+            return value
+    elif origin is types.UnionType and len(args) == 2 and type(None) in args:
+        inner = _reader(args[0] if args[1] is type(None) else args[1])
+        def read(value, where):
+            return None if value is None else inner(value, where)
+    elif (origin is tuple and args[1:] == (Ellipsis,)) or origin is list:
+        item, kinds = _reader(args[0]), (list, tuple) if origin is tuple else (list,)
+        def read(value, where):
+            if type(value) not in kinds:
+                raise _wrong(where, "an array", value)
+            try:
+                return origin([item(v, where) for v in value])
+            except (TypeError, KeyError):  # read again to name the element
+                for i, v in enumerate(value):
+                    item(v, f"{where}[{i}]")
+                raise
+    elif origin is dict and args[0] is str:
+        item = _reader(args[1])
+        def read(value, where):
+            if type(value) is not dict:
+                raise _wrong(where, "an object", value)
+            return {k: item(v, f"{where}[{k!r}]") for k, v in value.items()}
+    elif dataclasses.is_dataclass(hint):
+        readers = {name: _reader(field) for name, field in typing.get_type_hints(hint).items()}
+        fields = dataclasses.fields(hint)
+        required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+        def read(value, where):
+            if type(value) is not dict:
+                raise _wrong(where or "document", "an object", value)
+            unknown = ", ".join(sorted(value.keys() - readers.keys()))
+            if unknown:
+                raise TypeError(f"{where or 'document'} has unknown keys: {unknown}")
+            prefix = f"{where}." if where else ""
+            for name in required:
+                if name not in value:
+                    raise KeyError(prefix + name)
+            return hint(**{name: readers[name](v, prefix + name) for name, v in value.items()})
+    else:
+        raise NotImplementedError(f"no JSON reader for {hint!r}")
+    return read
 
 
 def write_json(path, payload) -> None:

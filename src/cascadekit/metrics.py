@@ -17,7 +17,7 @@ import numpy as np
 from .cascade import ExitTrace, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
-from .jsonio import decoder, read_json, write_json
+from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
 
@@ -230,15 +230,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
 
 @decoder("metrics report")
 def metrics_from_dict(payload: dict) -> MetricsReport:
-    return MetricsReport(
-        num_instances=int(payload["num_instances"]),
-        accuracy=float(payload["accuracy"]),
-        ece=float(payload["ece"]),
-        speedup=float(payload["speedup"]),
-        exit_histogram=tuple(int(c) for c in payload["exit_histogram"]),
-        f1=None if payload["f1"] is None else float(payload["f1"]),
-        dis=None if payload["dis"] is None else float(payload["dis"]),
-    )
+    return from_fields(MetricsReport, payload)
 
 
 def save_metrics(report: MetricsReport, path) -> None:

@@ -243,6 +243,19 @@ def test_calibration_rejects_empty_or_bad_tolerance():
         calibrate_threshold(cascade, ds, target_speedup=2.0, tolerance=0.0)
 
 
+@pytest.mark.parametrize(
+    "tolerance, message",
+    [(math.nan, "tolerance must be positive"), (0.001, "within relative tolerance 0.001: closest 6x")],
+    ids=["nan", "tight"],
+)
+def test_calibration_tolerance_check(tolerance, message):
+    # Achievable speed-ups are 6, 2.25, 18/13 and 1.  A NaN tolerance used to
+    # switch the miss check off and return tau = 0; 0.001 printed as "0%".
+    ds = planted_confidence_dataset([0.9, 0.75, 0.6])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        calibrate_threshold(two_stage_cascade(), ds, target_speedup=5.99, tolerance=tolerance)
+
+
 def test_calibration_measured_matches_requested_within_tolerance():
     rng = np.random.default_rng(0)
     confs = np.clip(rng.uniform(0.5, 1.0, size=400), 0.5, 0.999)
@@ -281,7 +294,7 @@ def loop_calibration_oracle(cascade, calibration, target_speedup, tolerance=0.04
     rule to the whole set once per candidate tau and keep the first best."""
     if not calibration.instances:
         raise ValidationError("calibration dataset is empty")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     costs = np.array([s.layer_cost for s in cascade.stages], dtype=np.float64)
     max_speedup = cascade.full_model_cost / costs[0]
@@ -306,7 +319,7 @@ def loop_calibration_oracle(cascade, calibration, target_speedup, tolerance=0.04
     if best_gap > tolerance * target_speedup:
         raise ValidationError(
             f"no threshold reaches {target_speedup:g}x within "
-            f"{tolerance:.0%}: closest {best_measured:g}x, achievable "
+            f"relative tolerance {tolerance:g}: closest {best_measured:g}x, achievable "
             f"range [{lo:g}x, {hi:g}x] on this calibration set"
         )
     return (best_tau,) * (len(cascade.stages) - 1)
@@ -446,7 +459,7 @@ def test_trace_rejects_non_string_instance_id(tmp_path, bad_id):
     record["instance_id"] = bad_id
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match=r"traces\.jsonl: line 2: 'instance_id' must be a string"):
+    with pytest.raises(ValidationError, match=r"traces\.jsonl: line 2: malformed trace record: instance_id must be a string"):
         load_traces(path)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,19 +97,19 @@ MLP = {"architecture": {"kind": "mlp", "hidden_size": 4}, "layer_cost": 12}
 @pytest.mark.parametrize(
     "stages, message",
     [
-        ([{**LINEAR, "dar_wieght": 0.5}, MLP], "config stage 0 has unknown keys: dar_wieght"),
+        ([{**LINEAR, "dar_wieght": 0.5}, MLP], "stages[0] has unknown keys: dar_wieght"),
         (
             [LINEAR, {**MLP, "architecture": {"kind": "mlp", "hidden_size": 4, "hiden": 3}}],
-            "config stage 1 architecture has unknown keys: hiden",
+            "stages[1].architecture has unknown keys: hiden",
         ),
-        ([LINEAR, {**MLP, "architecture": "mlp"}], "config stage 1 architecture must be a JSON object"),
+        ([LINEAR, {**MLP, "architecture": "mlp"}], "stages[1].architecture must be an object"),
     ],
     ids=["stage", "architecture", "not-an-object"],
 )
 def test_config_rejects_unknown_stage_keys(tmp_path, capsys, stages, message):
     # A misspelled stage key used to fall back to its default without a word.
     cfg_path = write_experiment(tmp_path, stages=stages)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         load_config(cfg_path)
     assert main(["train", "--config", cfg_path]) == 1
     assert message in capsys.readouterr().err
@@ -436,7 +437,31 @@ def test_exit_code_for_non_numeric_features(tmp_path, capsys):
     with open(tmp_path / "train.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": "bad", "label": 0, "features": ["x", 1.0]}) + "\n")
     assert main(["train", "--config", cfg_path]) == 1
-    assert "train.jsonl: line 151: 'features' must be an array of numbers" in capsys.readouterr().err
+    assert "train.jsonl: line 151: malformed dataset record: features must be an array of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"positive_class": "1"}, "positive_class must be an integer, got '1'"),
+        (
+            {"stages": [{"architecture": {"kind": "mlp", "hidden_size": 2.5}, "layer_cost": 2}]},
+            "stages[0].architecture.hidden_size must be an integer, got 2.5",
+        ),
+        ({"num_classes": 2.5}, "num_classes must be an integer, got 2.5"),
+        ({"feature_dim": "16"}, "feature_dim must be an integer, got '16'"),
+        ({"calibration_tolerance": float("nan")}, "calibration_tolerance must be a finite number"),
+    ],
+    ids=["positive-class-string", "hidden-size-float", "num-classes-float", "feature-dim-string",
+         "tolerance-nan"],
+)
+def test_exit_code_for_wrongly_typed_config_value(tmp_path, capsys, overrides, message):
+    # "positive_class": "1" used to run and score f1 = 0, a NaN tolerance switched
+    # off the calibration miss check, and a float size ended in a TypeError traceback.
+    cfg_path = write_experiment(tmp_path, **overrides)
+    assert main(["train", "--config", cfg_path]) == 1
+    assert f"error: {cfg_path}: malformed config: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -468,7 +493,7 @@ def test_exit_code_for_non_boolean_seed_outcome(tmp_path, capsys, outcome):
     assert main(["train", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert f"error: {report_path}: " in err
-    assert "is not a JSON boolean" in err
+    assert "must be a boolean" in err
     assert not (tmp_path / "out" / "stage0_model.json").exists()
 
 

@@ -156,6 +156,13 @@ def test_instance_rejects_matrix_features():
         Instance("x", np.zeros((2, 2)), 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_instance_rejects_non_finite_features(value):
+    # Only load_dataset used to check, so the API built such instances.
+    with pytest.raises(ValidationError, match="'x': features must be finite"):
+        Instance("x", np.array([0.5, value]), 0)
+
+
 def test_instance_rejects_negative_label():
     with pytest.raises(ValidationError):
         Instance("x", np.zeros(2), -1)
@@ -340,7 +347,7 @@ def test_load_rejects_non_finite_features(tmp_path, literal):
         '{"id": "r1", "label": 0, "features": [1.0, 2.0]}\n'
         f'{{"id": "r2", "label": 1, "features": [0.5, {literal}]}}\n'
     )
-    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: 'features' must be finite"):
+    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: instance 'r2': features must be finite"):
         load_dataset(path)
 
 
@@ -357,7 +364,7 @@ def test_load_rejects_non_numeric_features(tmp_path, features):
         + "\n"
     )
     with pytest.raises(
-        ValidationError, match=r"d\.jsonl: line 2: 'features' must be an array of numbers"
+        ValidationError, match=r"d\.jsonl: line 2: malformed dataset record: features must be an array of numbers"
     ):
         load_dataset(path)
 
@@ -376,7 +383,7 @@ def test_load_rejects_non_string_id(tmp_path, bad_id):
         + json.dumps({"id": bad_id, "label": 1, "features": [2.0]})
         + "\n"
     )
-    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: 'id' must be a string"):
+    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: malformed dataset record: id must be a string"):
         load_dataset(path)
 
 

@@ -1,5 +1,6 @@
 """Every artifact goes through cascadekit.jsonio: one format, one error rule."""
 
+import functools
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +101,7 @@ def _artifacts(seed):
 
 KINDS = sorted(_artifacts(0))
 JSONL_KINDS = {"dataset", "traces"}
-REPLACEMENTS = ["x", [], {}, None, math.nan, math.inf]
+REPLACEMENTS = ["x", [], {}, None, math.nan, math.inf, True, 1, 2.5, "1"]
 # Hypothesis's explain phase traces every line a failing example runs; on
 # these tests it grew past 2 GB before reporting.  Shrinking alone is enough.
 PHASES = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
@@ -120,6 +122,30 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (index,))
 
 
+def _json_types(node):
+    """The JSON type of every position in a parsed JSON value."""
+    types = {}
+    for path in _paths(node):
+        value = node
+        for step in path:
+            value = value[step]
+        types[path] = type(value).__name__
+    return types
+
+
+def _assert_type_faithful(before, after):
+    """Every value of ``before`` keeps its JSON type in ``after``.  An int
+    may come back as a float, a null as an absent key (writers omit an
+    unset optional field), and a key left out of an object with its default."""
+    types_before, types_after = _json_types(before), _json_types(after)
+    for path, kind in types_before.items():
+        kind_after = types_after.get(path, "NoneType")
+        assert kind_after == kind or (kind, kind_after) == ("int", "float"), (path, kind, kind_after)
+    for path in types_after.keys() - types_before.keys():
+        added = next(path[:n] for n in range(len(path) + 1) if path[:n] not in types_before)
+        assert isinstance(added[-1], str) and types_before[added[:-1]] == "dict", path
+
+
 def _mutated(node, path, replacement, drop):
     if not path:
         return replacement
@@ -138,7 +164,8 @@ def _mutated(node, path, replacement, drop):
 @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.data())
 def test_artifact_roundtrip_and_error_rule(kind, seed, data):
     """save -> load -> save keeps every byte, and a document with one key
-    dropped or one value replaced loads or fails naming its file."""
+    dropped or one value replaced either fails naming its file or loads
+    type-faithfully: saved again, every value keeps its JSON type."""
     obj, save, load = _artifacts(seed)[kind]
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         path = Path(a) / "artifact"
@@ -176,6 +203,11 @@ def test_artifact_roundtrip_and_error_rule(kind, seed, data):
             once = again.read_bytes()
             save(load(again), again)
             assert again.read_bytes() == once
+            lines = once.decode().splitlines() if kind in JSONL_KINDS else [once.decode()]
+            saved = [json.loads(text) for text in lines]
+            assert len(saved) == len(docs)
+            for before, after in zip(docs, saved):
+                _assert_type_faithful(before, after)
 
 
 def test_only_jsonio_reads_or_writes_json_files():
@@ -185,6 +217,70 @@ def test_only_jsonio_reads_or_writes_json_files():
         if module.name != "jsonio.py"
         for lineno, line in enumerate(module.read_text().splitlines(), start=1)
         if re.search(r"\bjson\.(load|loads|dump)\(", line)
+    ]
+    assert offenders == []
+
+
+def _first_key_to_string(mapping):
+    key = next(iter(mapping))
+    mapping[key] = str(mapping[key])
+
+
+# Each case used to load silently: null as the text "None", true and "1" as 1,
+# 2.9 as 2, and "probs": [true, false] as [1.0, 0.0].
+WRONG_TYPES = {
+    "text-null": ("text", lambda doc: doc.update(text=None), "text must be a string"),
+    "difficulty-true": ("dataset", lambda doc: doc.update(difficulty=True), "difficulty must be"),
+    "report-label-string": (
+        "report", lambda doc: _first_key_to_string(doc["labels"]), "must be an integer, got '"
+    ),
+    "report-num-folds-float": ("report", lambda doc: doc.update(num_folds=2.9), "num_folds must be"),
+    "report-seed-string": ("report", lambda doc: doc["seeds"].__setitem__(0, "7"), "seeds[0] must be"),
+    "scenario-insert-after-false": (
+        "scenario", lambda doc: doc.update(insert_after=False), "insert_after must be"
+    ),
+    "trace-exit-stage-true": ("traces", lambda doc: doc.update(exit_stage=True), "exit_stage must be"),
+    "trace-probs-booleans": (
+        "traces", lambda doc: doc.update(probs=[True, False], confidence=True), "probs must be"
+    ),
+    "model-data-string": (
+        "model", lambda doc: doc["weights"]["b1"]["data"].__setitem__(0, "1"), "data must be"
+    ),
+    "model-data-true": (
+        "model", lambda doc: doc["weights"]["b1"]["data"].__setitem__(0, True), "data must be"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_loaders_reject_wrong_json_types(tmp_path, case):
+    kind, mutate, message = WRONG_TYPES[case]
+    path = tmp_path / "artifact"
+    if kind == "text":
+        write_jsonl(path, [{"id": "a", "label": 0, "text": "some words"}])
+        load = functools.partial(load_dataset, format="jsonl_text", feature_dim=8)
+    else:
+        obj, save, load = _artifacts(0)[kind]
+        save(obj, path)
+    jsonl = kind in JSONL_KINDS or kind == "text"
+    text = path.read_text()
+    docs = [json.loads(line) for line in text.splitlines()] if jsonl else [json.loads(text)]
+    mutate(docs[0])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    prefix = f"{path}: line 1: " if jsonl else f"{path}: "
+    with pytest.raises(ValidationError, match=f"^{re.escape(prefix)}.*{re.escape(message)}"):
+        load(path)
+
+
+def test_no_decoder_coerces_json_values():
+    # int()/float()/str()/bool() of a parsed value would accept what
+    # jsonio.typed rejects, e.g. "1" or true for an integer field.
+    offenders = [
+        f"{module.name}:{lineno}"
+        for module in sorted(SRC.glob("*.py"))
+        if module.name != "jsonio.py"
+        for lineno, line in enumerate(module.read_text().splitlines(), start=1)
+        if re.search(r"\b(int|float|str|bool)\((payload|entry|record)\b", line)
     ]
     assert offenders == []
 

@@ -346,7 +346,7 @@ def test_metrics_load_rejects_non_finite(tmp_path, field, value):
     doc = json.loads(path.read_text())
     doc[field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: {field} = "):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: malformed metrics report: {field} must be a finite number"):
         load_metrics(path)
 
 
