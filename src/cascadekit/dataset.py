@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .jsonio import decoder, numbers, read_jsonl, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -46,10 +46,15 @@ class Instance:
         # count_nonzero: on short vectors, .all() costs twice as much per instance.
         if np.count_nonzero(np.isfinite(features)) != features.size:
             raise ValidationError(f"instance {self.id!r}: features must be finite")
-        if self.label < 0:
-            raise ValidationError(f"instance {self.id!r}: label must be non-negative")
-        if self.difficulty is not None and self.difficulty not in (0, 1):
-            raise ValidationError(f"instance {self.id!r}: difficulty must be 0 or 1")
+        if not is_integer(self.label) or self.label < 0:
+            raise ValidationError(
+                f"instance {self.id!r}: label must be a non-negative integer, got {self.label!r}"
+            )
+        object.__setattr__(self, "label", int(self.label))
+        if self.difficulty is not None:
+            if not is_integer(self.difficulty) or self.difficulty not in (0, 1):
+                raise ValidationError(f"instance {self.id!r}: difficulty must be 0 or 1")
+            object.__setattr__(self, "difficulty", int(self.difficulty))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import math
 import reprlib
 import types
 import typing
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -68,9 +68,19 @@ def from_fields(cls, payload, where: str = ""):
 
 def numbers(value, where: str) -> np.ndarray:
     """A JSON array of numbers as float64 (``np.asarray`` also takes "1.5" and true)."""
+    _require_numbers(value, where)
+    return np.asarray(value, dtype=np.float64)
+
+
+def number_list(value, where: str) -> list[float]:
+    """A JSON array of numbers as a list of floats, for stacking many rows at once."""
+    _require_numbers(value, where)
+    return list(map(float, value))  # OverflowError, as np.asarray, for an int beyond float
+
+
+def _require_numbers(value, where: str) -> None:
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"{where} must be an array of numbers")
-    return np.asarray(value, dtype=np.float64)
 
 
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to
@@ -154,31 +164,46 @@ def read_json(path, decode: Callable):
         raise type(exc)(f"{path}: {exc}") from None
 
 
+# One encoder for every JSONL record: json.dumps(record, sort_keys=True)
+# builds a new one per call, with the same output.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path, records: Iterable) -> None:
     """Write one record per line as it comes, so a generator is never
     held in memory whole."""
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
+            fh.write(encode(record))
             fh.write("\n")
 
 
-def read_jsonl(path, decode: Callable) -> list:
-    """Decode every non-blank line, in file order."""
-    out = []
+def iter_jsonl(path) -> Iterator[tuple[int, object]]:
+    """``(line number, parsed record)`` for every non-blank line, in file
+    order; invalid JSON and non-UTF-8 bytes fail naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    out.append(decode(json.loads(line)))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(
                         f"{path}: line {line_no}: invalid JSON ({exc.msg})"
                     ) from None
-                except (ValidationError, NumericError) as exc:
-                    raise type(exc)(f"{path}: line {line_no}: {exc}") from None
+                yield line_no, record
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_jsonl(path, decode: Callable) -> list:
+    """Decode every non-blank line, in file order."""
+    out = []
+    for line_no, record in iter_jsonl(path):
+        try:
+            out.append(decode(record))
+        except (ValidationError, NumericError) as exc:
+            raise type(exc)(f"{path}: line {line_no}: {exc}") from None
     return out

@@ -3,18 +3,21 @@
 The ranking score (:func:`dis`) asks how often difficult instances are
 less confident than easy ones; calibration error (:func:`ece`) compares
 per-bin accuracy against per-bin mean confidence.  :func:`evaluate` rolls
-everything plus cost accounting into one report.
+everything plus cost accounting into one report.  Every metric reads the
+columns of a :class:`ScoredTable`; a list of :class:`ScoredInstance` is
+turned into one first.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cascade import ExitTrace, speedup_ratio
+from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
@@ -69,12 +72,85 @@ class MetricsReport:
             raise ValidationError("exit_histogram must sum to num_instances")
 
 
-def _require_nonempty(scored: list[ScoredInstance], op: str) -> None:
-    if not scored:
+@dataclass(frozen=True, eq=False)
+class ScoredTable(Sequence):
+    """Scored predictions as columns, one row per instance: what the metrics read.
+
+    ``difficulty`` is -1 where an instance has no label (all -1 when None).
+    Construction checks the rules of :class:`ScoredInstance` once per
+    column.  The table is also a ``Sequence[ScoredInstance]``: indexing or
+    iterating builds one per row on demand, and a slice is a table.
+    """
+
+    confidence: np.ndarray
+    predicted_label: np.ndarray
+    gold_label: np.ndarray
+    difficulty: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        conf = np.asarray(self.confidence, dtype=np.float64)
+        difficulty = np.full(conf.shape, -1) if self.difficulty is None else self.difficulty
+        columns = {
+            "confidence": conf,
+            "predicted_label": np.asarray(self.predicted_label),
+            "gold_label": np.asarray(self.gold_label),
+            "difficulty": np.asarray(difficulty),
+        }
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        if {c.shape for c in columns.values()} != {conf.shape} or conf.ndim != 1:
+            raise ValidationError("scored columns must be flat and of one length")
+        outside = np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0)))  # NaN fails too
+        if outside.size:
+            raise ValidationError(f"confidence {conf[outside[0]]} outside [0, 1]")
+        if (self.predicted_label < 0).any() or (self.gold_label < 0).any():
+            raise ValidationError("labels must be non-negative")
+        if not np.isin(self.difficulty, (-1, 0, 1)).all():
+            raise ValidationError("difficulty must be 0, 1, or -1 (no label)")
+
+    @property
+    def correct(self) -> np.ndarray:
+        return self.predicted_label == self.gold_label
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScoredTable(
+                self.confidence[index],
+                self.predicted_label[index],
+                self.gold_label[index],
+                self.difficulty[index],
+            )
+        i = range(len(self))[index]
+        d = int(self.difficulty[i])
+        return ScoredInstance(
+            float(self.confidence[i]),
+            int(self.predicted_label[i]),
+            int(self.gold_label[i]),
+            None if d < 0 else d,
+        )
+
+    def __iter__(self) -> Iterator[ScoredInstance]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _scored(scored: Sequence[ScoredInstance], op: str) -> ScoredTable:
+    """The columns of ``scored``, which must not be empty."""
+    if not len(scored):
         raise ValidationError(f"{op} needs at least one scored instance")
+    if isinstance(scored, ScoredTable):
+        return scored
+    return ScoredTable(
+        np.array([s.confidence for s in scored], dtype=np.float64),
+        np.array([s.predicted_label for s in scored]),
+        np.array([s.gold_label for s in scored]),
+        np.array([-1 if s.difficulty is None else s.difficulty for s in scored]),
+    )
 
 
-def dis(scored: list[ScoredInstance]) -> float:
+def dis(scored: Sequence[ScoredInstance]) -> float:
     """Fraction of (difficult, easy) pairs ranked consistently by confidence.
 
     A pair counts as inverted when the difficult instance is strictly more
@@ -82,14 +158,11 @@ def dis(scored: list[ScoredInstance]) -> float:
     Returns 1 - inversions / (num_easy * num_difficult).  Needs at least
     one easy and one difficult instance.
     """
-    _require_nonempty(scored, "dis")
-    missing = [s for s in scored if s.difficulty is None]
-    if missing:
+    table = _scored(scored, "dis")
+    if (table.difficulty < 0).any():
         raise ValidationError("dis requires a difficulty label on every instance")
-    conf = np.array([s.confidence for s in scored])
-    diff = np.array([s.difficulty for s in scored])
-    easy_conf = np.sort(conf[diff == 0])
-    difficult_conf = conf[diff == 1]
+    easy_conf = np.sort(table.confidence[table.difficulty == 0])
+    difficult_conf = table.confidence[table.difficulty == 1]
     if easy_conf.size == 0 or difficult_conf.size == 0:
         raise ValidationError(
             "dis is undefined without both easy and difficult instances "
@@ -101,21 +174,22 @@ def dis(scored: list[ScoredInstance]) -> float:
     return 1.0 - inversions / (easy_conf.size * difficult_conf.size)
 
 
-def ece(scored: list[ScoredInstance], num_bins: int = DEFAULT_ECE_BINS) -> float:
+def ece(scored: Sequence[ScoredInstance], num_bins: int = DEFAULT_ECE_BINS) -> float:
     """Expected calibration error over equal-width confidence bins.
 
     Bin k covers ((k-1)/K, k/K], with confidence 0.0 assigned to the first
     bin; empty bins contribute nothing.
     """
-    _require_nonempty(scored, "ece")
+    table = _scored(scored, "ece")
     if num_bins < 1:
         raise ValidationError("num_bins must be >= 1")
-    conf = np.array([s.confidence for s in scored])
-    correct = np.array([s.correct for s in scored], dtype=np.float64)
+    conf = table.confidence
+    correct = table.correct.astype(np.float64)
     bins = np.ceil(conf * num_bins).astype(np.int64)
     bins = np.clip(bins, 1, num_bins)
     total = 0.0
-    n = len(scored)
+    n = len(table)
+    # Per-bin means: summing bins with np.bincount instead moves the last bits.
     for k in range(1, num_bins + 1):
         members = bins == k
         count = int(members.sum())
@@ -126,23 +200,19 @@ def ece(scored: list[ScoredInstance], num_bins: int = DEFAULT_ECE_BINS) -> float
     return float(total)
 
 
-def accuracy(scored: list[ScoredInstance]) -> float:
-    _require_nonempty(scored, "accuracy")
-    return sum(s.correct for s in scored) / len(scored)
+def accuracy(scored: Sequence[ScoredInstance]) -> float:
+    table = _scored(scored, "accuracy")
+    return int(np.count_nonzero(table.correct)) / len(table)
 
 
-def f1_binary(scored: list[ScoredInstance], positive_class: int) -> float:
+def f1_binary(scored: Sequence[ScoredInstance], positive_class: int) -> float:
     """F1 of the positive class; 0 when precision + recall is 0."""
-    _require_nonempty(scored, "f1_binary")
-    tp = sum(
-        1 for s in scored if s.predicted_label == positive_class and s.gold_label == positive_class
-    )
-    fp = sum(
-        1 for s in scored if s.predicted_label == positive_class and s.gold_label != positive_class
-    )
-    fn = sum(
-        1 for s in scored if s.predicted_label != positive_class and s.gold_label == positive_class
-    )
+    table = _scored(scored, "f1_binary")
+    predicted = table.predicted_label == positive_class
+    actual = table.gold_label == positive_class
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0:
@@ -151,45 +221,44 @@ def f1_binary(scored: list[ScoredInstance], positive_class: int) -> float:
 
 
 def scored_from_traces(
-    traces: list[ExitTrace],
+    traces: Sequence[ExitTrace],
     dataset: Dataset,
     difficulty: dict[str, int] | None = None,
-) -> list[ScoredInstance]:
+) -> ScoredTable:
     """Pair traces with gold labels (and optional difficulty) by instance id.
 
     Trace ids and dataset ids must match exactly, one trace per instance.
     """
-    trace_ids = [t.instance_id for t in traces]
-    if len(set(trace_ids)) != len(trace_ids):
-        raise ValidationError("duplicate instance ids in traces")
-    dataset_ids = set(dataset.ids())
-    if set(trace_ids) != dataset_ids:
-        missing = sorted(dataset_ids - set(trace_ids))[:3]
-        extra = sorted(set(trace_ids) - dataset_ids)[:3]
-        raise ValidationError(
-            f"trace ids do not match the dataset (missing {missing}, unexpected {extra})"
-        )
-    gold = {inst.id: inst.label for inst in dataset.instances}
-    scored = []
-    for trace in traces:
-        d = None
-        if difficulty is not None:
-            if trace.instance_id not in difficulty:
-                raise ValidationError(f"no difficulty label for instance {trace.instance_id!r}")
-            d = difficulty[trace.instance_id]
-        scored.append(
-            ScoredInstance(
-                confidence=trace.confidence,
-                predicted_label=trace.predicted_label,
-                gold_label=gold[trace.instance_id],
-                difficulty=d,
+    table = TraceTable.from_traces(traces)
+    trace_ids = list(table.ids)
+    dataset_ids = dataset.ids()
+    gold = dataset.label_array()
+    if trace_ids != dataset_ids:
+        if len(set(trace_ids)) != len(trace_ids):
+            raise ValidationError("duplicate instance ids in traces")
+        if set(trace_ids) != set(dataset_ids):
+            missing = sorted(set(dataset_ids) - set(trace_ids))[:3]
+            extra = sorted(set(trace_ids) - set(dataset_ids))[:3]
+            raise ValidationError(
+                f"trace ids do not match the dataset (missing {missing}, unexpected {extra})"
             )
-        )
-    return scored
+        position = {inst_id: i for i, inst_id in enumerate(dataset_ids)}
+        gold = gold[[position[inst_id] for inst_id in trace_ids]]
+    flags = None
+    if difficulty is not None:
+        flags = []
+        for inst_id in trace_ids:
+            if inst_id not in difficulty:
+                raise ValidationError(f"no difficulty label for instance {inst_id!r}")
+            d = difficulty[inst_id]
+            if d not in (None, 0, 1):
+                raise ValidationError(f"difficulty must be 0, 1, or None, got {d}")
+            flags.append(-1 if d is None else int(d))
+    return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
 
 def evaluate(
-    traces: list[ExitTrace],
+    traces: Sequence[ExitTrace],
     dataset: Dataset,
     full_model_cost: int,
     dis_difficulty: dict[str, int] | None = None,
@@ -203,22 +272,22 @@ def evaluate(
     given, F1 only when ``positive_class`` is given.  ``num_stages`` sizes
     the exit histogram; by default the deepest observed exit sets it.
     """
-    _require_nonempty(traces, "evaluate")  # type: ignore[arg-type]
-    scored = scored_from_traces(traces, dataset, dis_difficulty)
-    deepest = max(t.exit_stage for t in traces)
+    table = TraceTable.from_traces(traces)
+    if not len(table):
+        raise ValidationError("evaluate needs at least one scored instance")
+    scored = scored_from_traces(table, dataset, dis_difficulty)
+    deepest = int(table.exit_stage.max())
     if num_stages is None:
         num_stages = deepest + 1
     elif deepest >= num_stages:
         raise ValidationError(f"trace exits at stage {deepest} but num_stages is {num_stages}")
-    histogram = [0] * num_stages
-    for trace in traces:
-        histogram[trace.exit_stage] += 1
+    histogram = np.bincount(table.exit_stage, minlength=num_stages)
     return MetricsReport(
-        num_instances=len(traces),
+        num_instances=len(table),
         accuracy=accuracy(scored),
         ece=ece(scored, num_bins),
-        speedup=speedup_ratio(traces, full_model_cost),
-        exit_histogram=tuple(histogram),
+        speedup=speedup_ratio(table, full_model_cost),
+        exit_histogram=tuple(histogram.tolist()),
         f1=f1_binary(scored, positive_class) if positive_class is not None else None,
         dis=dis(scored) if dis_difficulty is not None else None,
     )

@@ -292,3 +292,21 @@ def test_on_disk_format(tmp_path):
     )
     write_jsonl(tmp_path / "rows.jsonl", iter([{"b": 1, "a": "x"}, {}]))
     assert (tmp_path / "rows.jsonl").read_text() == '{"a": "x", "b": 1}\n{}\n'
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), JSON_VALUES, max_size=4), max_size=4))
+def test_jsonl_writer_matches_json_dumps(records):
+    # The writer shares one encoder across records; its bytes are json.dumps'.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "rows.jsonl"
+        write_jsonl(path, records)
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
