@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .cascade import Cascade, run_cascade, speedup_ratio
+from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
 from .errors import ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
@@ -160,8 +160,9 @@ def empirical_gain(
     Both cascades must land within 1% of each other's measured speed-up on
     the dataset, otherwise the comparison confounds accuracy with cost.
     """
-    traces_without = run_cascade(cascade_without, dataset)
-    traces_with = run_cascade(cascade_with, dataset)
+    ids, X = dataset.ids(), dataset.feature_matrix()
+    traces_without = run_batched(cascade_without, ids, X)
+    traces_with = run_batched(cascade_with, ids, X)
     sp_without = speedup_ratio(traces_without, cascade_without.full_model_cost)
     sp_with = speedup_ratio(traces_with, cascade_with.full_model_cost)
     if abs(sp_with - sp_without) > SPEEDUP_MATCH_TOLERANCE * sp_without:

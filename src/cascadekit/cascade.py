@@ -319,16 +319,54 @@ def _exit_table(cascade: Cascade, instances: Sequence[Instance]) -> TraceTable:
                 break
         probs[row] = dist.probs
         exits.append(stage_index)
-    costs = tuple(stage.layer_cost for stage in stages)
+    return _charged_table(cascade, tuple(instance.id for instance in instances), exits, probs)
+
+
+def _charged_table(cascade: Cascade, ids: tuple[str, ...], exits, probs: np.ndarray) -> TraceTable:
+    """The traces of rows that exited at ``exits`` with ``probs``, each
+    charged every stage up to its exit."""
+    costs = tuple(stage.layer_cost for stage in cascade.stages)
     executed = [costs[: k + 1] for k in range(len(costs))]
     totals = list(itertools.accumulate(costs))
     return TraceTable(
-        tuple(instance.id for instance in instances),
+        ids,
         exits,
         probs,
         tuple(map(executed.__getitem__, exits)),
         tuple(map(totals.__getitem__, exits)),
     )
+
+
+def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTable:
+    """The traces of the rows of ``X`` (named by ``ids``), bit for bit those
+    of :func:`run_cascade` on the same instances.
+
+    Stage k runs once, through ``predict_batch``, on the rows that stages
+    0..k-1 did not answer: a row exits where its confidence strictly
+    exceeds the stage's threshold, and the last stage answers the rest.
+    ``predict_batch`` rows are batch-invariant, so a row's bits do not
+    depend on which other rows reached its stage.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != len(ids):
+        raise ValidationError(f"need one feature row per id: {len(ids)} ids, X of shape {X.shape}")
+    stages, thresholds = cascade.stages, cascade.thresholds
+    last = len(stages) - 1
+    probs = np.empty((len(ids), stages[0].model.num_classes))
+    exits = np.full(len(ids), last, dtype=np.int64)
+    alive = np.arange(len(ids))
+    for stage_index, stage in enumerate(stages):
+        if not alive.size:
+            break
+        stage_probs = predict_batch(stage.model, X[alive])
+        if stage_index == last:
+            probs[alive] = stage_probs
+            break
+        done = stage_probs.max(axis=1) > thresholds[stage_index]
+        probs[alive[done]] = stage_probs[done]
+        exits[alive[done]] = stage_index
+        alive = alive[~done]
+    return _charged_table(cascade, tuple(ids), exits.tolist(), probs)
 
 
 def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Instance
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, is_integer
 from .jsonio import decoder, from_fields, numbers, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
@@ -65,8 +65,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "seed", "pair_cap"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         numbers = {"dar_weight": self.dar_weight, "margin": self.margin}
         if self.learning_rate is not None:
             numbers["learning_rate"] = self.learning_rate
@@ -194,18 +195,32 @@ def _forward(kind: str, weights: dict[str, np.ndarray], X: np.ndarray):
     return hidden @ weights["w2"] + weights["b2"][..., None, :], hidden
 
 
-def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per instance; NumericError if any is non-finite."""
-    if X.ndim != 2 or X.shape[1] != model.feature_dim:
-        raise ValidationError(
-            f"feature matrix has {X.shape[-1] if X.ndim else 0} columns, "
-            f"model expects {model.feature_dim}"
-        )
+def _probabilities(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
+    """Softmax of the model's logits for ``X`` (..., d); NumericError if any
+    probability is non-finite."""
     logits, _ = _forward(model.architecture.kind, model.weights, X)
     probs = softmax(logits)
     if not np.isfinite(probs).all():
         raise NumericError("model produced non-finite class probabilities")
     return probs
+
+
+def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
+    """Class probabilities, one row per instance; NumericError if any is non-finite.
+
+    Rows are independent: each row runs as its own (1, d) product, so it
+    gets the exact bits :func:`predict` gives that instance alone, whatever
+    batch it sits in.  (A BLAS product over many rows at once can change a
+    row's last bits with its batch-mates, and so can a strided row, hence
+    the C-ordered copy.)
+    """
+    X = np.asarray(X, dtype=np.float64, order="C")
+    if X.ndim != 2 or X.shape[1] != model.feature_dim:
+        raise ValidationError(
+            f"feature matrix has {X.shape[-1] if X.ndim else 0} columns, "
+            f"model expects {model.feature_dim}"
+        )
+    return _probabilities(model, X[:, None, :])[:, 0, :]
 
 
 def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
@@ -215,8 +230,7 @@ def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
             f"instance {instance.id!r} has {instance.features.shape[0]} features, "
             f"model expects {model.feature_dim}"
         )
-    probs = predict_batch(model, instance.features[None, :])[0]
-    return ClassDistribution(probs)
+    return ClassDistribution(_probabilities(model, instance.features[None, :])[0])
 
 
 def confidence(dist: ClassDistribution) -> float:

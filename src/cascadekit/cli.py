@@ -20,6 +20,7 @@ from .cascade import (
     Cascade,
     StageSpec,
     calibrate_threshold,
+    run_batched,
     run_cascade,
     save_cascade,
     save_traces,
@@ -268,10 +269,11 @@ def cmd_sweep(config: PipelineConfig) -> int:
     eval_ds = _load_split(config, config.eval_dataset, "eval")
     base = _build_cascade(config, (1.0,) * (len(config.stages) - 1))
     dis_difficulty = _eval_difficulty(eval_ds)
+    ids, X = eval_ds.ids(), eval_ds.feature_matrix()
     rows = []
     for tau in config.sweep_thresholds:
         cascade = base.with_shared_threshold(tau)
-        traces = run_cascade(cascade, eval_ds)
+        traces = run_batched(cascade, ids, X)
         report = evaluate(
             traces,
             eval_ds,

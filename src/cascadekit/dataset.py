@@ -39,7 +39,8 @@ class Instance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
+        # C order: a strided row can change the bits of a model's product.
+        features = np.asarray(self.features, dtype=np.float64, order="C")
         object.__setattr__(self, "features", features)
         if features.ndim != 1:
             raise ValidationError(f"instance {self.id!r}: features must be a flat vector")

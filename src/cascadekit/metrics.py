@@ -19,12 +19,17 @@ import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
 
 SWEEP_CSV_FIELDS = ("tau", "speedup", "accuracy", "dis", "ece")
+
+
+def _check_difficulty(difficulty) -> None:
+    if difficulty is not None and not (is_integer(difficulty) and difficulty in (0, 1)):
+        raise ValidationError(f"difficulty must be 0, 1, or None, got {difficulty}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,14 @@ class ScoredInstance:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        if self.predicted_label < 0 or self.gold_label < 0:
-            raise ValidationError("labels must be non-negative")
-        if self.difficulty not in (None, 0, 1):
-            raise ValidationError(f"difficulty must be 0, 1, or None, got {self.difficulty}")
+        labels = (self.predicted_label, self.gold_label)
+        if not all(is_integer(label) and label >= 0 for label in labels):
+            raise ValidationError(f"labels must be non-negative integers, got {labels}")
+        object.__setattr__(self, "predicted_label", int(self.predicted_label))
+        object.__setattr__(self, "gold_label", int(self.gold_label))
+        _check_difficulty(self.difficulty)
+        if self.difficulty is not None:
+            object.__setattr__(self, "difficulty", int(self.difficulty))
 
     @property
     def correct(self) -> bool:
@@ -100,6 +109,10 @@ class ScoredTable(Sequence):
             object.__setattr__(self, name, column)
         if {c.shape for c in columns.values()} != {conf.shape} or conf.ndim != 1:
             raise ValidationError("scored columns must be flat and of one length")
+        for name in ("predicted_label", "gold_label", "difficulty"):
+            dtype = columns[name].dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise ValidationError(f"{name} must hold integers, got dtype {dtype}")
         outside = np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0)))  # NaN fails too
         if outside.size:
             raise ValidationError(f"confidence {conf[outside[0]]} outside [0, 1]")
@@ -251,9 +264,9 @@ def scored_from_traces(
             if inst_id not in difficulty:
                 raise ValidationError(f"no difficulty label for instance {inst_id!r}")
             d = difficulty[inst_id]
-            if d not in (None, 0, 1):
-                raise ValidationError(f"difficulty must be 0, 1, or None, got {d}")
+            _check_difficulty(d)
             flags.append(-1 if d is None else int(d))
+        flags = np.array(flags, dtype=np.int64)
     return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
 

@@ -1,0 +1,192 @@
+"""Batch-invariant inference and the batched cascade core.
+
+``predict_batch`` must give every row the exact bits that ``predict`` gives
+that instance alone, whatever batch, order or memory layout the row comes
+in.  The batched core (``run_batched``) runs each stage once on the
+survivors of the stage before; the per-row ``run_cascade`` loop is its
+oracle, bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascadekit import (
+    Architecture,
+    Cascade,
+    ClassifierModel,
+    Dataset,
+    Instance,
+    StageSpec,
+    TrainConfig,
+    ValidationError,
+    calibrate_threshold,
+    predict,
+    predict_batch,
+    run_batched,
+    run_cascade,
+    save_traces,
+)
+
+
+def random_model(rng, dim, num_classes, kind, hidden=None):
+    scale = rng.uniform(0.1, 4.0) / np.sqrt(dim)
+    if kind == "linear":
+        weights = {"w": rng.normal(scale=scale, size=(dim, num_classes))}
+        weights["b"] = rng.normal(size=num_classes)
+        return ClassifierModel(Architecture("linear"), dim, num_classes, weights, TrainConfig())
+    weights = {
+        "w1": rng.normal(scale=scale, size=(dim, hidden)),
+        "b1": rng.normal(size=hidden),
+        "w2": rng.normal(scale=2.0, size=(hidden, num_classes)),
+        "b2": rng.normal(size=num_classes),
+    }
+    return ClassifierModel(Architecture("mlp", hidden), dim, num_classes, weights, TrainConfig())
+
+
+def laid_out(X, layout, rng):
+    """``X`` as C-ordered, Fortran-ordered, or a column- or row-strided view."""
+    if layout == "fortran":
+        return np.asfortranarray(X)
+    if layout == "column-strided":
+        wide = rng.normal(size=(X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        return wide[:, ::2]
+    if layout == "row-strided":
+        tall = rng.normal(size=(2 * X.shape[0], X.shape[1]))
+        tall[::2] = X
+        return tall[::2]
+    return X
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["linear", "mlp"]),
+    dim=st.integers(1, 256),
+    num_classes=st.integers(2, 6),
+    hidden=st.integers(1, 48),
+    n=st.integers(0, 40),
+    layout=st.sampled_from(["C", "fortran", "column-strided", "row-strided"]),
+)
+def test_predict_batch_rows_equal_predict(seed, kind, dim, num_classes, hidden, n, layout):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim, num_classes, kind, hidden)
+    X = laid_out(rng.normal(scale=2.0, size=(n, dim)), layout, rng)
+    probs = predict_batch(model, X)
+    assert probs.shape == (n, num_classes)
+    for i in range(n):
+        # The instance is built from a row view of X, strided in every layout but C.
+        alone = predict(model, Instance(f"i{i}", X[i], 0)).probs
+        assert np.array_equal(alone, probs[i])
+        assert np.array_equal(predict_batch(model, X[i : i + 1])[0], probs[i])
+    for size in (0, n // 2, n):
+        rows = rng.permutation(n)[:size]
+        assert np.array_equal(predict_batch(model, X[rows]), probs[rows])
+
+
+def test_instance_features_are_c_ordered():
+    wide = np.arange(12.0).reshape(3, 4)
+    inst = Instance("a", wide[:, 1], 0)
+    assert inst.features.flags.c_contiguous
+    assert inst.features.tolist() == [1.0, 5.0, 9.0]
+
+
+@st.composite
+def cascades(draw):
+    """A 1-3 stage cascade of linear and mlp models, a dataset of 0-30
+    instances, and thresholds drawn mostly from the stages' own confidences
+    on that dataset, so exact ties with the strict rule are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 16))
+    num_classes = draw(st.integers(2, 4))
+    costs = sorted(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    stages = tuple(
+        StageSpec(
+            random_model(
+                rng, dim, num_classes, draw(st.sampled_from(["linear", "mlp"])), int(rng.integers(1, 9))
+            ),
+            cost,
+        )
+        for cost in costs
+    )
+    n = draw(st.integers(0, 30))
+    instances = tuple(
+        Instance(f"i{k}", rng.normal(scale=2.0, size=dim), int(rng.integers(num_classes)))
+        for k in range(n)
+    )
+    dataset = Dataset(instances, num_classes, dim)
+    X = dataset.feature_matrix()
+    thresholds = []
+    for stage in stages[:-1]:
+        kind = draw(st.sampled_from(["tie", "tie", "tie", "uniform", "edge"]))
+        if kind == "tie" and n:
+            conf = predict_batch(stage.model, X).max(axis=1)
+            thresholds.append(float(conf[draw(st.integers(0, n - 1))]))
+        elif kind == "uniform":
+            thresholds.append(draw(st.floats(0.0, 1.0)))
+        else:
+            thresholds.append(draw(st.sampled_from([0.0, 1.0])))
+    full_cost = draw(st.integers(costs[0], 2 * sum(costs)))
+    return Cascade(stages, tuple(thresholds), full_cost), dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cascades())
+def test_batched_core_matches_per_row_loop(case, tmp_path_factory):
+    cascade, dataset = case
+    batched = run_batched(cascade, dataset.ids(), dataset.feature_matrix())
+    loop = run_cascade(cascade, dataset)
+    assert batched.ids == loop.ids
+    assert np.array_equal(batched.exit_stage, loop.exit_stage)
+    assert np.array_equal(batched.probs, loop.probs)
+    assert batched.executed_costs == loop.executed_costs
+    assert batched.total_cost == loop.total_cost
+    directory = tmp_path_factory.mktemp("traces")
+    save_traces(batched, directory / "batched.jsonl")
+    save_traces(loop, directory / "loop.jsonl")
+    assert (directory / "batched.jsonl").read_bytes() == (directory / "loop.jsonl").read_bytes()
+
+
+def strict_exits(cascade, X):
+    """Exit stage per row by the strict rule, from predict_batch confidences."""
+    last = len(cascade.stages) - 1
+    exits = np.full(X.shape[0], last)
+    for k in reversed(range(last)):
+        conf = predict_batch(cascade.stages[k].model, X).max(axis=1)
+        exits[conf > cascade.thresholds[k]] = k
+    return exits
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cascades(), share=st.floats(0.0, 1.0))
+def test_calibrated_run_lands_on_the_strict_rule_exits(case, share):
+    cascade, dataset = case
+    if not len(dataset):
+        return
+    costs = [stage.layer_cost for stage in cascade.stages]
+    target = 1.0 + share * (cascade.full_model_cost / costs[0] - 1.0)
+    # A wide tolerance: every achievable operating point is accepted, so
+    # the property covers every tau calibration can choose.
+    thresholds = calibrate_threshold(cascade, dataset, target, tolerance=1.0)
+    calibrated = Cascade(cascade.stages, thresholds, cascade.full_model_cost)
+    traces = run_cascade(calibrated, dataset)
+    assert np.array_equal(traces.exit_stage, strict_exits(calibrated, dataset.feature_matrix()))
+
+
+def test_batched_core_handles_no_survivors_and_no_rows():
+    rng = np.random.default_rng(1)
+    stages = tuple(StageSpec(random_model(rng, 3, 2, "linear"), cost) for cost in (1, 4, 9))
+    dataset = Dataset(
+        tuple(Instance(f"i{k}", rng.normal(size=3), k % 2) for k in range(6)), 2, 3
+    )
+    ids, X = dataset.ids(), dataset.feature_matrix()
+    everyone_exits = Cascade(stages, (0.0, 0.0), 12)  # a top probability is always > 0
+    table = run_batched(everyone_exits, ids, X)
+    assert table.exit_stage.tolist() == [0] * 6
+    assert table.total_cost == (1,) * 6
+    empty = run_batched(everyone_exits, [], np.zeros((0, 3)))
+    assert len(empty) == 0 and empty.probs.shape == (0, 2)
+    with pytest.raises(ValidationError, match="one feature row per id"):
+        run_batched(everyone_exits, ids[:-1], X)

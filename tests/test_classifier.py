@@ -99,7 +99,9 @@ def test_train_config_validation():
         ("batch_size", True),
         ("batch_size", 32.0),
         ("seed", 1.0),
+        ("seed", True),
         ("pair_cap", "3"),
+        ("pair_cap", 1.5),
         ("learning_rate", math.nan),
         ("learning_rate", math.inf),
         ("learning_rate", True),
@@ -119,6 +121,12 @@ def test_train_config_rejects_wrong_types_and_nan(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{field}"):
         load_model(path)
+
+
+def test_train_config_accepts_numpy_integers_as_python_ints():
+    config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint8(2), pair_cap=np.int16(4))
+    assert (config.epochs, config.batch_size, config.seed, config.pair_cap) == (3, 8, 2, 4)
+    assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed, config.pair_cap))
 
 
 def test_class_distribution_validation():
@@ -198,7 +206,7 @@ def test_predict_batch_consistent_with_predict():
     model = train(ds, Architecture("linear"), TrainConfig(epochs=2, seed=0))
     P = predict_batch(model, ds.feature_matrix())
     for row, inst in zip(P, ds.instances):
-        np.testing.assert_allclose(row, predict(model, inst).probs, atol=1e-15)
+        assert np.array_equal(row, predict(model, inst).probs)
 
 
 def test_predict_rejects_wrong_dim():

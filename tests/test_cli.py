@@ -8,6 +8,8 @@ import pytest
 
 import cascadekit.cli
 from cascadekit import (
+    Cascade,
+    StageSpec,
     ValidationError,
     evaluate,
     load_cascade,
@@ -17,8 +19,11 @@ from cascadekit import (
     load_report,
     load_traces,
     planted_hard_task,
+    predict_batch,
+    run_cascade,
     save_dataset,
     save_scenario,
+    write_sweep_csv,
     GainScenario,
 )
 from cascadekit.cli import PipelineConfig, StageConfig, config_from_dict, load_config, main
@@ -292,6 +297,27 @@ def test_sweep_writes_monotone_speedups(tmp_path):
     assert speedups == sorted(speedups, reverse=True)
     assert speedups[0] == pytest.approx(6.0)  # everything exits at cost 2
     assert speedups[-1] == pytest.approx(12 / 14)  # everything pays both stages
+
+
+def test_sweep_csv_matches_per_row_runs(tmp_path):
+    cfg_path = write_experiment(tmp_path)
+    main(["train", "--config", cfg_path])
+    out = tmp_path / "out"
+    models = [load_model(out / f"stage{i}_model.json") for i in range(2)]
+    eval_ds = load_dataset(tmp_path / "eval.jsonl")
+    # Taus at stage 0's own confidences put instances exactly on the strict rule.
+    ties = predict_batch(models[0], eval_ds.feature_matrix()).max(axis=1)[:5].tolist()
+    taus = [0.0, 0.6, 1.0, *ties]
+    cfg_path = write_experiment(tmp_path, sweep_thresholds=taus)
+    assert main(["sweep", "--config", cfg_path]) == 0
+    base = Cascade((StageSpec(models[0], 2), StageSpec(models[1], 12)), (1.0,), 12)
+    difficulty = {inst.id: inst.difficulty for inst in eval_ds.instances}
+    rows = []
+    for tau in taus:
+        traces = run_cascade(base.with_shared_threshold(tau), eval_ds)
+        rows.append((tau, evaluate(traces, eval_ds, 12, dis_difficulty=difficulty, num_stages=2)))
+    write_sweep_csv(tmp_path / "expected.csv", rows)
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_metrics_command_recomputes(tmp_path, capsys):

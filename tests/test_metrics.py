@@ -13,6 +13,7 @@ from cascadekit import (
     Instance,
     MetricsReport,
     ScoredInstance,
+    ScoredTable,
     ValidationError,
     accuracy,
     dis,
@@ -223,6 +224,34 @@ def test_scored_instance_validation():
         ScoredInstance(0.5, -1, 0)
     with pytest.raises(ValidationError):
         ScoredInstance(0.5, 0, 0, difficulty=3)
+
+
+@pytest.mark.parametrize(
+    "predicted, gold, difficulty",
+    [(True, 1, None), (1.5, 1.5, None), (1, np.float64(1.0), None), (1, "1", None),
+     (1, 1, True), (1, 1, 1.0)],
+)
+def test_scored_instance_rejects_non_integers(predicted, gold, difficulty):
+    # ScoredInstance(0.5, True, 1) and (0.5, 1.5, 1.5) used to build, and
+    # accuracy over the two read 1.0.
+    with pytest.raises(ValidationError, match="labels must be non-negative integers|difficulty"):
+        ScoredInstance(0.5, predicted, gold, difficulty)
+
+
+def test_scored_instance_keeps_numpy_integers_as_python_ints():
+    s = ScoredInstance(0.5, np.int64(1), np.int32(0), np.int8(1))
+    assert (s.predicted_label, s.gold_label, s.difficulty) == (1, 0, 1)
+    assert all(type(v) is int for v in (s.predicted_label, s.gold_label, s.difficulty))
+
+
+@pytest.mark.parametrize(
+    "predicted, gold, difficulty, name",
+    [([1.5, True], [1.5, 1], None, "predicted_label"), ([1, 1], [True, False], None, "gold_label"),
+     ([1, 0], [1, 1], [1.0, 0.0], "difficulty"), ([1, 0], [1, 1], [True, False], "difficulty")],
+)
+def test_scored_table_rejects_non_integer_columns(predicted, gold, difficulty, name):
+    with pytest.raises(ValidationError, match=f"{name} must hold integers"):
+        ScoredTable([0.5, 0.5], predicted, gold, difficulty)
 
 
 # --- trace pairing / evaluate ------------------------------------------------------
