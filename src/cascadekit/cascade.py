@@ -304,25 +304,34 @@ def _first_fault(probs, confidences, exit_stage, executed_costs, total_cost):
     return row, reason
 
 
-def _exit_table(cascade: Cascade, instances: Sequence[Instance]) -> TraceTable:
-    """Run stages in order until one clears its threshold (strictly) or the
-    last stage is reached; the last stage emits unconditionally.  Each
-    executed stage is one ``predict`` call."""
+def _exit_table(cascade: Cascade, ids: Sequence[str], stage_probs) -> TraceTable:
+    """The traces of the rows named by ``ids``: the cascade's exit rule.
+
+    Stage k runs once, on the rows that stages 0..k-1 did not answer;
+    ``stage_probs(model, rows)`` gives the class probabilities of the rows
+    at positions ``rows``.  A row exits where its confidence strictly
+    exceeds the stage's threshold, and the last stage answers the rest.
+    """
     stages, thresholds = cascade.stages, cascade.thresholds
     last = len(stages) - 1
-    probs = np.empty((len(instances), stages[0].model.num_classes))
-    exits = []
-    for row, instance in enumerate(instances):
-        for stage_index, stage in enumerate(stages):
-            dist = predict(stage.model, instance)
-            if stage_index == last or confidence(dist) > thresholds[stage_index]:
-                break
-        probs[row] = dist.probs
-        exits.append(stage_index)
-    return _charged_table(cascade, tuple(instance.id for instance in instances), exits, probs)
+    probs = np.empty((len(ids), stages[0].model.num_classes))
+    exits = np.full(len(ids), last, dtype=np.int64)
+    alive = np.arange(len(ids))
+    for stage_index, stage in enumerate(stages):
+        if not alive.size:
+            break
+        reached = stage_probs(stage.model, alive)
+        if stage_index == last:
+            probs[alive] = reached
+            break
+        done = reached.max(axis=1) > thresholds[stage_index]
+        probs[alive[done]] = reached[done]
+        exits[alive[done]] = stage_index
+        alive = alive[~done]
+    return _charged_table(cascade, ids, exits.tolist(), probs)
 
 
-def _charged_table(cascade: Cascade, ids: tuple[str, ...], exits, probs: np.ndarray) -> TraceTable:
+def _charged_table(cascade: Cascade, ids: Sequence[str], exits, probs: np.ndarray) -> TraceTable:
     """The traces of rows that exited at ``exits`` with ``probs``, each
     charged every stage up to its exit."""
     costs = tuple(stage.layer_cost for stage in cascade.stages)
@@ -341,42 +350,30 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     """The traces of the rows of ``X`` (named by ``ids``), bit for bit those
     of :func:`run_cascade` on the same instances.
 
-    Stage k runs once, through ``predict_batch``, on the rows that stages
-    0..k-1 did not answer: a row exits where its confidence strictly
-    exceeds the stage's threshold, and the last stage answers the rest.
-    ``predict_batch`` rows are batch-invariant, so a row's bits do not
-    depend on which other rows reached its stage.
+    Each stage's survivors run through one ``predict_batch`` call, whose
+    rows are batch-invariant: a row's bits do not depend on which other
+    rows reached its stage.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(ids):
         raise ValidationError(f"need one feature row per id: {len(ids)} ids, X of shape {X.shape}")
-    stages, thresholds = cascade.stages, cascade.thresholds
-    last = len(stages) - 1
-    probs = np.empty((len(ids), stages[0].model.num_classes))
-    exits = np.full(len(ids), last, dtype=np.int64)
-    alive = np.arange(len(ids))
-    for stage_index, stage in enumerate(stages):
-        if not alive.size:
-            break
-        stage_probs = predict_batch(stage.model, X[alive])
-        if stage_index == last:
-            probs[alive] = stage_probs
-            break
-        done = stage_probs.max(axis=1) > thresholds[stage_index]
-        probs[alive[done]] = stage_probs[done]
-        exits[alive[done]] = stage_index
-        alive = alive[~done]
-    return _charged_table(cascade, tuple(ids), exits.tolist(), probs)
+    return _exit_table(cascade, ids, lambda model, rows: predict_batch(model, X[rows]))
+
+
+def _one_predict_per_row(instances: Sequence[Instance]):
+    """A ``stage_probs`` for :func:`_exit_table` that makes one ``predict``
+    call per surviving instance."""
+    return lambda model, rows: np.array([predict(model, instances[r]).probs for r in rows.tolist()])
 
 
 def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
     """The trace of one instance: row 0 of a one-instance run."""
-    return _exit_table(cascade, (instance,))[0]
+    return _exit_table(cascade, (instance.id,), _one_predict_per_row((instance,)))[0]
 
 
 def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
     """Traces for every instance, in dataset order."""
-    return _exit_table(cascade, dataset.instances)
+    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(dataset.instances))
 
 
 def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
@@ -390,9 +387,11 @@ def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
 
 
 def _confidence_matrix(cascade: Cascade, dataset: Dataset) -> np.ndarray:
-    """Per-stage top probabilities, shape (num_stages, num_instances)."""
+    """Top probabilities of the stages that can exit an instance (all but
+    the last), shape (num_stages - 1, num_instances)."""
     X = dataset.feature_matrix()
-    return np.stack([predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages])
+    gating = [predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages[:-1]]
+    return np.array(gating).reshape(len(gating), X.shape[0])
 
 
 def calibrate_threshold(
@@ -425,12 +424,12 @@ def calibrate_threshold(
 
     conf = _confidence_matrix(cascade, calibration)
     n = conf.shape[1]
-    candidates = np.unique(np.concatenate([conf[:-1].ravel(), [0.0, 1.0]]))
+    candidates = np.unique(np.concatenate([conf.ravel(), [0.0, 1.0]]))
     # Under a shared tau, stage s + 1 runs exactly on the instances whose
     # running max confidence over stages 0..s is <= tau (no strict exit yet),
     # so each candidate's total cost is an integer count-weighted sum.
     total = np.full(candidates.shape, n * costs[0], dtype=np.int64)
-    running_max = np.maximum.accumulate(conf[:-1], axis=0)
+    running_max = np.maximum.accumulate(conf, axis=0)
     for cost, stage_max in zip(costs[1:], running_max):
         total += cost * np.searchsorted(np.sort(stage_max), candidates, side="right")
     measured = cascade.full_model_cost / (total / n)

@@ -31,7 +31,7 @@ from .dataset import Dataset, load_dataset, save_dataset
 from .difficulty import apply_difficulty, label_difficulty, load_report, save_report
 from .errors import NumericError, ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
-from .metrics import evaluate, metrics_to_dict, save_metrics, write_sweep_csv
+from .metrics import MetricsReport, evaluate, metrics_to_dict, save_metrics, write_sweep_csv
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(i / 20 for i in range(21))
 
@@ -146,19 +146,32 @@ def _load_stage_models(config: PipelineConfig) -> list:
     return models
 
 
-def _build_cascade(config: PipelineConfig, thresholds: tuple[float, ...]) -> Cascade:
+def _build_cascade(config: PipelineConfig) -> Cascade:
+    """The trained stages, every exit threshold at 1.0."""
     models = _load_stage_models(config)
     stages = tuple(
         StageSpec(model=model, layer_cost=stage.layer_cost)
         for model, stage in zip(models, config.stages)
     )
-    return Cascade(stages, thresholds, config.full_model_cost)
+    return Cascade(stages, (1.0,) * (len(stages) - 1), config.full_model_cost)
 
 
 def _eval_difficulty(dataset: Dataset) -> dict[str, int] | None:
     if all(inst.difficulty is not None for inst in dataset.instances):
         return {inst.id: inst.difficulty for inst in dataset.instances}
     return None
+
+
+def _evaluate(config: PipelineConfig, traces, eval_ds: Dataset, dis_difficulty) -> MetricsReport:
+    """The metrics of ``traces`` on ``eval_ds`` under the config's cost and classes."""
+    return evaluate(
+        traces,
+        eval_ds,
+        config.full_model_cost,
+        dis_difficulty=dis_difficulty,
+        positive_class=config.positive_class,
+        num_stages=len(config.stages),
+    )
 
 
 def _speedup_label(target: float) -> str:
@@ -230,7 +243,7 @@ def cmd_run(config: PipelineConfig) -> int:
         eval_ds = calibration  # a Dataset is immutable, so one load serves both roles
     else:
         eval_ds = _load_split(config, config.eval_dataset, "eval")
-    base = _build_cascade(config, (1.0,) * (len(config.stages) - 1))
+    base = _build_cascade(config)
     dis_difficulty = _eval_difficulty(eval_ds)
     os.makedirs(config.output_dir, exist_ok=True)
     for target in config.target_speedups:
@@ -239,14 +252,7 @@ def cmd_run(config: PipelineConfig) -> int:
         )
         cascade = Cascade(base.stages, thresholds, config.full_model_cost)
         traces = run_cascade(cascade, eval_ds)
-        report = evaluate(
-            traces,
-            eval_ds,
-            config.full_model_cost,
-            dis_difficulty=dis_difficulty,
-            positive_class=config.positive_class,
-            num_stages=len(config.stages),
-        )
+        report = _evaluate(config, traces, eval_ds, dis_difficulty)
         label = _speedup_label(target)
         traces_path = os.path.join(config.output_dir, f"traces_{label}.jsonl")
         metrics_path = os.path.join(config.output_dir, f"metrics_{label}.json")
@@ -267,22 +273,13 @@ def cmd_run(config: PipelineConfig) -> int:
 
 def cmd_sweep(config: PipelineConfig) -> int:
     eval_ds = _load_split(config, config.eval_dataset, "eval")
-    base = _build_cascade(config, (1.0,) * (len(config.stages) - 1))
+    base = _build_cascade(config)
     dis_difficulty = _eval_difficulty(eval_ds)
     ids, X = eval_ds.ids(), eval_ds.feature_matrix()
     rows = []
     for tau in config.sweep_thresholds:
         cascade = base.with_shared_threshold(tau)
-        traces = run_batched(cascade, ids, X)
-        report = evaluate(
-            traces,
-            eval_ds,
-            config.full_model_cost,
-            dis_difficulty=dis_difficulty,
-            positive_class=config.positive_class,
-            num_stages=len(config.stages),
-        )
-        rows.append((tau, report))
+        rows.append((tau, _evaluate(config, run_batched(cascade, ids, X), eval_ds, dis_difficulty)))
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "sweep.csv")
     write_sweep_csv(csv_path, rows)
@@ -310,15 +307,7 @@ def cmd_analyze(scenario_path: str, out_dir: str | None) -> int:
 
 def cmd_metrics(config: PipelineConfig, traces_path: str) -> int:
     eval_ds = _load_split(config, config.eval_dataset, "eval")
-    traces = load_traces(traces_path)
-    report = evaluate(
-        traces,
-        eval_ds,
-        config.full_model_cost,
-        dis_difficulty=_eval_difficulty(eval_ds),
-        positive_class=config.positive_class,
-        num_stages=len(config.stages),
-    )
+    report = _evaluate(config, load_traces(traces_path), eval_ds, _eval_difficulty(eval_ds))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "metrics_recomputed.json")
     save_metrics(report, path)

@@ -3,15 +3,19 @@
 ``predict_batch`` must give every row the exact bits that ``predict`` gives
 that instance alone, whatever batch, order or memory layout the row comes
 in.  The batched core (``run_batched``) runs each stage once on the
-survivors of the stage before; the per-row ``run_cascade`` loop is its
-oracle, bit for bit.
+survivors of the stage before; the instance-major oracle of
+``test_trace_table`` (one ``predict`` per stage, instance by instance) is
+its reference, bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascadekit
 from cascadekit import (
     Architecture,
     Cascade,
@@ -28,6 +32,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
+from test_trace_table import oracle_run, oracle_save
 
 
 def random_model(rng, dim, num_classes, kind, hidden=None):
@@ -137,16 +142,22 @@ def cascades(draw):
 def test_batched_core_matches_per_row_loop(case, tmp_path_factory):
     cascade, dataset = case
     batched = run_batched(cascade, dataset.ids(), dataset.feature_matrix())
-    loop = run_cascade(cascade, dataset)
-    assert batched.ids == loop.ids
-    assert np.array_equal(batched.exit_stage, loop.exit_stage)
-    assert np.array_equal(batched.probs, loop.probs)
-    assert batched.executed_costs == loop.executed_costs
-    assert batched.total_cost == loop.total_cost
+    oracle = oracle_run(cascade, dataset)
+    assert batched.ids == tuple(t.instance_id for t in oracle)
+    assert batched.exit_stage.tolist() == [t.exit_stage for t in oracle]
+    assert batched.probs.tolist() == [t.distribution.probs.tolist() for t in oracle]
+    assert batched.executed_costs == tuple(t.executed_costs for t in oracle)
+    assert batched.total_cost == tuple(t.total_cost for t in oracle)
     directory = tmp_path_factory.mktemp("traces")
     save_traces(batched, directory / "batched.jsonl")
-    save_traces(loop, directory / "loop.jsonl")
-    assert (directory / "batched.jsonl").read_bytes() == (directory / "loop.jsonl").read_bytes()
+    oracle_save(oracle, directory / "oracle.jsonl")
+    assert (directory / "batched.jsonl").read_bytes() == (directory / "oracle.jsonl").read_bytes()
+    # run_cascade evaluates each stage an instance reaches with one predict call.
+    with mock.patch.object(cascadekit.cascade, "predict", wraps=predict) as counted:
+        table = run_cascade(cascade, dataset)
+    assert counted.call_count == sum(t.exit_stage + 1 for t in oracle)
+    assert np.array_equal(table.exit_stage, batched.exit_stage)
+    assert np.array_equal(table.probs, batched.probs)
 
 
 def strict_exits(cascade, X):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascadekit
 from cascadekit import (
     Architecture,
     Cascade,
@@ -383,6 +384,24 @@ def _outcome(search, *args):
 @given(case=calibration_cases())
 def test_closed_form_calibration_matches_loop_oracle(case):
     assert _outcome(calibrate_threshold, *case) == _outcome(loop_calibration_oracle, *case)
+
+
+def test_calibration_runs_only_the_stages_that_gate_an_exit(monkeypatch):
+    calls = []
+
+    def counted(model, X):
+        calls.append(model)
+        return predict_batch(model, X)
+
+    monkeypatch.setattr(cascadekit.cascade, "predict_batch", counted)
+    stages = (linear_stage(1.0, 2), linear_stage(4.0, 5), linear_stage(20.0, 10))
+    ds = planted_confidence_dataset([0.9, 0.75, 0.6, 0.55])
+    calibrate_threshold(Cascade(stages, (1.0, 1.0), 12), ds, 2.0, tolerance=1.0)
+    assert [sum(model is s.model for model in calls) for s in stages] == [1, 1, 0]
+    calls.clear()
+    # One stage: nothing gates an exit, and the only operating point is 12 / 2.
+    assert calibrate_threshold(Cascade(stages[:1], (), 12), ds, 6.0) == ()
+    assert calls == []
 
 
 def test_non_finite_confidence_is_a_numeric_error():
