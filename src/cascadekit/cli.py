@@ -21,13 +21,12 @@ from .cascade import (
     StageSpec,
     calibrate_threshold,
     run_batched,
-    run_cascade,
     save_cascade,
     save_traces,
     load_traces,
 )
 from .classifier import Architecture, TrainConfig, load_model, save_model, train_with_log
-from .dataset import Dataset, load_dataset, save_dataset
+from .dataset import Dataset, load_dataset
 from .difficulty import apply_difficulty, label_difficulty, load_report, save_report
 from .errors import NumericError, ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
@@ -105,7 +104,8 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> P
 
 def _load_split(config: PipelineConfig, path: str | None, role: str) -> Dataset:
     if path is None:
-        raise ValidationError(f"config does not declare a {role} dataset")
+        article = "an" if role[0] in "aeiou" else "a"
+        raise ValidationError(f"config does not declare {article} {role} dataset")
     return load_dataset(
         path,
         format=config.dataset_format,
@@ -222,14 +222,11 @@ def cmd_label(config: PipelineConfig) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     report_path = os.path.join(config.output_dir, "difficulty_report.json")
     save_report(report, report_path)
-    merged_path = os.path.join(config.output_dir, "train_labeled.jsonl")
-    save_dataset(apply_difficulty(dataset, report), merged_path)
     print(
         f"labeled {len(dataset)} instances with {config.stages[0].architecture.kind} "
         f"stage: {report.num_easy} easy, {report.num_difficult} difficult"
     )
     print(f"report -> {report_path}")
-    print(f"labeled dataset -> {merged_path}")
     return 0
 
 
@@ -245,13 +242,14 @@ def cmd_run(config: PipelineConfig) -> int:
         eval_ds = _load_split(config, config.eval_dataset, "eval")
     base = _build_cascade(config)
     dis_difficulty = _eval_difficulty(eval_ds)
+    ids, X = eval_ds.ids(), eval_ds.feature_matrix()
     os.makedirs(config.output_dir, exist_ok=True)
     for target in config.target_speedups:
         thresholds = calibrate_threshold(
             base, calibration, target, config.calibration_tolerance
         )
         cascade = Cascade(base.stages, thresholds, config.full_model_cost)
-        traces = run_cascade(cascade, eval_ds)
+        traces = run_batched(cascade, ids, X)
         report = _evaluate(config, traces, eval_ds, dis_difficulty)
         label = _speedup_label(target)
         traces_path = os.path.join(config.output_dir, f"traces_{label}.jsonl")

@@ -147,9 +147,9 @@ def _reader(hint) -> Callable:
 
 
 def write_json(path, payload) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2)  # one write, not json.dump's many
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path, decode: Callable):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import cascadekit.cli
 from cascadekit import (
     Cascade,
+    apply_difficulty,
     StageSpec,
     ValidationError,
     evaluate,
@@ -23,6 +25,7 @@ from cascadekit import (
     run_cascade,
     save_dataset,
     save_scenario,
+    save_traces,
     write_sweep_csv,
     GainScenario,
 )
@@ -186,25 +189,42 @@ def test_train_seed_override_changes_models(tmp_path):
 # --- label -----------------------------------------------------------------------
 
 
-def test_label_writes_report_and_dataset(tmp_path, capsys):
+def test_label_report_trains_as_the_labeled_dataset(tmp_path, capsys):
+    # label writes only the report; training through it gives the models that
+    # training on the train split with the report's labels merged in gives.
+    dar = {"epochs": 3, "learning_rate": 0.2, "seed": 0, "dar_weight": 0.5}
     cfg_path = write_experiment(
         tmp_path,
         train_n=60,
         difficulty_folds=3,
         difficulty_seeds=2,
+        train=dar,
+        difficulty_report="out/difficulty_report.json",
     )
     assert main(["label", "--config", cfg_path]) == 0
     out = tmp_path / "out"
+    assert os.listdir(out) == ["difficulty_report.json"]
     report = load_report(out / "difficulty_report.json")
     assert report.num_folds == 3
     assert report.seeds == (0, 1)
-    labeled = load_dataset(out / "train_labeled.jsonl")
-    assert len(labeled) == 60
-    flags = labeled.difficulty_array()
-    assert set(np.unique(flags)) <= {0, 1}
-    for inst in labeled.instances:
-        assert inst.difficulty == report.labels[inst.id]
+    assert sorted(report.labels) == sorted(load_dataset(tmp_path / "train.jsonl").ids())
     assert "difficult" in capsys.readouterr().out
+    assert main(["train", "--config", cfg_path]) == 0
+    trained = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    del trained["difficulty_report.json"]
+
+    labeled = apply_difficulty(load_dataset(tmp_path / "train.jsonl"), report)
+    save_dataset(labeled, tmp_path / "train_labeled.jsonl")
+    cfg_path = write_experiment(
+        tmp_path,
+        train_n=60,
+        train_dataset="train_labeled.jsonl",
+        output_dir="merged",
+        train=dar,
+    )
+    assert main(["train", "--config", cfg_path]) == 0
+    merged = tmp_path / "merged"
+    assert {name: (merged / name).read_bytes() for name in os.listdir(merged)} == trained
 
 
 # --- run / sweep / metrics ----------------------------------------------------------
@@ -283,6 +303,85 @@ def test_run_requires_targets(tmp_path, capsys):
     main(["train", "--config", cfg_path])
     assert main(["run", "--config", cfg_path]) == 1
     assert "target_speedups" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "metrics"])
+def test_commands_need_an_eval_split(tmp_path, capsys, command):
+    cfg_path = write_experiment(tmp_path, eval_dataset=None)
+    argv = [command, "--config", cfg_path]
+    if command == "metrics":
+        argv += ["--traces", str(tmp_path / "traces.jsonl")]
+    assert main(argv) == 1
+    assert "error: config does not declare an eval dataset" in capsys.readouterr().err
+
+
+THREE_STAGES = [
+    {"architecture": {"kind": "linear"}, "layer_cost": 2},
+    {"architecture": {"kind": "mlp", "hidden_size": 3}, "layer_cost": 6},
+    {"architecture": {"kind": "mlp", "hidden_size": 4}, "layer_cost": 12},
+]
+
+
+@pytest.mark.parametrize("calibration", ["eval.jsonl", "calibration.jsonl"], ids=["shared", "separate"])
+def test_run_traces_match_per_row_runs(tmp_path, calibration):
+    # run executes each calibrated cascade stage by stage on its survivors;
+    # its traces are those of the per-row run_cascade, byte for byte.
+    save_dataset(planted_hard_task(200, seed=5), tmp_path / "calibration.jsonl")
+    cfg_path = write_experiment(
+        tmp_path, stages=THREE_STAGES, calibration_dataset=calibration, target_speedups=[1.5, 2.5]
+    )
+    assert main(["train", "--config", cfg_path]) == 0
+    assert main(["run", "--config", cfg_path]) == 0
+    out = tmp_path / "out"
+    eval_ds = load_dataset(tmp_path / "eval.jsonl")
+    for label in ("1.5x", "2.5x"):
+        cascade = load_cascade(out / f"cascade_{label}.json")
+        if calibration == "eval.jsonl":
+            # The calibrated tau is a stage confidence on the eval split, so
+            # some instance sits exactly on the strict exit rule.
+            X = eval_ds.feature_matrix()
+            confidences = {c for s in cascade.stages[:-1] for c in predict_batch(s.model, X).max(axis=1)}
+            assert cascade.thresholds[0] in confidences
+        save_traces(run_cascade(cascade, eval_ds), tmp_path / "expected.jsonl")
+        assert (out / f"traces_{label}.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def test_text_pipeline_loop(tmp_path):
+    # label -> train (DAR through difficulty_report) -> run -> metrics on hashed text.
+    cfg_path = write_experiment(
+        tmp_path,
+        dataset_format="jsonl_text",
+        feature_dim=32,
+        num_classes=2,
+        train={"epochs": 3, "learning_rate": 0.2, "seed": 0, "dar_weight": 0.5},
+        difficulty_folds=2,
+        difficulty_seeds=1,
+        difficulty_report="out/difficulty_report.json",
+    )
+    rng = np.random.default_rng(3)
+    for name, n in (("train.jsonl", 120), ("eval.jsonl", 160)):
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                label = int(rng.integers(0, 2))
+                # Words w0-w19 lean to class 0 and w20-w39 to class 1.
+                lean = rng.random(12) < 0.7
+                words = [f"w{rng.integers(0, 20) + 20 * (label if k else 1 - label)}" for k in lean]
+                fh.write(json.dumps({"id": f"{name[0]}{i}", "label": label, "text": " ".join(words)}) + "\n")
+    out = tmp_path / "out"
+
+    def loop():
+        assert main(["label", "--config", cfg_path]) == 0
+        assert os.listdir(out) == ["difficulty_report.json"]
+        assert main(["train", "--config", cfg_path]) == 0
+        assert main(["run", "--config", cfg_path]) == 0
+        assert main(["metrics", "--config", cfg_path, "--traces", str(out / "traces_2x.jsonl")]) == 0
+        return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    first = loop()
+    assert load_report(out / "difficulty_report.json").labels.keys() == {f"t{i}" for i in range(120)}
+    assert first["metrics_recomputed.json"] == first["metrics_2x.json"]
+    shutil.rmtree(out)
+    assert loop() == first
 
 
 def test_sweep_writes_monotone_speedups(tmp_path):

@@ -41,6 +41,8 @@ from cascadekit import (
     save_scenario,
     save_traces,
 )
+from cascadekit.classifier import model_to_dict
+from cascadekit.difficulty import report_to_dict
 from cascadekit.jsonio import write_json, write_jsonl
 
 SRC = Path(cascadekit.__file__).parent
@@ -292,6 +294,18 @@ def test_on_disk_format(tmp_path):
     )
     write_jsonl(tmp_path / "rows.jsonl", iter([{"b": 1, "a": "x"}, {}]))
     assert (tmp_path / "rows.jsonl").read_text() == '{"a": "x", "b": 1}\n{}\n'
+
+
+@pytest.mark.parametrize("kind, to_dict", [("report", report_to_dict), ("model", model_to_dict)])
+def test_json_writer_matches_streamed_json_dump(tmp_path, kind, to_dict):
+    # write_json writes the document in one piece; its bytes are those of
+    # json.dump streaming the same document chunk by chunk.
+    artifact, save, _ = _artifacts(3)[kind]
+    save(artifact, tmp_path / "written.json")
+    with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
+        json.dump(to_dict(artifact), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "written.json").read_bytes() == (tmp_path / "streamed.json").read_bytes()
 
 
 JSON_VALUES = st.recursive(
