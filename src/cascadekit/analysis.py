@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
@@ -47,6 +47,14 @@ class GainScenario:
             raise ValidationError("scenario needs at least two original models")
         if len(self.accuracies) != n or len(self.new_exits) != n:
             raise ValidationError("layer_counts, accuracies, new_exits must align")
+        counts = (*self.layer_counts, self.new_layers, *self.new_exits, self.new_model_exits)
+        wrong = [c for c in (*counts, self.insert_after) if not is_integer(c)]
+        if wrong:
+            raise ValidationError(f"counts and insert_after must be integers, got {wrong[0]!r}")
+        for name in ("layer_counts", "new_exits"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        for name in ("insert_after", "new_layers", "new_model_exits"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if any(c < 1 for c in self.layer_counts):
             raise ValidationError("layer counts must be >= 1")
         if any(a >= b for a, b in zip(self.layer_counts, self.layer_counts[1:])):

@@ -42,6 +42,7 @@ from .jsonio import (
 
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
+STAGE_MODEL_FILENAME = "stage{}_model.json"  # stage k's model file in a run directory
 _COSTS = tuple[int, ...]  # one hint object: building and hashing a new one per trace is slow
 
 
@@ -380,8 +381,8 @@ def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
     """Reference cost divided by the mean executed cost per instance."""
     if not len(traces):
         raise ValidationError("speedup_ratio needs at least one trace")
-    if full_model_cost < 1:
-        raise ValidationError("full_model_cost must be >= 1")
+    if not is_integer(full_model_cost) or full_model_cost < 1:
+        raise ValidationError(f"full_model_cost must be an integer >= 1, got {full_model_cost!r}")
     costs = TraceTable.from_traces(traces).total_cost
     return full_model_cost / (sum(costs) / len(costs))
 
@@ -529,23 +530,21 @@ def load_traces(path) -> TraceTable:
     return TraceTable(tuple(ids), stages, checked_matrix(), tuple(costs), tuple(totals))
 
 
-def save_cascade(cascade: Cascade, path, model_filenames: list[str] | None = None) -> None:
+def save_cascade(cascade: Cascade, path) -> None:
     """Write a cascade description JSON plus one model file per stage.
 
-    Model files live next to the description; the description references
-    them by relative name so the bundle can be moved as a directory.
+    Stage k's model is ``stage<k>_model.json`` next to the description,
+    which references it by that relative name so the bundle can be moved
+    as a directory.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    if model_filenames is None:
-        model_filenames = [f"stage{i}_model.json" for i in range(len(cascade.stages))]
-    if len(model_filenames) != len(cascade.stages):
-        raise ValidationError("need one model filename per stage")
-    for stage, name in zip(cascade.stages, model_filenames):
+    names = [STAGE_MODEL_FILENAME.format(i) for i in range(len(cascade.stages))]
+    for stage, name in zip(cascade.stages, names):
         save_model(stage.model, os.path.join(directory, name))
     payload = {
         "stages": [
             {"model_path": name, "layer_cost": stage.layer_cost}
-            for stage, name in zip(cascade.stages, model_filenames)
+            for stage, name in zip(cascade.stages, names)
         ],
         "thresholds": list(cascade.thresholds),
         "full_model_cost": cascade.full_model_cost,

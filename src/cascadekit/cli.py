@@ -17,6 +17,9 @@ from dataclasses import asdict, dataclass, replace
 
 from .analysis import gain_report, load_scenario
 from .cascade import (
+    DEFAULT_CALIBRATION_TOLERANCE,
+    DEFAULT_FULL_MODEL_COST,
+    STAGE_MODEL_FILENAME,
     Cascade,
     StageSpec,
     calibrate_threshold,
@@ -27,7 +30,13 @@ from .cascade import (
 )
 from .classifier import Architecture, TrainConfig, load_model, save_model, train_with_log
 from .dataset import Dataset, load_dataset
-from .difficulty import apply_difficulty, label_difficulty, load_report, save_report
+from .difficulty import (
+    DEFAULT_NUM_FOLDS,
+    DEFAULT_NUM_SEEDS,
+    label_difficulty,
+    load_report,
+    save_report,
+)
 from .errors import NumericError, ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import MetricsReport, evaluate, metrics_to_dict, save_metrics, write_sweep_csv
@@ -54,18 +63,18 @@ class PipelineConfig:
     train_dataset: str
     stages: tuple[StageConfig, ...]
     output_dir: str
-    full_model_cost: int = 12
+    full_model_cost: int = DEFAULT_FULL_MODEL_COST
     train: TrainConfig = TrainConfig()
     calibration_dataset: str | None = None
     eval_dataset: str | None = None
     dataset_format: str = "jsonl_features"
     feature_dim: int | None = None
     num_classes: int | None = None
-    difficulty_folds: int = 8
-    difficulty_seeds: int = 5
+    difficulty_folds: int = DEFAULT_NUM_FOLDS
+    difficulty_seeds: int = DEFAULT_NUM_SEEDS
     difficulty_report: str | None = None
     target_speedups: tuple[float, ...] = ()
-    calibration_tolerance: float = 0.04
+    calibration_tolerance: float = DEFAULT_CALIBRATION_TOLERANCE
     sweep_thresholds: tuple[float, ...] = DEFAULT_SWEEP_THRESHOLDS
     positive_class: int | None = None
 
@@ -123,7 +132,7 @@ def _training_dataset(config: PipelineConfig) -> Dataset:
     if not needs_difficulty:
         return dataset
     if config.difficulty_report is not None:
-        return apply_difficulty(dataset, load_report(config.difficulty_report))
+        return dataset.with_difficulty(load_report(config.difficulty_report).labels)
     if all(inst.difficulty is not None for inst in dataset.instances):
         return dataset
     raise ValidationError(
@@ -133,7 +142,7 @@ def _training_dataset(config: PipelineConfig) -> Dataset:
 
 
 def _stage_model_path(config: PipelineConfig, index: int) -> str:
-    return os.path.join(config.output_dir, f"stage{index}_model.json")
+    return os.path.join(config.output_dir, STAGE_MODEL_FILENAME.format(index))
 
 
 def _load_stage_models(config: PipelineConfig) -> list:
@@ -321,23 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="override the config's output_dir")
         p.add_argument("--seed", type=int, default=None, help="override the training seed")
 
-    p_train = sub.add_parser("train", help="train every cascade stage")
-    add_common(p_train)
-
-    p_label = sub.add_parser("label", help="produce a difficulty report for the train split")
-    add_common(p_label)
-
-    p_run = sub.add_parser("run", help="calibrate thresholds and evaluate each target")
-    add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="trade-off table over a threshold grid")
-    add_common(p_sweep)
+    add_common(sub.add_parser("train", help="train every cascade stage"))
+    add_common(sub.add_parser("label", help="produce a difficulty report for the train split"))
+    add_common(sub.add_parser("run", help="calibrate thresholds and evaluate each target"))
+    add_common(sub.add_parser("sweep", help="trade-off table over a threshold grid"))
 
     p_analyze = sub.add_parser("analyze", help="predicted gain of inserting a model")
     p_analyze.add_argument("--config", required=True, help="gain scenario JSON")

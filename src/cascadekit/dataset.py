@@ -68,10 +68,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instances", tuple(self.instances))
-        if self.num_classes < 1:
-            raise ValidationError("num_classes must be positive")
-        if self.feature_dim < 1:
-            raise ValidationError("feature_dim must be positive")
+        for name in ("num_classes", "feature_dim"):
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         seen: set[str] = set()
         for inst in self.instances:
             if inst.id in seen:
@@ -125,7 +126,7 @@ class Dataset:
         if missing:
             raise ValidationError(f"difficulty map misses id {missing[0]!r}")
         merged = tuple(
-            Instance(inst.id, inst.features, inst.label, int(labels[inst.id]))
+            Instance(inst.id, inst.features, inst.label, labels[inst.id])
             for inst in self.instances
         )
         return Dataset(merged, self.num_classes, self.feature_dim)

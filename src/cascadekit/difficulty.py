@@ -18,6 +18,9 @@ from .dataset import Dataset, assign_folds
 from .errors import ValidationError
 from .jsonio import decoder, from_fields, read_json, write_json
 
+DEFAULT_NUM_FOLDS = 8
+DEFAULT_NUM_SEEDS = 5
+
 
 @dataclass(frozen=True)
 class DifficultyReport:
@@ -57,8 +60,8 @@ def label_difficulty(
     dataset: Dataset,
     architecture: Architecture,
     base_config: TrainConfig,
-    num_folds: int = 8,
-    num_seeds: int = 5,
+    num_folds: int = DEFAULT_NUM_FOLDS,
+    num_seeds: int = DEFAULT_NUM_SEEDS,
 ) -> DifficultyReport:
     """Label every instance easy (0) or difficult (1) for an architecture.
 
@@ -96,11 +99,6 @@ def label_difficulty(
         for inst_id, outcomes in per_seed_correct.items()
     }
     return DifficultyReport(labels, per_seed_correct, num_folds, seeds)
-
-
-def apply_difficulty(dataset: Dataset, report: DifficultyReport) -> Dataset:
-    """Copy of the dataset with the report's difficulty labels attached."""
-    return dataset.with_difficulty(report.labels)
 
 
 def report_to_dict(report: DifficultyReport) -> dict:

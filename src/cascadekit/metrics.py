@@ -277,7 +277,6 @@ def evaluate(
     dis_difficulty: dict[str, int] | None = None,
     positive_class: int | None = None,
     num_stages: int | None = None,
-    num_bins: int = DEFAULT_ECE_BINS,
 ) -> MetricsReport:
     """Full metrics for a cascade run over a dataset.
 
@@ -298,7 +297,7 @@ def evaluate(
     return MetricsReport(
         num_instances=len(table),
         accuracy=accuracy(scored),
-        ece=ece(scored, num_bins),
+        ece=ece(scored),
         speedup=speedup_ratio(table, full_model_cost),
         exit_histogram=tuple(histogram.tolist()),
         f1=f1_binary(scored, positive_class) if positive_class is not None else None,

@@ -12,18 +12,21 @@ import numpy as np
 from .dataset import Dataset, Instance
 from .errors import ValidationError
 
+# planted_hard_task
+HARD_FRACTION = 0.2  # share of the instances planted hard
+SEPARATION = 2.0  # distance between the two class blobs along feature 0
+PLANTED_NOISE = 0.45  # standard deviation of features 0 and 1
+MARKER_OFFSET = 0.7  # marker mean of a hard instance
+MARKER_NOISE = 0.35  # standard deviation of the marker
+MARKER_CLASS_PULL = 0.25  # marker mean of an easy instance, times its class sign
+# tiered_task
+EASY_FRACTION = 0.6  # share of the linearly separable instances
+EASY_OFFSET = 1.5  # their distance from 0 along feature 0
+XOR_OFFSET = 1.2  # corner distance of an XOR instance along each feature
+TIERED_NOISE = 0.3  # standard deviation of both features
 
-def planted_hard_task(
-    num_instances: int,
-    seed: int,
-    hard_fraction: float = 0.2,
-    separation: float = 2.0,
-    noise: float = 0.45,
-    marker_offset: float = 0.7,
-    marker_noise: float = 0.35,
-    marker_class_pull: float = 0.25,
-    id_prefix: str = "inst",
-) -> Dataset:
+
+def planted_hard_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Dataset:
     """Two separable blobs plus a planted unlearnable subpopulation.
 
     Easy instances (difficulty 0) are two class blobs split along feature
@@ -31,8 +34,8 @@ def planted_hard_task(
     coin-flip labels, so no model can beat chance on them.
 
     Feature 2 is a confounded marker: among easy instances it leans
-    toward the class sign (scaled by ``marker_class_pull``), while hard
-    instances carry a larger offset ``marker_offset`` regardless of label.
+    toward the class sign (scaled by ``MARKER_CLASS_PULL``), while hard
+    instances carry a larger offset ``MARKER_OFFSET`` regardless of label.
     The true class posterior is therefore non-monotone in the marker
     (rising through the easy range, falling back to chance in the hard
     range), which a linear logit cannot represent; a model that treats the
@@ -41,25 +44,23 @@ def planted_hard_task(
     """
     if num_instances < 1:
         raise ValidationError("num_instances must be >= 1")
-    if not 0.0 <= hard_fraction < 1.0:
-        raise ValidationError("hard_fraction must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    num_hard = int(round(num_instances * hard_fraction))
+    num_hard = int(round(num_instances * HARD_FRACTION))
     instances = []
     for i in range(num_instances):
         hard = i < num_hard
         label = int(rng.integers(0, 2))
         if hard:
-            center = separation / 2.0
-            marker_mean = marker_offset
+            center = SEPARATION / 2.0
+            marker_mean = MARKER_OFFSET
         else:
-            center = (separation / 2.0) if label == 1 else (-separation / 2.0)
-            marker_mean = marker_class_pull * (2 * label - 1)
+            center = (SEPARATION / 2.0) if label == 1 else (-SEPARATION / 2.0)
+            marker_mean = MARKER_CLASS_PULL * (2 * label - 1)
         features = np.array(
             [
-                center + noise * rng.standard_normal(),
-                noise * rng.standard_normal(),
-                marker_mean + marker_noise * rng.standard_normal(),
+                center + PLANTED_NOISE * rng.standard_normal(),
+                PLANTED_NOISE * rng.standard_normal(),
+                marker_mean + MARKER_NOISE * rng.standard_normal(),
             ]
         )
         instances.append(
@@ -73,15 +74,7 @@ def planted_hard_task(
     return Dataset(tuple(instances), num_classes=2, feature_dim=3)
 
 
-def tiered_task(
-    num_instances: int,
-    seed: int,
-    easy_fraction: float = 0.6,
-    easy_offset: float = 1.5,
-    xor_offset: float = 1.2,
-    noise: float = 0.3,
-    id_prefix: str = "inst",
-) -> Dataset:
+def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Dataset:
     """A mix of linearly separable instances and corner-XOR instances.
 
     Easy instances (difficulty 0) split along feature 0 and any linear
@@ -92,19 +85,17 @@ def tiered_task(
     """
     if num_instances < 1:
         raise ValidationError("num_instances must be >= 1")
-    if not 0.0 < easy_fraction < 1.0:
-        raise ValidationError("easy_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    num_easy = int(round(num_instances * easy_fraction))
+    num_easy = int(round(num_instances * EASY_FRACTION))
     instances = []
     for i in range(num_instances):
         if i < num_easy:
             label = int(rng.integers(0, 2))
             features = np.array(
                 [
-                    (easy_offset if label == 1 else -easy_offset)
-                    + noise * rng.standard_normal(),
-                    noise * rng.standard_normal(),
+                    (EASY_OFFSET if label == 1 else -EASY_OFFSET)
+                    + TIERED_NOISE * rng.standard_normal(),
+                    TIERED_NOISE * rng.standard_normal(),
                 ]
             )
             difficulty = 0
@@ -114,8 +105,8 @@ def tiered_task(
             label = 1 if sx * sy > 0 else 0
             features = np.array(
                 [
-                    sx * xor_offset + noise * rng.standard_normal(),
-                    sy * xor_offset + noise * rng.standard_normal(),
+                    sx * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
+                    sy * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
                 ]
             )
             difficulty = 1

@@ -22,7 +22,7 @@ from cascadekit import (
     save_scenario,
     solve_original_exits,
 )
-from cascadekit.analysis import scenario_from_dict
+from cascadekit.analysis import scenario_from_dict, scenario_to_dict
 
 
 def worked_scenario():
@@ -100,6 +100,37 @@ def test_scenario_validation():
         GainScenario((2, 12), (0.8, 0.9), 0, 6, 0.9, (0, 0), 0)
     with pytest.raises(ValidationError, match="accuracies"):
         GainScenario((2, 12), (0.8, 1.2), 0, 6, 0.9, (10, 5), 5)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"layer_counts": (2.5, 12)},
+        {"new_layers": 6.5},
+        {"new_exits": (True, 30)},
+        {"new_exits": (50, 3.5)},
+        {"new_model_exits": 20.0},
+        {"insert_after": False},
+    ],
+    ids=["layer-count", "new-layers", "bool-exits", "float-exits", "new-model-exits", "insert-after"],
+)
+def test_scenario_counts_must_be_integers(fields):
+    with pytest.raises(ValidationError, match="must be integers, got"):
+        GainScenario(**{**scenario_to_dict(worked_scenario()), **fields})
+
+
+def test_scenario_keeps_numpy_counts_as_python_ints(tmp_path):
+    numpy_counts = {
+        "layer_counts": [np.int64(2), np.int64(12)],
+        "insert_after": np.int8(0),
+        "new_layers": np.int32(6),
+        "new_exits": (np.int64(50), 30),
+        "new_model_exits": np.int64(20),
+    }
+    scenario = GainScenario(**{**scenario_to_dict(worked_scenario()), **numpy_counts})
+    assert scenario == worked_scenario()
+    save_scenario(scenario, tmp_path / "s.json")
+    assert load_scenario(tmp_path / "s.json") == worked_scenario()
 
 
 def test_num_instances():

@@ -191,6 +191,15 @@ def test_speedup_ratio_validation():
         speedup_ratio([trace], 0)
 
 
+@pytest.mark.parametrize("cost", [12.5, True, "12"], ids=["float", "bool", "string"])
+def test_speedup_ratio_rejects_non_integer_cost(cost):
+    dist = ClassDistribution(np.array([1.0, 0.0]))
+    trace = ExitTrace("a", 0, dist, 1.0, (3,), 3)
+    with pytest.raises(ValidationError, match="full_model_cost must be an integer"):
+        speedup_ratio([trace], cost)
+    assert speedup_ratio([trace], np.int64(12)) == 4.0
+
+
 # --- threshold calibration -------------------------------------------------------
 
 
@@ -523,12 +532,6 @@ def test_cascade_bundle_is_relocatable(tmp_path):
     shutil.rmtree(src)
     back = load_cascade(dst / "cascade.json")
     assert len(back.stages) == 2
-
-
-def test_cascade_save_filename_count_checked(tmp_path):
-    cascade = two_stage_cascade()
-    with pytest.raises(ValidationError, match="filename"):
-        save_cascade(cascade, tmp_path / "c.json", model_filenames=["only_one.json"])
 
 
 def test_cascade_load_rejects_malformed(tmp_path):

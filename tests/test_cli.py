@@ -10,7 +10,6 @@ import pytest
 import cascadekit.cli
 from cascadekit import (
     Cascade,
-    apply_difficulty,
     StageSpec,
     ValidationError,
     evaluate,
@@ -23,6 +22,7 @@ from cascadekit import (
     planted_hard_task,
     predict_batch,
     run_cascade,
+    save_cascade,
     save_dataset,
     save_scenario,
     save_traces,
@@ -213,7 +213,7 @@ def test_label_report_trains_as_the_labeled_dataset(tmp_path, capsys):
     trained = {name: (out / name).read_bytes() for name in os.listdir(out)}
     del trained["difficulty_report.json"]
 
-    labeled = apply_difficulty(load_dataset(tmp_path / "train.jsonl"), report)
+    labeled = load_dataset(tmp_path / "train.jsonl").with_difficulty(report.labels)
     save_dataset(labeled, tmp_path / "train_labeled.jsonl")
     cfg_path = write_experiment(
         tmp_path,
@@ -248,6 +248,29 @@ def test_run_calibrates_and_reports(tmp_path, capsys):
     # the bundle references the trained models, rewritten byte for byte
     assert [(out / f"stage{i}_model.json").read_bytes() for i in range(2)] == trained
     assert f"target 2x: tau={cascade.thresholds[0]}," in capsys.readouterr().out
+
+
+def test_cascade_bundle_references_the_trained_model_files(tmp_path):
+    # save_cascade writes the description plus stage<k>_model.json, the names
+    # train writes, so run's bundles reference the trained models themselves.
+    cfg_path = write_experiment(tmp_path)
+    assert main(["train", "--config", cfg_path]) == 0
+    out = tmp_path / "out"
+    trained = sorted(name for name in os.listdir(out) if name.endswith("_model.json"))
+    assert trained == ["stage0_model.json", "stage1_model.json"]
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    stages = [StageSpec(load_model(out / name), cost) for name, cost in zip(trained, (2, 12))]
+    save_cascade(Cascade(stages, (1.0,), 12), bundle / "cascade.json")
+    assert sorted(os.listdir(bundle)) == ["cascade.json", *trained]
+    for name in trained:
+        assert (bundle / name).read_bytes() == (out / name).read_bytes()
+
+    before = {name: (out / name).read_bytes() for name in trained}
+    assert main(["run", "--config", cfg_path]) == 0
+    description = json.loads((out / "cascade_2x.json").read_text())
+    assert [stage["model_path"] for stage in description["stages"]] == trained
+    assert {name: (out / name).read_bytes() for name in trained} == before
 
 
 def test_run_metrics_match_offline_recomputation(tmp_path):

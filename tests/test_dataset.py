@@ -193,6 +193,17 @@ def test_dataset_rejects_label_out_of_range():
         Dataset((a,), num_classes=2, feature_dim=2)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(2.5, 2), (2, 2.0), (True, 2), (2, "2")], ids=["classes", "dim", "bool", "string"]
+)
+def test_dataset_sizes_must_be_integers(sizes):
+    num_classes, feature_dim = sizes
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        Dataset((Instance("a", np.zeros(2), 0),), num_classes=num_classes, feature_dim=feature_dim)
+    sized = Dataset((), num_classes=np.int64(2), feature_dim=np.int32(2))
+    assert (type(sized.num_classes), type(sized.feature_dim)) == (int, int)
+
+
 def test_dataset_accessors():
     ds = make_dataset(6, num_classes=3, dim=4)
     assert len(ds) == 6
@@ -216,6 +227,16 @@ def test_with_difficulty_requires_full_map():
     ds = make_dataset(3)
     with pytest.raises(ValidationError, match="misses"):
         ds.with_difficulty({"i0": 0, "i1": 1})
+
+
+@pytest.mark.parametrize("flag", [1.9, True, "1", 1.0], ids=["float", "bool", "string", "whole-float"])
+def test_with_difficulty_keeps_the_integer_rule(flag):
+    ds = make_dataset(2)
+    with pytest.raises(ValidationError, match="difficulty must be 0 or 1"):
+        ds.with_difficulty({"i0": 0, "i1": flag})
+    labeled = ds.with_difficulty({"i0": np.int64(0), "i1": np.int8(1)})
+    assert [type(inst.difficulty) for inst in labeled.instances] == [int, int]
+    np.testing.assert_array_equal(labeled.difficulty_array(), [0, 1])
 
 
 # --- fold assignment --------------------------------------------------------

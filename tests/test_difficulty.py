@@ -12,7 +12,6 @@ from cascadekit import (
     Instance,
     TrainConfig,
     ValidationError,
-    apply_difficulty,
     assign_folds,
     label_difficulty,
     load_report,
@@ -155,7 +154,7 @@ def test_labeling_rejects_bad_counts():
 def test_apply_difficulty_attaches_labels():
     ds = blob_dataset_with_flip()
     report = label_difficulty(ds, Architecture("linear"), FAST, num_folds=3, num_seeds=1)
-    labeled = apply_difficulty(ds, report)
+    labeled = ds.with_difficulty(report.labels)
     assert labeled.ids() == ds.ids()
     arr = labeled.difficulty_array()
     assert arr.sum() == report.num_difficult

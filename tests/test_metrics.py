@@ -337,6 +337,12 @@ def test_evaluate_optional_fields_default_to_none():
     assert report.exit_histogram == (1, 2)  # sized by deepest observed exit
 
 
+@pytest.mark.parametrize("cost", [12.5, True], ids=["float", "bool"])
+def test_evaluate_rejects_non_integer_cost(cost):
+    with pytest.raises(ValidationError, match="full_model_cost must be an integer"):
+        evaluate(tiny_traces(), tiny_dataset(), full_model_cost=cost)
+
+
 def test_evaluate_rejects_undersized_histogram():
     with pytest.raises(ValidationError, match="num_stages"):
         evaluate(tiny_traces(), tiny_dataset(), full_model_cost=12, num_stages=1)
