@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, integer, real
 from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
@@ -47,14 +47,11 @@ class GainScenario:
             raise ValidationError("scenario needs at least two original models")
         if len(self.accuracies) != n or len(self.new_exits) != n:
             raise ValidationError("layer_counts, accuracies, new_exits must align")
-        counts = (*self.layer_counts, self.new_layers, *self.new_exits, self.new_model_exits)
-        wrong = [c for c in (*counts, self.insert_after) if not is_integer(c)]
-        if wrong:
-            raise ValidationError(f"counts and insert_after must be integers, got {wrong[0]!r}")
-        for name in ("layer_counts", "new_exits"):
-            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
-        for name in ("insert_after", "new_layers", "new_model_exits"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, rule in (("layer_counts", integer), ("accuracies", real), ("new_exits", integer)):
+            object.__setattr__(self, name, tuple(rule(v, name) for v in getattr(self, name)))
+        for name in ("insert_after", "new_layers", "new_accuracy", "new_model_exits"):
+            rule = real if name == "new_accuracy" else integer
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if any(c < 1 for c in self.layer_counts):
             raise ValidationError("layer counts must be >= 1")
         if any(a >= b for a, b in zip(self.layer_counts, self.layer_counts[1:])):
@@ -90,6 +87,9 @@ class OriginalExits:
 
     exits: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exits", tuple(real(s, "exits") for s in self.exits))
+
     @property
     def feasible(self) -> bool:
         return all(s >= -FEASIBILITY_SLACK for s in self.exits)
@@ -107,7 +107,7 @@ def solve_original_exits(scenario: GainScenario) -> OriginalExits:
     stages."""
     i = scenario.insert_after
     moved = _moved_mass(scenario)
-    exits = [float(s) for s in scenario.new_exits]
+    exits = list(scenario.new_exits)
     exits[i] += scenario.new_model_exits - moved
     exits[i + 1] += moved
     return OriginalExits(tuple(exits))
@@ -146,6 +146,9 @@ def max_gain_bound(
 ) -> float:
     """Loosest bound, from the original cascade alone: no insertion point
     is specified, so each factor is taken at its worst adjacent pair."""
+    layer_counts = [integer(c, "layer_counts", low=1) for c in layer_counts]
+    accuracies = [real(a, "accuracies") for a in accuracies]
+    exit_counts = [real(s, "exit_counts") for s in exit_counts]
     n = len(layer_counts)
     if n < 2:
         raise ValidationError("max_gain_bound needs at least two models")
@@ -197,7 +200,7 @@ def gain_report(scenario: GainScenario) -> dict:
         bound = gain_upper_bound(scenario)
     return {
         "predicted_gain": predict_gain(scenario),
-        "original_exits": [float(s) for s in exits.exits],
+        "original_exits": list(exits.exits),
         "feasible": exits.feasible,
         "gain_upper_bound": bound,
         "max_gain_bound": max_gain_bound(

@@ -28,7 +28,7 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError, is_integer, is_real
+from .errors import ValidationError, integer, real
 from .jsonio import (
     decoder,
     iter_jsonl,
@@ -54,9 +54,7 @@ class StageSpec:
     layer_cost: int
 
     def __post_init__(self) -> None:
-        if not is_integer(self.layer_cost) or self.layer_cost < 1:
-            raise ValidationError(f"layer_cost must be an integer >= 1, got {self.layer_cost!r}")
-        object.__setattr__(self, "layer_cost", int(self.layer_cost))
+        object.__setattr__(self, "layer_cost", integer(self.layer_cost, "layer_cost", low=1))
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,7 @@ class Cascade:
 
     def __post_init__(self) -> None:
         stages = tuple(self.stages)
-        thresholds = tuple(self.thresholds)
-        wrong = [t for t in thresholds if not is_real(t)]
-        if wrong:
-            raise ValidationError(f"thresholds must be numbers, got {wrong[0]!r}")
-        thresholds = tuple(map(float, thresholds))
+        thresholds = tuple(real(t, "thresholds") for t in self.thresholds)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "thresholds", thresholds)
         if not stages:
@@ -96,11 +90,8 @@ class Cascade:
             )
         if any(not 0.0 <= t <= 1.0 for t in thresholds):
             raise ValidationError("thresholds must lie in [0, 1]")
-        if not is_integer(self.full_model_cost) or self.full_model_cost < 1:
-            raise ValidationError(
-                f"full_model_cost must be an integer >= 1, got {self.full_model_cost!r}"
-            )
-        object.__setattr__(self, "full_model_cost", int(self.full_model_cost))
+        full_model_cost = integer(self.full_model_cost, "full_model_cost", low=1)
+        object.__setattr__(self, "full_model_cost", full_model_cost)
 
     def with_shared_threshold(self, tau: float) -> "Cascade":
         """Same stages with every non-final threshold set to ``tau``."""
@@ -125,6 +116,10 @@ class ExitTrace:
     total_cost: int
 
     def __post_init__(self) -> None:
+        for name, rule in (("exit_stage", integer), ("confidence", real), ("total_cost", integer)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
+        costs = tuple(integer(c, "executed_costs") for c in self.executed_costs)
+        object.__setattr__(self, "executed_costs", costs)
         if self.confidence != confidence(self.distribution):
             raise ValidationError(_NOT_MAX.format(self.confidence))
         if self.exit_stage != len(self.executed_costs) - 1 or not self.executed_costs:
@@ -162,7 +157,7 @@ class TraceTable(Sequence):
             "exit_stage": _read_only(np.array(self.exit_stage, dtype=np.int64)),
             "probs": _read_only(np.array(self.probs, dtype=np.float64)),
             "executed_costs": tuple(self.executed_costs),
-            "total_cost": tuple(self.total_cost),
+            "total_cost": tuple(integer(t, "total_cost") for t in self.total_cost),
         }
         for name, column in columns.items():
             object.__setattr__(self, name, column)
@@ -381,8 +376,7 @@ def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
     """Reference cost divided by the mean executed cost per instance."""
     if not len(traces):
         raise ValidationError("speedup_ratio needs at least one trace")
-    if not is_integer(full_model_cost) or full_model_cost < 1:
-        raise ValidationError(f"full_model_cost must be an integer >= 1, got {full_model_cost!r}")
+    full_model_cost = integer(full_model_cost, "full_model_cost", low=1)
     costs = TraceTable.from_traces(traces).total_cost
     return full_model_cost / (sum(costs) / len(costs))
 
@@ -413,11 +407,11 @@ def calibrate_threshold(
     """
     if not calibration.instances:
         raise ValidationError("calibration dataset is empty")
-    if not tolerance > 0:  # written so that NaN fails it
+    if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
         raise ValidationError("tolerance must be positive")
     costs = [s.layer_cost for s in cascade.stages]
     max_speedup = cascade.full_model_cost / costs[0]
-    if not 1.0 <= target_speedup <= max_speedup:
+    if not 1.0 <= real(target_speedup, "target_speedup") <= max_speedup:
         raise ValidationError(
             f"target speed-up {target_speedup:g} outside achievable range "
             f"[1, {max_speedup:g}] for this cascade"

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Instance
-from .errors import NumericError, ValidationError, is_integer
+from .errors import NumericError, ValidationError, integer, real
 from .jsonio import decoder, from_fields, numbers, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
@@ -38,10 +38,10 @@ class Architecture:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "mlp"):
             raise ValidationError(f"unknown architecture kind {self.kind!r}")
-        if self.kind == "mlp" and (self.hidden_size is None or self.hidden_size < 1):
-            raise ValidationError("mlp architecture requires hidden_size >= 1")
         if self.kind == "linear" and self.hidden_size is not None:
             raise ValidationError("linear architecture takes no hidden_size")
+        if self.kind == "mlp":
+            object.__setattr__(self, "hidden_size", integer(self.hidden_size, "hidden_size", low=1))
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,12 @@ class TrainConfig:
     pair_cap: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "seed", "pair_cap"):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("pair_cap", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low=low))
+        for name in ("learning_rate", "dar_weight", "margin"):
             value = getattr(self, name)
-            if not is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        numbers = {"dar_weight": self.dar_weight, "margin": self.margin}
-        if self.learning_rate is not None:
-            numbers["learning_rate"] = self.learning_rate
-        for name, value in numbers.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if self.pair_cap < 1:
-            raise ValidationError("pair_cap must be >= 1")
+            if value is not None or name != "learning_rate":  # None: the default rate
+                object.__setattr__(self, name, real(value, name))
         # The range checks below are written so that NaN fails them.
         if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
             raise ValidationError("learning_rate must be positive and finite")
@@ -126,6 +113,8 @@ class ClassifierModel:
     train_config: TrainConfig
 
     def __post_init__(self) -> None:
+        self.feature_dim = integer(self.feature_dim, "feature_dim", low=1)
+        self.num_classes = integer(self.num_classes, "num_classes", low=1)
         expected = _weight_shapes(self.architecture, self.feature_dim, self.num_classes)
         if set(self.weights) != set(expected):
             raise ValidationError(
@@ -244,9 +233,11 @@ def dar_pair_loss(conf_difficult: float, conf_easy: float, margin: float) -> flo
     Zero exactly when the easy instance out-confidences the difficult one
     by at least ``margin``: max(0, margin - (conf_easy - conf_difficult)).
     """
+    margin = real(margin, "margin")
     if not 0.0 < margin < 1.0:
         raise ValidationError("margin must lie in (0, 1)")
-    return max(0.0, margin - (conf_easy - conf_difficult))
+    gap = real(conf_easy, "conf_easy") - real(conf_difficult, "conf_difficult")
+    return max(0.0, margin - gap)
 
 
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -503,6 +494,10 @@ class GradientCheckResult:
     max_rel_error: float
     num_parameters: int
     kink_excluded: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_rel_error", real(self.max_rel_error, "max_rel_error"))
+        object.__setattr__(self, "num_parameters", integer(self.num_parameters, "num_parameters"))
 
 
 def gradient_check(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, integer
 from .jsonio import decoder, numbers, read_jsonl, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -47,15 +47,12 @@ class Instance:
         # count_nonzero: on short vectors, .all() costs twice as much per instance.
         if np.count_nonzero(np.isfinite(features)) != features.size:
             raise ValidationError(f"instance {self.id!r}: features must be finite")
-        if not is_integer(self.label) or self.label < 0:
-            raise ValidationError(
-                f"instance {self.id!r}: label must be a non-negative integer, got {self.label!r}"
-            )
-        object.__setattr__(self, "label", int(self.label))
-        if self.difficulty is not None:
-            if not is_integer(self.difficulty) or self.difficulty not in (0, 1):
-                raise ValidationError(f"instance {self.id!r}: difficulty must be 0 or 1")
-            object.__setattr__(self, "difficulty", int(self.difficulty))
+        try:  # the id goes into the message only on failure
+            object.__setattr__(self, "label", integer(self.label, "label", low=0))
+            if self.difficulty is not None:
+                object.__setattr__(self, "difficulty", integer(self.difficulty, "difficulty", 0, 1))
+        except ValidationError as exc:
+            raise ValidationError(f"instance {self.id!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,7 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "instances", tuple(self.instances))
         for name in ("num_classes", "feature_dim"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(getattr(self, name), name, low=1))
         seen: set[str] = set()
         for inst in self.instances:
             if inst.id in seen:
@@ -139,6 +133,9 @@ class FoldAssignment:
     num_folds: int
     fold_of: dict[str, int]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
+
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash (offset 0xcbf29ce484222325, prime 0x100000001b3)."""
@@ -163,16 +160,14 @@ def hash_featurize(text: str, dim: int) -> np.ndarray:
     text yields the zero vector.  Token hashes are memoized per process,
     for at most 65,536 distinct tokens.
     """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    dim = integer(dim, "dim", low=1)
     tokens = text.lower().split()
     if not tokens:
         return np.zeros(dim)  # np.bincount over no tokens would return int64
     h = np.fromiter(map(_token_hash, tokens), np.uint64, len(tokens))
     # Bucket counts are sums of +-1, which float64 holds exactly, so the
-    # result equals token-by-token accumulation.  np.uint64(dim) keeps the
-    # modulo in uint64 for a NumPy-integer dim too (uint64 % int64 is float).
-    vec = np.bincount(h % np.uint64(dim), weights=1.0 - 2.0 * (h >> 63), minlength=dim)
+    # result equals token-by-token accumulation.
+    vec = np.bincount(h % dim, weights=1.0 - 2.0 * (h >> 63), minlength=dim)
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm
@@ -188,8 +183,7 @@ def assign_folds(dataset: Dataset, num_folds: int, seed: int) -> FoldAssignment:
     Per fold and class the count differs from the exact proportional
     share by less than 1.
     """
-    if num_folds < 2:
-        raise ValidationError("num_folds must be >= 2")
+    num_folds = integer(num_folds, "num_folds", low=2)
     if num_folds > len(dataset):
         raise ValidationError(
             f"num_folds={num_folds} exceeds dataset size {len(dataset)}"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_NUM_FOLDS = 8
@@ -32,6 +32,10 @@ class DifficultyReport:
     seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        labels = {inst_id: integer(d, "labels", 0, 1) for inst_id, d in self.labels.items()}
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
+        object.__setattr__(self, "seeds", tuple(integer(s, "seeds") for s in self.seeds))
         if set(self.labels) != set(self.per_seed_correct):
             raise ValidationError("labels and per_seed_correct must cover the same ids")
         for inst_id, outcomes in self.per_seed_correct.items():
@@ -70,8 +74,7 @@ def label_difficulty(
     scores each instance with its held-out models.  Difficulty labeling
     uses the plain task loss, so ``base_config.dar_weight`` must be 0.
     """
-    if num_seeds < 1:
-        raise ValidationError("num_seeds must be >= 1")
+    num_seeds = integer(num_seeds, "num_seeds", low=1)
     if base_config.dar_weight != 0:
         raise ValidationError("difficulty labeling requires dar_weight = 0")
 

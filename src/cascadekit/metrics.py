@@ -19,17 +19,12 @@ import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, integer, real
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
 
 SWEEP_CSV_FIELDS = ("tau", "speedup", "accuracy", "dis", "ece")
-
-
-def _check_difficulty(difficulty) -> None:
-    if difficulty is not None and not (is_integer(difficulty) and difficulty in (0, 1)):
-        raise ValidationError(f"difficulty must be 0, 1, or None, got {difficulty}")
 
 
 @dataclass(frozen=True)
@@ -42,16 +37,13 @@ class ScoredInstance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        labels = (self.predicted_label, self.gold_label)
-        if not all(is_integer(label) and label >= 0 for label in labels):
-            raise ValidationError(f"labels must be non-negative integers, got {labels}")
-        object.__setattr__(self, "predicted_label", int(self.predicted_label))
-        object.__setattr__(self, "gold_label", int(self.gold_label))
-        _check_difficulty(self.difficulty)
+        for name in ("predicted_label", "gold_label"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low=0))
         if self.difficulty is not None:
-            object.__setattr__(self, "difficulty", int(self.difficulty))
+            object.__setattr__(self, "difficulty", integer(self.difficulty, "difficulty", 0, 1))
 
     @property
     def correct(self) -> bool:
@@ -71,10 +63,16 @@ class MetricsReport:
     dis: float | None = None
 
     def __post_init__(self) -> None:
-        rates = {"accuracy": self.accuracy, "ece": self.ece, "f1": self.f1, "dis": self.dis}
-        for name, value in rates.items():
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} = {value} outside [0, 1]")
+        object.__setattr__(self, "num_instances", integer(self.num_instances, "num_instances"))
+        counts = tuple(integer(c, "exit_histogram", low=0) for c in self.exit_histogram)
+        object.__setattr__(self, "exit_histogram", counts)
+        for name in ("accuracy", "ece", "f1", "dis"):
+            value = getattr(self, name)
+            if value is not None or name in ("accuracy", "ece"):  # f1 and dis may be None
+                object.__setattr__(self, name, real(value, name))
+                if not 0.0 <= getattr(self, name) <= 1.0:
+                    raise ValidationError(f"{name} = {value} outside [0, 1]")
+        object.__setattr__(self, "speedup", real(self.speedup, "speedup"))
         if not 0.0 < self.speedup < math.inf:  # written so that NaN fails it
             raise ValidationError(f"speedup = {self.speedup} is not a positive finite number")
         if sum(self.exit_histogram) != self.num_instances:
@@ -194,8 +192,7 @@ def ece(scored: Sequence[ScoredInstance], num_bins: int = DEFAULT_ECE_BINS) -> f
     bin; empty bins contribute nothing.
     """
     table = _scored(scored, "ece")
-    if num_bins < 1:
-        raise ValidationError("num_bins must be >= 1")
+    num_bins = integer(num_bins, "num_bins", low=1)
     conf = table.confidence
     correct = table.correct.astype(np.float64)
     bins = np.ceil(conf * num_bins).astype(np.int64)
@@ -221,6 +218,7 @@ def accuracy(scored: Sequence[ScoredInstance]) -> float:
 def f1_binary(scored: Sequence[ScoredInstance], positive_class: int) -> float:
     """F1 of the positive class; 0 when precision + recall is 0."""
     table = _scored(scored, "f1_binary")
+    positive_class = integer(positive_class, "positive_class", low=0)
     predicted = table.predicted_label == positive_class
     actual = table.gold_label == positive_class
     tp = int(np.count_nonzero(predicted & actual))
@@ -264,8 +262,7 @@ def scored_from_traces(
             if inst_id not in difficulty:
                 raise ValidationError(f"no difficulty label for instance {inst_id!r}")
             d = difficulty[inst_id]
-            _check_difficulty(d)
-            flags.append(-1 if d is None else int(d))
+            flags.append(-1 if d is None else integer(d, "difficulty", 0, 1))
         flags = np.array(flags, dtype=np.int64)
     return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
@@ -284,6 +281,8 @@ def evaluate(
     given, F1 only when ``positive_class`` is given.  ``num_stages`` sizes
     the exit histogram; by default the deepest observed exit sets it.
     """
+    if positive_class is not None:
+        integer(positive_class, "positive_class", 0, dataset.num_classes - 1)
     table = TraceTable.from_traces(traces)
     if not len(table):
         raise ValidationError("evaluate needs at least one scored instance")
@@ -291,7 +290,7 @@ def evaluate(
     deepest = int(table.exit_stage.max())
     if num_stages is None:
         num_stages = deepest + 1
-    elif deepest >= num_stages:
+    elif deepest >= integer(num_stages, "num_stages", low=1):
         raise ValidationError(f"trace exits at stage {deepest} but num_stages is {num_stages}")
     histogram = np.bincount(table.exit_stage, minlength=num_stages)
     return MetricsReport(

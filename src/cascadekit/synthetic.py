@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, Instance
-from .errors import ValidationError
+from .errors import integer
 
 # planted_hard_task
 HARD_FRACTION = 0.2  # share of the instances planted hard
@@ -42,9 +42,8 @@ def planted_hard_task(num_instances: int, seed: int, id_prefix: str = "inst") ->
     marker as class evidence ends up systematically overconfident exactly
     on the hard group.
     """
-    if num_instances < 1:
-        raise ValidationError("num_instances must be >= 1")
-    rng = np.random.default_rng(seed)
+    num_instances = integer(num_instances, "num_instances", low=1)
+    rng = np.random.default_rng(integer(seed, "seed", low=0))
     num_hard = int(round(num_instances * HARD_FRACTION))
     instances = []
     for i in range(num_instances):
@@ -83,9 +82,8 @@ def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Datas
     no linear model can do better than chance on but a small hidden layer
     solves; they are what the expensive cascade stages are for.
     """
-    if num_instances < 1:
-        raise ValidationError("num_instances must be >= 1")
-    rng = np.random.default_rng(seed)
+    num_instances = integer(num_instances, "num_instances", low=1)
+    rng = np.random.default_rng(integer(seed, "seed", low=0))
     num_easy = int(round(num_instances * EASY_FRACTION))
     instances = []
     for i in range(num_instances):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -103,19 +105,19 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, name, value",
     [
-        {"layer_counts": (2.5, 12)},
-        {"new_layers": 6.5},
-        {"new_exits": (True, 30)},
-        {"new_exits": (50, 3.5)},
-        {"new_model_exits": 20.0},
-        {"insert_after": False},
+        ({"layer_counts": (2.5, 12)}, "layer_counts", 2.5),
+        ({"new_layers": 6.5}, "new_layers", 6.5),
+        ({"new_exits": (True, 30)}, "new_exits", True),
+        ({"new_exits": (50, 3.5)}, "new_exits", 3.5),
+        ({"new_model_exits": 20.0}, "new_model_exits", 20.0),
+        ({"insert_after": False}, "insert_after", False),
     ],
     ids=["layer-count", "new-layers", "bool-exits", "float-exits", "new-model-exits", "insert-after"],
 )
-def test_scenario_counts_must_be_integers(fields):
-    with pytest.raises(ValidationError, match="must be integers, got"):
+def test_scenario_counts_must_be_integers(fields, name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         GainScenario(**{**scenario_to_dict(worked_scenario()), **fields})
 
 
@@ -126,9 +128,12 @@ def test_scenario_keeps_numpy_counts_as_python_ints(tmp_path):
         "new_layers": np.int32(6),
         "new_exits": (np.int64(50), 30),
         "new_model_exits": np.int64(20),
+        "accuracies": (np.float64(0.85), np.float64(0.94)),
+        "new_accuracy": np.float64(0.91),
     }
     scenario = GainScenario(**{**scenario_to_dict(worked_scenario()), **numpy_counts})
     assert scenario == worked_scenario()
+    assert all(type(a) is float for a in (*scenario.accuracies, scenario.new_accuracy))
     save_scenario(scenario, tmp_path / "s.json")
     assert load_scenario(tmp_path / "s.json") == worked_scenario()
 

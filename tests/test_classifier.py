@@ -127,6 +127,10 @@ def test_train_config_accepts_numpy_integers_as_python_ints():
     config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint8(2), pair_cap=np.int16(4))
     assert (config.epochs, config.batch_size, config.seed, config.pair_cap) == (3, 8, 2, 4)
     assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed, config.pair_cap))
+    # Numpy reals (np.float32 used to be refused) are kept as Python floats.
+    reals = TrainConfig(learning_rate=np.float32(0.25), dar_weight=np.float64(0.5), margin=np.float16(0.25))
+    assert (reals.learning_rate, reals.dar_weight, reals.margin) == (0.25, 0.5, 0.25)
+    assert all(type(v) is float for v in (reals.learning_rate, reals.dar_weight, reals.margin))
 
 
 def test_class_distribution_validation():

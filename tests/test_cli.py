@@ -458,6 +458,23 @@ def test_metrics_command_recomputes(tmp_path, capsys):
     assert '"accuracy"' in stdout
 
 
+@pytest.mark.parametrize("positive_class", [7, -1])
+def test_positive_class_outside_the_classes_is_rejected(tmp_path, capsys, positive_class):
+    # evaluate, and with it `run`, used to report f1 = 0.0 for a class the
+    # data does not have.
+    message = f"positive_class must be an integer in [0, 1], got {positive_class}"
+    cfg_path = write_experiment(tmp_path, positive_class=positive_class)
+    assert main(["train", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_path]) == 1
+    assert message in capsys.readouterr().err
+    eval_ds = load_dataset(tmp_path / "eval.jsonl")
+    stage = StageSpec(load_model(tmp_path / "out" / "stage0_model.json"), 2)
+    traces = run_cascade(Cascade((stage,), ()), eval_ds)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        evaluate(traces, eval_ds, 12, positive_class=positive_class)
+
+
 # --- analyze --------------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,11 +195,14 @@ def test_dataset_rejects_label_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "sizes", [(2.5, 2), (2, 2.0), (True, 2), (2, "2")], ids=["classes", "dim", "bool", "string"]
+    "sizes, name, value",
+    [((2.5, 2), "num_classes", 2.5), ((2, 2.0), "feature_dim", 2.0), ((True, 2), "num_classes", True),
+     ((2, "2"), "feature_dim", "2")],
+    ids=["classes", "dim", "bool", "string"],
 )
-def test_dataset_sizes_must_be_integers(sizes):
+def test_dataset_sizes_must_be_integers(sizes, name, value):
     num_classes, feature_dim = sizes
-    with pytest.raises(ValidationError, match="must be a positive integer"):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
         Dataset((Instance("a", np.zeros(2), 0),), num_classes=num_classes, feature_dim=feature_dim)
     sized = Dataset((), num_classes=np.int64(2), feature_dim=np.int32(2))
     assert (type(sized.num_classes), type(sized.feature_dim)) == (int, int)
@@ -232,7 +236,8 @@ def test_with_difficulty_requires_full_map():
 @pytest.mark.parametrize("flag", [1.9, True, "1", 1.0], ids=["float", "bool", "string", "whole-float"])
 def test_with_difficulty_keeps_the_integer_rule(flag):
     ds = make_dataset(2)
-    with pytest.raises(ValidationError, match="difficulty must be 0 or 1"):
+    message = rf"^instance 'i1': difficulty must be an integer in \[0, 1\], got {re.escape(repr(flag))}$"
+    with pytest.raises(ValidationError, match=message):
         ds.with_difficulty({"i0": 0, "i1": flag})
     labeled = ds.with_difficulty({"i0": np.int64(0), "i1": np.int8(1)})
     assert [type(inst.difficulty) for inst in labeled.instances] == [int, int]

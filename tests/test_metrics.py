@@ -227,20 +227,26 @@ def test_scored_instance_validation():
 
 
 @pytest.mark.parametrize(
-    "predicted, gold, difficulty",
-    [(True, 1, None), (1.5, 1.5, None), (1, np.float64(1.0), None), (1, "1", None),
-     (1, 1, True), (1, 1, 1.0)],
+    "predicted, gold, difficulty, message",
+    [(True, 1, None, "predicted_label must be an integer >= 0, got True"),
+     (1.5, 1.5, None, "predicted_label must be an integer >= 0, got 1.5"),
+     (1, np.float64(1.0), None, "gold_label must be an integer >= 0, got np.float64(1.0)"),
+     (1, "1", None, "gold_label must be an integer >= 0, got '1'"),
+     (1, 1, True, "difficulty must be an integer in [0, 1], got True"),
+     (1, 1, 1.0, "difficulty must be an integer in [0, 1], got 1.0")],
+    ids=["True-1-None", "1.5-1.5-None", "1-1.0-None", "1-1-None", "1-1-True", "1-1-1.0"],
 )
-def test_scored_instance_rejects_non_integers(predicted, gold, difficulty):
+def test_scored_instance_rejects_non_integers(predicted, gold, difficulty, message):
     # ScoredInstance(0.5, True, 1) and (0.5, 1.5, 1.5) used to build, and
     # accuracy over the two read 1.0.
-    with pytest.raises(ValidationError, match="labels must be non-negative integers|difficulty"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ScoredInstance(0.5, predicted, gold, difficulty)
 
 
 def test_scored_instance_keeps_numpy_integers_as_python_ints():
-    s = ScoredInstance(0.5, np.int64(1), np.int32(0), np.int8(1))
+    s = ScoredInstance(np.float32(0.5), np.int64(1), np.int32(0), np.int8(1))
     assert (s.predicted_label, s.gold_label, s.difficulty) == (1, 0, 1)
+    assert type(s.confidence) is float and s.confidence == 0.5
     assert all(type(v) is int for v in (s.predicted_label, s.gold_label, s.difficulty))
 
 

@@ -533,13 +533,15 @@ def _model():
 @pytest.mark.parametrize("label", [1.5, True, "1"], ids=["float", "bool", "string"])
 def test_instance_rejects_non_integer_label(label):
     # label_array() used to truncate 1.5 to 1, and True passed as 1.
-    with pytest.raises(ValidationError, match="label must be a non-negative integer"):
+    message = f"^instance 'a': label must be an integer >= 0, got {re.escape(repr(label))}$"
+    with pytest.raises(ValidationError, match=message):
         Instance("a", np.zeros(2), label)
 
 
 @pytest.mark.parametrize("difficulty", [True, 0.5, "1"], ids=["bool", "float", "string"])
 def test_instance_rejects_non_integer_difficulty(difficulty):
-    with pytest.raises(ValidationError, match="difficulty must be 0 or 1"):
+    message = rf"^instance 'a': difficulty must be an integer in \[0, 1\], got {re.escape(repr(difficulty))}$"
+    with pytest.raises(ValidationError, match=message):
         Instance("a", np.zeros(2), 0, difficulty)
 
 
@@ -558,9 +560,10 @@ def test_stage_spec_rejects_non_integer_cost(cost):
 @pytest.mark.parametrize("threshold", ["0.5", True, None], ids=["string", "bool", "none"])
 def test_cascade_rejects_non_number_threshold(threshold):
     stages = (StageSpec(_model(), 2), StageSpec(_model(), 12))
-    with pytest.raises(ValidationError, match="thresholds must be numbers"):
+    message = f"^thresholds must be a number, got {re.escape(repr(threshold))}$"
+    with pytest.raises(ValidationError, match=message):
         Cascade(stages, (threshold,))
-    with pytest.raises(ValidationError, match="thresholds must be numbers"):
+    with pytest.raises(ValidationError, match=message):
         Cascade(stages, (0.5,)).with_shared_threshold(threshold)
 
 

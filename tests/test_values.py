@@ -1,0 +1,556 @@
+"""The value rule of the Python API.
+
+Every public constructor and function reads its integer and real
+arguments through ``errors.integer`` / ``errors.real``: a wrong value
+fails with ``<name> must be an integer[ >= k| in [a, b]], got <repr>`` or
+``<name> must be a number, got <repr>``, and a numpy value is stored as a
+Python ``int`` / ``float``, so whatever the API builds, the JSON writers
+can save and the readers load back.
+"""
+
+import dataclasses
+import pathlib
+import re
+import reprlib
+import typing
+
+import numpy as np
+import pytest
+
+import cascadekit
+from cascadekit import (
+    Architecture,
+    Cascade,
+    ClassDistribution,
+    ClassifierModel,
+    Dataset,
+    DifficultyReport,
+    ExitTrace,
+    FoldAssignment,
+    GainScenario,
+    GradientCheckResult,
+    Instance,
+    MetricsReport,
+    OriginalExits,
+    ScoredInstance,
+    StageSpec,
+    TraceTable,
+    TrainConfig,
+    ValidationError,
+    assign_folds,
+    calibrate_threshold,
+    dar_pair_loss,
+    ece,
+    evaluate,
+    f1_binary,
+    hash_featurize,
+    label_difficulty,
+    load_cascade,
+    load_dataset,
+    load_metrics,
+    load_model,
+    load_report,
+    load_scenario,
+    load_traces,
+    max_gain_bound,
+    planted_hard_task,
+    save_cascade,
+    save_dataset,
+    save_metrics,
+    save_model,
+    save_report,
+    save_scenario,
+    save_traces,
+    scored_from_traces,
+    tiered_task,
+    train,
+)
+from cascadekit.classifier import model_to_dict
+
+SOURCES = pathlib.Path(cascadekit.__file__).parent
+
+
+def _linear(feature_dim=2, num_classes=2):
+    weights = {"w": np.zeros((feature_dim, num_classes)), "b": np.zeros(num_classes)}
+    return ClassifierModel(Architecture("linear"), feature_dim, num_classes, weights, TrainConfig())
+
+
+def _dataset(n=6):
+    rng = np.random.default_rng(0)
+    return Dataset(
+        tuple(Instance(f"i{k}", rng.normal(size=2), k % 2, (k // 2) % 2) for k in range(n)), 2, 2
+    )
+
+
+def _traces():
+    return TraceTable(("i0", "i1"), [0, 1], [[0.25, 0.75], [0.5, 0.5]], ((2,), (2, 12)), (2, 14))
+
+
+def _traced_scores():
+    return scored_from_traces(_traces(), _dataset(2))
+
+
+def _cascade():
+    return Cascade((StageSpec(_linear(), 2), StageSpec(_linear(), 12)), (0.5,), 12)
+
+
+def _trace(**fields):
+    valid = dict(
+        instance_id="a",
+        exit_stage=0,
+        distribution=ClassDistribution(np.array([0.25, 0.75])),
+        confidence=0.75,
+        executed_costs=(2,),
+        total_cost=2,
+    )
+    return ExitTrace(**{**valid, **fields})
+
+
+def _report(**fields):
+    valid = dict(
+        num_instances=2, accuracy=0.5, ece=0.1, speedup=2.0, exit_histogram=(1, 1), f1=None, dis=None
+    )
+    return MetricsReport(**{**valid, **fields})
+
+
+def _scenario(**fields):
+    valid = dict(
+        layer_counts=(2, 12),
+        accuracies=(0.85, 0.94),
+        insert_after=0,
+        new_layers=6,
+        new_accuracy=0.91,
+        new_exits=(50, 30),
+        new_model_exits=20,
+    )
+    return GainScenario(**{**valid, **fields})
+
+
+def _difficulty_report(**fields):
+    valid = dict(labels={"a": 0}, per_seed_correct={"a": [True]}, num_folds=2, seeds=(7,))
+    return DifficultyReport(**{**valid, **fields})
+
+
+# One row per entry point the rule newly covers: (id, call, the whole message).
+REJECTED = [
+    ("hidden-size-float", lambda: Architecture("mlp", 2.5), "hidden_size must be an integer >= 1, got 2.5"),
+    ("hidden-size-bool", lambda: Architecture("mlp", True), "hidden_size must be an integer >= 1, got True"),
+    (
+        "model-feature-dim",
+        lambda: ClassifierModel(Architecture("linear"), True, 2, _linear(1).weights, TrainConfig()),
+        "feature_dim must be an integer >= 1, got True",
+    ),
+    ("train-config-epochs", lambda: TrainConfig(epochs=0), "epochs must be an integer >= 1, got 0"),
+    (
+        "train-config-rate",
+        lambda: TrainConfig(learning_rate="0.1"),
+        "learning_rate must be a number, got '0.1'",
+    ),
+    ("trace-exit-stage", lambda: _trace(exit_stage=0.0), "exit_stage must be an integer, got 0.0"),
+    ("trace-confidence", lambda: _trace(confidence="0.75"), "confidence must be a number, got '0.75'"),
+    ("trace-costs", lambda: _trace(executed_costs=(2.0,)), "executed_costs must be an integer, got 2.0"),
+    (
+        "trace-total",
+        lambda: _trace(total_cost=True, executed_costs=(1,)),
+        "total_cost must be an integer, got True",
+    ),
+    (
+        "table-total",
+        lambda: TraceTable(("a",), [0], [[0.5, 0.5]], ((1,),), (True,)),
+        "total_cost must be an integer, got True",
+    ),
+    (
+        "report-count",
+        lambda: _report(num_instances=2.5, exit_histogram=(1, 1.5)),
+        "num_instances must be an integer, got 2.5",
+    ),
+    (
+        "report-histogram",
+        lambda: _report(exit_histogram=(1, 1.0)),
+        "exit_histogram must be an integer >= 0, got 1.0",
+    ),
+    ("report-accuracy", lambda: _report(accuracy="0.5"), "accuracy must be a number, got '0.5'"),
+    ("report-no-accuracy", lambda: _report(accuracy=None), "accuracy must be a number, got None"),
+    ("report-speedup", lambda: _report(speedup=True), "speedup must be a number, got True"),
+    ("report-f1", lambda: _report(f1="1"), "f1 must be a number, got '1'"),
+    ("report-folds", lambda: _difficulty_report(num_folds=2.5), "num_folds must be an integer, got 2.5"),
+    ("report-seeds", lambda: _difficulty_report(seeds=(7.0,)), "seeds must be an integer, got 7.0"),
+    (
+        "report-labels",
+        lambda: _difficulty_report(labels={"a": False}),
+        "labels must be an integer in [0, 1], got False",
+    ),
+    (
+        "scenario-accuracies",
+        lambda: _scenario(accuracies=("0.85", 0.94)),
+        "accuracies must be a number, got '0.85'",
+    ),
+    ("scenario-new-accuracy", lambda: _scenario(new_accuracy=True), "new_accuracy must be a number, got True"),
+    ("original-exits", lambda: OriginalExits(("1",)), "exits must be a number, got '1'"),
+    ("scored-confidence", lambda: ScoredInstance("0.5", 1, 1), "confidence must be a number, got '0.5'"),
+    ("scored-confidence-bool", lambda: ScoredInstance(True, 1, 1), "confidence must be a number, got True"),
+    ("fold-assignment", lambda: FoldAssignment(2.5, {}), "num_folds must be an integer, got 2.5"),
+    (
+        "gradient-check",
+        lambda: GradientCheckResult(0.0, 2.5, False),
+        "num_parameters must be an integer, got 2.5",
+    ),
+    (
+        "threshold-overflow",
+        lambda: _cascade().with_shared_threshold(10**400),
+        f"thresholds must be a number, got {reprlib.repr(10**400)}",
+    ),
+    (
+        "ece-bins-float",
+        lambda: ece(_traced_scores(), num_bins=2.5),
+        "num_bins must be an integer >= 1, got 2.5",
+    ),
+    (
+        "ece-bins-bool",
+        lambda: ece(_traced_scores(), num_bins=True),
+        "num_bins must be an integer >= 1, got True",
+    ),
+    ("assign-folds", lambda: assign_folds(_dataset(), 2.5, 0), "num_folds must be an integer >= 2, got 2.5"),
+    (
+        "label-folds",
+        lambda: label_difficulty(_dataset(), Architecture("linear"), TrainConfig(), num_folds=2.5),
+        "num_folds must be an integer >= 2, got 2.5",
+    ),
+    (
+        "label-seeds",
+        lambda: label_difficulty(_dataset(), Architecture("linear"), TrainConfig(), num_seeds=2.5),
+        "num_seeds must be an integer >= 1, got 2.5",
+    ),
+    ("featurize-dim-float", lambda: hash_featurize("a b", 2.5), "dim must be an integer >= 1, got 2.5"),
+    ("featurize-dim-bool", lambda: hash_featurize("a b", True), "dim must be an integer >= 1, got True"),
+    (
+        "evaluate-stages",
+        lambda: evaluate(_traces(), _dataset(2), 12, num_stages=2.5),
+        "num_stages must be an integer >= 1, got 2.5",
+    ),
+    (
+        "evaluate-class-high",
+        lambda: evaluate(_traces(), _dataset(2), 12, positive_class=7),
+        "positive_class must be an integer in [0, 1], got 7",
+    ),
+    (
+        "evaluate-class-low",
+        lambda: evaluate(_traces(), _dataset(2), 12, positive_class=-1),
+        "positive_class must be an integer in [0, 1], got -1",
+    ),
+    (
+        "evaluate-class-bool",
+        lambda: evaluate(_traces(), _dataset(2), 12, positive_class=True),
+        "positive_class must be an integer in [0, 1], got True",
+    ),
+    (
+        "f1-class",
+        lambda: f1_binary(_traced_scores(), 1.5),
+        "positive_class must be an integer >= 0, got 1.5",
+    ),
+    (
+        "calibrate-target",
+        lambda: calibrate_threshold(_cascade(), _dataset(), "2"),
+        "target_speedup must be a number, got '2'",
+    ),
+    (
+        "calibrate-tolerance",
+        lambda: calibrate_threshold(_cascade(), _dataset(), 2.0, tolerance=True),
+        "tolerance must be a number, got True",
+    ),
+    ("pair-loss-margin", lambda: dar_pair_loss(0.2, 0.9, "0.3"), "margin must be a number, got '0.3'"),
+    (
+        "pair-loss-confidence",
+        lambda: dar_pair_loss(0.2, None, 0.3),
+        "conf_easy must be a number, got None",
+    ),
+    (
+        "max-gain-bound",
+        lambda: max_gain_bound((2, 12.0), (0.8, 0.9), (10.0, 5.0)),
+        "layer_counts must be an integer >= 1, got 12.0",
+    ),
+    (
+        "planted-size",
+        lambda: planted_hard_task(2.5, 0),
+        "num_instances must be an integer >= 1, got 2.5",
+    ),
+    ("tiered-seed", lambda: tiered_task(10, -1), "seed must be an integer >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in REJECTED], ids=[row[0] for row in REJECTED]
+)
+def test_wrong_value_is_rejected(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# --- the rule cannot drift ------------------------------------------------------------
+
+# A valid instance of every public dataclass with a numeric field.  Where it
+# can, a count is 1 and a number 1.0, so that True (== 1) breaks no other
+# check and only the value rule can reject it.
+FIXTURES = {
+    Architecture: lambda: dict(kind="mlp", hidden_size=1),
+    Cascade: lambda: dict(
+        stages=(StageSpec(_linear(), 1), StageSpec(_linear(), 1)), thresholds=(1.0,), full_model_cost=1
+    ),
+    ClassifierModel: lambda: dict(
+        architecture=Architecture("linear"),
+        feature_dim=1,
+        num_classes=1,
+        weights={"w": np.zeros((1, 1)), "b": np.zeros(1)},
+        train_config=TrainConfig(),
+    ),
+    Dataset: lambda: dict(instances=(Instance("a", np.zeros(1), 0),), num_classes=1, feature_dim=1),
+    DifficultyReport: lambda: dict(labels={"a": 1}, per_seed_correct={"a": [False]}, num_folds=1, seeds=(1,)),
+    ExitTrace: lambda: dict(
+        instance_id="a",
+        exit_stage=1,
+        distribution=ClassDistribution(np.array([0.0, 1.0])),
+        confidence=1.0,
+        executed_costs=(1, 0),
+        total_cost=1,
+    ),
+    FoldAssignment: lambda: dict(num_folds=1, fold_of={"a": 0}),
+    GainScenario: lambda: dict(
+        layer_counts=(1, 12),
+        accuracies=(1.0, 1.0),
+        insert_after=0,
+        new_layers=6,
+        new_accuracy=1.0,
+        new_exits=(1, 1),
+        new_model_exits=1,
+    ),
+    GradientCheckResult: lambda: dict(max_rel_error=1.0, num_parameters=1, kink_excluded=False),
+    Instance: lambda: dict(id="a", features=np.zeros(1), label=1, difficulty=1),
+    MetricsReport: lambda: dict(
+        num_instances=1, accuracy=1.0, ece=1.0, speedup=1.0, exit_histogram=(1,), f1=1.0, dis=1.0
+    ),
+    OriginalExits: lambda: dict(exits=(1.0,)),
+    ScoredInstance: lambda: dict(confidence=1.0, predicted_label=1, gold_label=1, difficulty=1),
+    StageSpec: lambda: dict(model=_linear(), layer_cost=1),
+    TraceTable: lambda: dict(
+        ids=("a",), exit_stage=[1], probs=[[0.0, 1.0]], executed_costs=((1, 0),), total_cost=(1,)
+    ),
+    TrainConfig: lambda: dict(
+        epochs=1, learning_rate=1.0, batch_size=1, dar_weight=1.0, margin=0.5, seed=1, pair_cap=1
+    ),
+}
+
+
+def _numeric_kind(hint):
+    """``(scalar type, whether the field is a tuple of them)``, or None."""
+    for kind in (int, float):
+        if hint in (kind, kind | None):
+            return kind, False
+        if hint == tuple[kind, ...]:
+            return kind, True
+    return None
+
+
+def _numeric_fields():
+    for name in cascadekit.__all__:
+        cls = getattr(cascadekit, name)
+        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+            continue
+        for field, hint in typing.get_type_hints(cls).items():
+            numeric = _numeric_kind(hint)
+            if numeric is not None:
+                yield cls, field, *numeric
+
+
+GUARDED = [
+    (cls, field, in_tuple, bad)
+    for cls, field, kind, in_tuple in _numeric_fields()
+    for bad in ((2.5,) if kind is int else ()) + (True, "1")
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, in_tuple, bad",
+    GUARDED,
+    ids=[f"{cls.__name__}.{field}-{bad!r}" for cls, field, _, bad in GUARDED],
+)
+def test_every_numeric_field_of_the_api_follows_the_rule(cls, field, in_tuple, bad):
+    fields = FIXTURES[cls]()
+    cls(**fields)  # the fixture itself is valid
+    fields[field] = (bad, *fields[field][1:]) if in_tuple else bad
+    with pytest.raises(ValidationError, match=rf"\b{field} must be (an integer|a number)"):
+        cls(**fields)
+
+
+def test_the_guard_sees_the_fields_it_should():
+    guarded = {(cls.__name__, field) for cls, field, _, _ in GUARDED}
+    assert {("Instance", "label"), ("TraceTable", "total_cost"), ("Cascade", "thresholds")} <= guarded
+    assert {cls for cls, *_ in _numeric_fields()} == set(FIXTURES)
+
+
+# Hand-written tests of a value's numeric type.  jsonio reads JSON by exact
+# JSON types, a different rule, and is exempt.
+HAND_WRITTEN_TYPE_TEST = re.compile(
+    r"is_(integer|real)\(|numbers\.Real|isinstance\([^)]*\b(bool|int|float)\b"
+    r"|type\([^)]*\) is (not )?(bool|int|float)\b"
+)
+
+
+def test_only_errors_decides_what_a_number_is():
+    offenders = [
+        f"{path.name}:{line_no}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name not in ("errors.py", "jsonio.py")
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if HAND_WRITTEN_TYPE_TEST.search(line)
+    ]
+    assert offenders == []
+
+
+# --- values built through the API save and load back ------------------------------------
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _dataset_artifact(count, path):
+    instances = (
+        Instance("a", [0.5, 1.0], count(1), count(0)),
+        Instance("b", [1.5, 0.0], count(0), count(1)),
+    )
+    value = Dataset(instances, count(2), count(2))
+    save_dataset(value, path)
+
+    def view(ds):
+        rows = [(i.id, i.label, i.difficulty, i.features.tolist()) for i in ds.instances]
+        return rows, ds.num_classes, ds.feature_dim
+
+    return view(value), view(load_dataset(path))
+
+
+def _model(count):
+    arch = Architecture("mlp", count(3))
+    config = TrainConfig(
+        epochs=count(2),
+        learning_rate=np.float32(0.25),
+        batch_size=count(4),
+        dar_weight=np.float64(0.5),
+        margin=np.float16(0.25),
+        seed=count(1),
+        pair_cap=count(8),
+    )
+    rng = np.random.default_rng(0)
+    weights = {
+        "w1": rng.normal(size=(2, 3)),
+        "b1": np.zeros(3),
+        "w2": rng.normal(size=(3, 2)),
+        "b2": np.zeros(2),
+    }
+    return ClassifierModel(arch, count(2), count(2), weights, config)
+
+
+def _model_artifact(count, path):
+    value = _model(count)
+    save_model(value, path)
+    return model_to_dict(value), model_to_dict(load_model(path))
+
+
+def _cascade_artifact(count, path):
+    model = _model(count)
+    stages = (StageSpec(model, count(2)), StageSpec(model, count(12)))
+    value = Cascade(stages, (np.float32(0.5),), count(12))
+    save_cascade(value, path)
+
+    def view(cascade):
+        stages = [(s.layer_cost, model_to_dict(s.model)) for s in cascade.stages]
+        return stages, cascade.thresholds, cascade.full_model_cost
+
+    return view(value), view(load_cascade(path))
+
+
+def _traces_artifact(count, path):
+    dist = ClassDistribution(np.array([0.25, 0.75]))
+    value = [ExitTrace("a", count(1), dist, np.float64(0.75), (count(2), count(4)), count(6))]
+    save_traces(value, path)
+
+    def view(traces):
+        return [
+            (t.instance_id, t.exit_stage, t.distribution.probs.tolist(), t.confidence)
+            + (t.executed_costs, t.total_cost)
+            for t in traces
+        ]
+
+    return view(value), view(load_traces(path))
+
+
+def _metrics_artifact(count, path):
+    value = MetricsReport(
+        count(2), np.float64(0.5), np.float32(0.25), np.float64(2.0), (count(1), count(1)), np.float64(0.5)
+    )
+    save_metrics(value, path)
+    return dataclasses.asdict(value), dataclasses.asdict(load_metrics(path))
+
+
+def _difficulty_artifact(count, path):
+    config = TrainConfig(epochs=1, seed=count(3))
+    value = label_difficulty(
+        _dataset(), Architecture("linear"), config, num_folds=count(2), num_seeds=count(2)
+    )
+    save_report(value, path)
+    return dataclasses.asdict(value), dataclasses.asdict(load_report(path))
+
+
+def _scenario_artifact(count, path):
+    counts = dict(new_exits=(count(50), count(30)), new_model_exits=count(20))
+    value = _scenario(layer_counts=(count(2), count(12)), **counts)
+    save_scenario(value, path)
+    return dataclasses.asdict(value), dataclasses.asdict(load_scenario(path))
+
+
+ARTIFACTS = {
+    "dataset": _dataset_artifact,
+    "model": _model_artifact,
+    "cascade": _cascade_artifact,
+    "traces": _traces_artifact,
+    "metrics": _metrics_artifact,
+    "difficulty": _difficulty_artifact,
+    "scenario": _scenario_artifact,
+}
+
+
+@pytest.mark.parametrize("artifact", list(ARTIFACTS))
+def test_numpy_counts_round_trip_and_float_or_bool_counts_are_refused(tmp_path, artifact):
+    # Numpy counts used to be kept as they came: an Architecture, a
+    # MetricsReport or a label_difficulty report built with them failed to
+    # save with a raw TypeError, and float costs in an ExitTrace or a float
+    # count in a MetricsReport saved a file that could not be loaded.
+    build = ARTIFACTS[artifact]
+    built, loaded = build(np.int64, tmp_path / "numpy.json")
+    assert loaded == built
+    assert not [leaf for leaf in _leaves(built) if isinstance(leaf, np.generic)]
+    for wrong in (float, bool):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build(wrong, tmp_path / f"{wrong.__name__}.json")
+
+
+def test_mlp_hidden_size_follows_the_integer_rule(tmp_path):
+    # Architecture("mlp", np.int64(4)) used to train and then fail to save
+    # with a raw TypeError; 2.5 and True failed inside training.
+    arch = Architecture("mlp", np.int64(4))
+    assert type(arch.hidden_size) is int and arch == Architecture("mlp", 4)
+    model = train(_dataset(), arch, TrainConfig(epochs=2, seed=0))
+    save_model(model, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    assert loaded.architecture == arch
+    assert model_to_dict(loaded) == model_to_dict(model)
+    for bad in (2.5, True):
+        message = f"^hidden_size must be an integer >= 1, got {bad}$"
+        with pytest.raises(ValidationError, match=message):
+            Architecture("mlp", bad)
