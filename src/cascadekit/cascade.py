@@ -21,19 +21,17 @@ import numpy as np
 from .classifier import (
     ClassDistribution,
     ClassifierModel,
-    confidence,
     load_model,
     predict,
     predict_batch,
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, column, integer, real, string
 from .jsonio import (
     decoder,
     iter_jsonl,
     number_list,
-    numbers,
     read_json,
     typed,
     write_json,
@@ -98,7 +96,7 @@ class Cascade:
         return Cascade(self.stages, (tau,) * (len(self.stages) - 1), self.full_model_cost)
 
 
-# The rules every trace obeys; ExitTrace checks one trace, _first_fault a table.
+# The rules every trace obeys, checked by _checked_rows alone.
 _NOT_MAX = "confidence {!r} is not the largest of the probabilities"
 _NOT_COVERED = "executed_costs must cover stages 0..exit_stage, and exit_stage must be >= 0"
 _NOT_SUMMED = "total_cost must equal the sum of executed_costs"
@@ -106,7 +104,8 @@ _NOT_SUMMED = "total_cost must equal the sum of executed_costs"
 
 @dataclass(frozen=True)
 class ExitTrace:
-    """Where one instance left the cascade and what it cost to get there."""
+    """Where one instance left the cascade and what it cost to get there:
+    one row of a :class:`TraceTable`, checked by the table's rules."""
 
     instance_id: str
     exit_stage: int
@@ -116,16 +115,12 @@ class ExitTrace:
     total_cost: int
 
     def __post_init__(self) -> None:
-        for name, rule in (("exit_stage", integer), ("confidence", real), ("total_cost", integer)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
-        costs = tuple(integer(c, "executed_costs") for c in self.executed_costs)
-        object.__setattr__(self, "executed_costs", costs)
-        if self.confidence != confidence(self.distribution):
-            raise ValidationError(_NOT_MAX.format(self.confidence))
-        if self.exit_stage != len(self.executed_costs) - 1 or not self.executed_costs:
-            raise ValidationError(_NOT_COVERED)
-        if self.total_cost != sum(self.executed_costs):
-            raise ValidationError(_NOT_SUMMED)
+        object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
+        names = ("instance_id", "exit_stage", "executed_costs", "total_cost")
+        row = [(getattr(self, name),) for name in names]
+        row = _checked_rows(lambda _: "", self.distribution.probs[None], [self.confidence], *row)
+        for name, (value,) in zip(names, row):
+            object.__setattr__(self, name, value)
 
     @property
     def predicted_label(self) -> int:
@@ -138,8 +133,8 @@ class TraceTable(Sequence):
 
     ``probs`` holds each instance's answering distribution (N x C), and
     ``exit_stage``, ``executed_costs`` and ``total_cost`` what it ran.
-    Construction checks the rules of :class:`ClassDistribution` and
-    :class:`ExitTrace` once per column.  The table is also a
+    Construction checks every row by the rules of :class:`ClassDistribution`
+    and :class:`ExitTrace`, once per column.  The table is also a
     ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace
     on demand (already checked, so it is not checked again), and a slice
     is a table.
@@ -152,24 +147,17 @@ class TraceTable(Sequence):
     total_cost: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        columns = {
-            "ids": tuple(self.ids),
-            "exit_stage": _read_only(np.array(self.exit_stage, dtype=np.int64)),
-            "probs": _read_only(np.array(self.probs, dtype=np.float64)),
-            "executed_costs": tuple(self.executed_costs),
-            "total_cost": tuple(integer(t, "total_cost") for t in self.total_cost),
-        }
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
-        lengths = {len(column) for column in columns.values()}
-        if self.exit_stage.ndim != 1 or self.probs.ndim != 2 or len(lengths) != 1:
+        probs = np.array(self.probs, dtype=np.float64)
+        try:
+            ids = tuple(self.ids)
+            columns = (ids, self.exit_stage, self.executed_costs, self.total_cost)
+            lengths = {len(probs), *map(len, columns)}
+        except TypeError:  # a column that is not a sequence
+            lengths = set()
+        if probs.ndim != 2 or len(lengths) != 1:
             raise ValidationError("trace columns must be flat (probs a matrix) and of one length")
-        fault = _first_fault(
-            self.probs, None, self.exit_stage.tolist(), self.executed_costs, self.total_cost
-        )
-        if fault is not None:
-            row, reason = fault
-            raise ValidationError(f"trace {self.ids[row]!r}: {reason}")
+        checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", probs, None, *columns)
+        _store(self, probs, *checked)
 
     @classmethod
     def from_traces(cls, traces: Sequence[ExitTrace]) -> "TraceTable":
@@ -203,7 +191,7 @@ class TraceTable(Sequence):
         if isinstance(index, slice):
             return TraceTable(
                 self.ids[index],
-                self.exit_stage[index],
+                self._row_scalars[0][index],
                 self.probs[index],
                 self.executed_costs[index],
                 self.total_cost[index],
@@ -229,9 +217,14 @@ class TraceTable(Sequence):
         return self.exit_stage.tolist(), self.confidence.tolist()
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _store(table: TraceTable, probs, ids, stages, costs, totals) -> TraceTable:
+    """``table`` holding columns that passed :func:`_checked_rows`, its
+    arrays read-only."""
+    stages = np.array(stages, dtype=np.int64)
+    for field, value in zip(table.__dataclass_fields__, (ids, stages, probs, costs, totals)):
+        object.__setattr__(table, field, value)
+    probs.flags.writeable = stages.flags.writeable = False
+    return table
 
 
 def _trace_row(instance_id, exit_stage, probs, conf, executed_costs, total_cost) -> ExitTrace:
@@ -257,47 +250,58 @@ def _first_difference(a: list, b: list) -> int | None:
     return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
-def _first_fault(probs, confidences, exit_stage, executed_costs, total_cost):
-    """``(row, reason)`` of the first row that breaks a trace rule, or None.
-
-    A row's checks run in the order a single trace's do: its distribution
-    (as :class:`ClassDistribution`), then, given ``confidences``, that each
-    is its row's largest probability, then the costs (as :class:`ExitTrace`).
-    ``probs`` may hold more rows than the other columns, and the columns
-    after it may be shorter: a load stopped by a bad record checks the
-    distributions it has read and the records it has read whole.
+def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, total_cost):
+    """``ids``, ``exit_stage``, ``executed_costs`` and ``total_cost`` read by
+    the value rule (strings, then integers) if every row obeys the trace
+    rules, else ``ValidationError(where(row) + reason)`` for the first row
+    that does not.  A row's checks run in this order: its distribution (as
+    :class:`ClassDistribution`), the value rule, then, given
+    ``confidences``, that each is its row's largest probability, then the
+    costs.  ``probs`` may hold more rows than the other columns, and those
+    may be shorter: a load stopped by a bad record checks what it has read.
     """
     found = []  # (row, check order, reason)
-    in_range = ((probs >= 0) & (probs <= 1)).all(axis=1)
     with np.errstate(all="ignore"):  # NaN and inf rows fail the range check first
-        sums_ok = np.abs(probs.sum(axis=1) - 1.0) <= 1e-9
-    distribution_checks = (
-        (in_range, "probabilities must lie in [0, 1]"),
-        (sums_ok, "probabilities must sum to 1"),
-    )
+        distribution_checks = (
+            (((probs >= 0) & (probs <= 1)).all(axis=1), "probabilities must lie in [0, 1]"),
+            (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9, "probabilities must sum to 1"),
+        )
     for order, (ok, reason) in enumerate(distribution_checks):
         bad = np.flatnonzero(~ok)
         if bad.size:
             found.append((int(bad[0]), order, reason))
-    whole = len(total_cost)
+    names = ("instance_id", "exit_stage", "total_cost")
+    read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
+    found += [(len(done), order, why) for order, (done, why) in enumerate(read, 2) if why]
+    (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
+    costs = tuple(map(tuple, executed_costs))
+    entries = list(itertools.chain.from_iterable(costs))
+    if column(entries, integer, "executed_costs")[0] is not entries:  # not every entry an int
+        rows = []  # read row by row, up to the row of the first refused entry
+        for row in costs:
+            row, refusal = column(row, integer, "executed_costs")
+            if refusal is not None:
+                found.append((len(rows), 5, refusal))
+                break
+            rows.append(tuple(row))
+        costs = tuple(rows)
+    whole = min(len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
         # initial: rows of no classes fail the sum check, which comes first.
         largest = probs[:whole].max(axis=1, initial=-np.inf)
         bad = np.flatnonzero(np.asarray(confidences[:whole]) != largest)
         if bad.size:
-            found.append((int(bad[0]), 2, _NOT_MAX.format(confidences[bad[0]])))
-    lengths = list(map(len, executed_costs[:whole]))
-    covered = [
-        _first_difference(list(exit_stage[:whole]), [n - 1 for n in lengths]),
-        lengths.index(0) if 0 in lengths else None,
-    ]
-    summed = _first_difference(list(total_cost), list(map(sum, executed_costs[:whole])))
-    found += [(row, 3, _NOT_COVERED) for row in covered if row is not None]
-    found += [(summed, 4, _NOT_SUMMED)] if summed is not None else []
-    if not found:
-        return None
-    row, _, reason = min(found)
-    return row, reason
+            found.append((int(bad[0]), 6, _NOT_MAX.format(confidences[bad[0]])))
+    # A row that ran no stage has no exit stage to match.
+    covered = [len(row) - 1 if row else None for row in costs[:whole]]
+    covered = _first_difference(list(stages[:whole]), covered)
+    summed = _first_difference(list(totals[:whole]), list(map(sum, costs[:whole])))
+    found += [(covered, 7, _NOT_COVERED)] if covered is not None else []
+    found += [(summed, 8, _NOT_SUMMED)] if summed is not None else []
+    if found:
+        row, _, reason = min(found)
+        raise ValidationError(where(row) + reason)
+    return tuple(ids), tuple(stages), costs, tuple(totals)
 
 
 def _exit_table(cascade: Cascade, ids: Sequence[str], stage_probs) -> TraceTable:
@@ -439,17 +443,52 @@ def calibrate_threshold(
 
 
 @decoder("trace record")
+def _read_record(payload, columns: tuple[list, ...]) -> None:
+    """Append a trace record's fields, each read by its JSON type, to
+    ``columns``; a field that cannot be read leaves the ones before it
+    appended, so the record's distribution is still checked first."""
+    probs, confidences, ids, stages, costs, totals = columns
+    row = number_list(payload["probs"], "probs")
+    if probs and len(row) != len(probs[0]):
+        raise ValueError(f"probs has {len(row)} entries, the first record's has {len(probs[0])}")
+    probs.append(row)
+    confidences.append(typed(payload["confidence"], float, "confidence"))
+    ids.append(typed(payload["instance_id"], str, "instance_id"))
+    stages.append(typed(payload["exit_stage"], int, "exit_stage"))
+    costs.append(typed(payload["executed_costs"], _COSTS, "executed_costs"))
+    totals.append(typed(payload["total_cost"], int, "total_cost"))
+
+
+def _read_table(records, where) -> TraceTable:
+    """The table of ``(line, payload)`` trace records, each read by
+    :func:`_read_record`; the trace rules then run once per column.  An
+    error names the first bad record through ``where(line)``, as reading
+    record by record would."""
+    columns = probs, confidences, ids, stages, costs, totals = [], [], [], [], [], []
+    lines = []
+
+    def checked() -> tuple:
+        width = len(probs[0]) if probs else 0
+        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)
+        rows = _checked_rows(lambda row: where(lines[row]), matrix, confidences, *columns[2:])
+        return matrix, *rows
+
+    try:
+        for line_no, payload in records:
+            lines.append(line_no)
+            try:
+                _read_record(payload, columns)
+            except ValidationError as exc:
+                raise ValidationError(f"{where(line_no)}{exc}") from None
+    except ValidationError:
+        checked()  # a fault in an earlier record comes first
+        raise
+    return _store(object.__new__(TraceTable), *checked())
+
+
 def trace_from_dict(payload: dict) -> ExitTrace:
-    """One trace record; :func:`load_traces` reads a file of them by the same rules."""
-    distribution = ClassDistribution(numbers(payload["probs"], "probs"))
-    return ExitTrace(
-        confidence=typed(payload["confidence"], float, "confidence"),
-        instance_id=typed(payload["instance_id"], str, "instance_id"),
-        exit_stage=typed(payload["exit_stage"], int, "exit_stage"),
-        distribution=distribution,
-        executed_costs=typed(payload["executed_costs"], _COSTS, "executed_costs"),
-        total_cost=typed(payload["total_cost"], int, "total_cost"),
-    )
+    """One trace record: the one-row case of :func:`load_traces`."""
+    return _read_table([(1, payload)], lambda _: "")[0]
 
 
 def save_traces(traces: Sequence[ExitTrace], path) -> None:
@@ -479,49 +518,9 @@ def save_traces(traces: Sequence[ExitTrace], path) -> None:
 
 
 def load_traces(path) -> TraceTable:
-    """A traces file as one table.
-
-    Each record's fields are read as :func:`trace_from_dict` reads them,
-    and every ``probs`` must have the first record's length; the rules on
-    values then run once per column.  An error names the line of the first
-    bad record, as reading the file record by record would.
-    """
-    lines, probs, confidences, ids, stages, costs, totals = [], [], [], [], [], [], []
-
-    @decoder("trace record")
-    def read(payload) -> None:
-        row = number_list(payload["probs"], "probs")
-        if probs and len(row) != len(probs[0]):
-            raise ValueError(
-                f"probs has {len(row)} entries, the first record's has {len(probs[0])}"
-            )
-        probs.append(row)
-        confidences.append(typed(payload["confidence"], float, "confidence"))
-        ids.append(typed(payload["instance_id"], str, "instance_id"))
-        stages.append(typed(payload["exit_stage"], int, "exit_stage"))
-        costs.append(typed(payload["executed_costs"], _COSTS, "executed_costs"))
-        totals.append(typed(payload["total_cost"], int, "total_cost"))
-
-    def checked_matrix() -> np.ndarray:
-        width = len(probs[0]) if probs else 0
-        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)
-        fault = _first_fault(matrix, confidences, stages, costs, totals)
-        if fault is not None:
-            row, reason = fault
-            raise ValidationError(f"{path}: line {lines[row]}: {reason}")
-        return matrix
-
-    try:
-        for line_no, payload in iter_jsonl(path):
-            lines.append(line_no)
-            try:
-                read(payload)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {line_no}: {exc}") from None
-    except ValidationError:
-        checked_matrix()  # a fault in an earlier record comes first
-        raise
-    return TraceTable(tuple(ids), stages, checked_matrix(), tuple(costs), tuple(totals))
+    """A traces file as one table, read by :func:`_read_table`; an error
+    names the line of the first bad record."""
+    return _read_table(iter_jsonl(path), lambda line: f"{path}: line {line}: ")
 
 
 def save_cascade(cascade: Cascade, path) -> None:

@@ -125,6 +125,8 @@ class ClassifierModel:
                 raise ValidationError(
                     f"weight {name!r} has shape {self.weights[name].shape}, expected {shape}"
                 )
+            if not np.isfinite(self.weights[name]).all():
+                raise NumericError(f"weight {name!r} holds non-finite values")
 
 
 def _weight_shapes(arch: Architecture, feature_dim: int, num_classes: int) -> dict[str, tuple]:
@@ -575,12 +577,11 @@ def model_from_dict(payload: dict) -> ClassifierModel:
             raise ValidationError(
                 f"weight {name!r}: {data.size} values do not fill shape {shape}"
             )
-        if not np.isfinite(data).all():
-            raise NumericError(f"weight {name!r} holds non-finite values")
         weights[name] = data.reshape(shape)
     feature_dim = typed(payload["feature_dim"], int, "feature_dim")
     num_classes = typed(payload["num_classes"], int, "num_classes")
-    # ClassifierModel.__post_init__ rejects any shape/architecture mismatch.
+    # ClassifierModel.__post_init__ rejects any shape/architecture mismatch
+    # and non-finite weights.
     return ClassifierModel(arch, feature_dim, num_classes, weights, config)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer
+from .errors import ValidationError, integer, string
 from .jsonio import decoder, numbers, read_jsonl, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -39,6 +39,7 @@ class Instance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", string(self.id, "id"))
         # C order: a strided row can change the bits of a model's product.
         features = np.asarray(self.features, dtype=np.float64, order="C")
         object.__setattr__(self, "features", features)

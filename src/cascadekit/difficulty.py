@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
-from .errors import ValidationError, integer
+from .errors import ValidationError, boolean, integer
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_NUM_FOLDS = 8
@@ -34,6 +34,11 @@ class DifficultyReport:
     def __post_init__(self) -> None:
         labels = {inst_id: integer(d, "labels", 0, 1) for inst_id, d in self.labels.items()}
         object.__setattr__(self, "labels", labels)
+        per_seed_correct = {
+            inst_id: [boolean(outcome, "per_seed_correct") for outcome in outcomes]
+            for inst_id, outcomes in self.per_seed_correct.items()
+        }
+        object.__setattr__(self, "per_seed_correct", per_seed_correct)
         object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
         object.__setattr__(self, "seeds", tuple(integer(s, "seeds") for s in self.seeds))
         if set(self.labels) != set(self.per_seed_correct):

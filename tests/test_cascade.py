@@ -414,8 +414,9 @@ def test_calibration_runs_only_the_stages_that_gate_an_exit(monkeypatch):
 
 
 def test_non_finite_confidence_is_a_numeric_error():
-    weights = {"w": np.array([[np.nan, -1.0]]), "b": np.zeros(2)}
+    weights = {"w": np.array([[0.0, -1.0]]), "b": np.zeros(2)}
     broken = ClassifierModel(Architecture("linear"), 1, 2, weights, TrainConfig())
+    broken.weights["w"][0, 0] = np.nan  # the constructor refuses a NaN weight
     cascade = Cascade((StageSpec(broken, 2), linear_stage(20.0, 10)), (1.0,), 12)
     ds = planted_confidence_dataset([0.9, 0.6])
     with pytest.raises(NumericError, match="non-finite"):

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
-from cascadekit.cascade import trace_from_dict
-from cascadekit.jsonio import read_jsonl
+from cascadekit.jsonio import decoder, numbers, read_jsonl, typed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,8 +83,42 @@ def oracle_save(traces, path):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+@dataclass(frozen=True)
+class OracleTrace:
+    instance_id: str
+    exit_stage: int
+    distribution: ClassDistribution
+    confidence: float
+    executed_costs: tuple
+    total_cost: int
+
+    @property
+    def predicted_label(self):
+        return self.distribution.predicted_label
+
+
+@decoder("trace record")
+def oracle_record(payload):
+    """The per-record reader, with the checks each trace ran on its own."""
+    distribution = ClassDistribution(numbers(payload["probs"], "probs"))
+    conf = typed(payload["confidence"], float, "confidence")
+    instance_id = typed(payload["instance_id"], str, "instance_id")
+    exit_stage = typed(payload["exit_stage"], int, "exit_stage")
+    costs = typed(payload["executed_costs"], tuple[int, ...], "executed_costs")
+    total = typed(payload["total_cost"], int, "total_cost")
+    if conf != confidence(distribution):
+        raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
+    if exit_stage != len(costs) - 1 or not costs:
+        raise ValidationError(
+            "executed_costs must cover stages 0..exit_stage, and exit_stage must be >= 0"
+        )
+    if total != sum(costs):
+        raise ValidationError("total_cost must equal the sum of executed_costs")
+    return OracleTrace(instance_id, exit_stage, distribution, conf, costs, total)
+
+
 def oracle_load(path):
-    return read_jsonl(path, trace_from_dict)
+    return read_jsonl(path, oracle_record)
 
 
 def oracle_scored(traces, dataset, difficulty=None):
@@ -370,6 +404,89 @@ def test_matrix_checks_accept_and_reject_what_per_record_checks_do(seed, data, t
         assert got == want
     else:
         assert_rows_equal(got, want)
+
+
+# --- a table is its rows: one trace rule ------------------------------------------------
+
+
+def _integers(value, right):
+    """``value`` as a type that holds an integer, or as one that does not."""
+    if right:
+        return st.sampled_from([value, value, np.int64(value), np.int32(value)])
+    return st.sampled_from([float(value), np.float64(value), str(value), value + 0.5, value == 1])
+
+
+TRACE_FAULTS = ["id", "stage", "cost", "total", "distribution", "cover", "sum"]
+
+
+@st.composite
+def trace_columns(draw):
+    """Columns of 1-5 rows whose values mix Python and numpy integers,
+    strings, bools and floats.  A row is right in every field unless it
+    draws faults (one row in four, one or two faults)."""
+    width = draw(st.integers(1, 3))
+    one_hot = [1.0] + [0.0] * (width - 1)
+    distributions = [one_hot, one_hot[::-1], [1.0 / width] * width]
+    wrong_distributions = [[0.5] * width, [math.nan] * width, ([-1.0, 2.0] + one_hot)[:width]]
+    ids, stages, probs, costs, totals = [], [], [], [], []
+    for k in range(draw(st.integers(1, 5))):
+        faults = set()
+        if draw(st.integers(0, 3)) == 0:
+            faults = draw(st.sets(st.sampled_from(TRACE_FAULTS), min_size=1, max_size=2))
+        ran = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        stage = len(ran) - 1
+        if "cover" in faults:
+            ran, stage = draw(st.sampled_from([(ran, stage + 1), (ran, stage - 1), ([], -1)]))
+        total = sum(ran) + ("sum" in faults)
+        right_ids = [f"r{k}", np.str_(f"r{k}")]
+        ids.append(draw(st.sampled_from([k, None, b"r"] if "id" in faults else right_ids)))
+        stages.append(draw(_integers(stage, "stage" not in faults)))
+        probs.append(draw(st.sampled_from(
+            wrong_distributions if "distribution" in faults else distributions
+        )))
+        row = [draw(_integers(c, True)) for c in ran]
+        if "cost" in faults and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_integers(ran[0], False))
+        costs.append(tuple(row) if draw(st.booleans()) else row)
+        totals.append(draw(_integers(total, "total" not in faults)))
+    return ids, stages, probs, costs, totals
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=trace_columns())
+def test_a_table_builds_exactly_when_each_row_builds_alone(columns, tmp_path_factory):
+    ids, stages, probs, costs, totals = columns
+
+    def alone(k):
+        try:
+            distribution = ClassDistribution(np.array(probs[k]))
+            top = confidence(distribution)
+            return ExitTrace(ids[k], stages[k], distribution, top, costs[k], totals[k])
+        except ValidationError as exc:
+            return str(exc)
+
+    rows = [alone(k) for k in range(len(ids))]
+    table = outcome(TraceTable, *columns)
+    faulty = [k for k, row in enumerate(rows) if isinstance(row, str)]
+    if faulty:
+        assert table == f"ValidationError: trace {ids[faulty[0]]!r}: {rows[faulty[0]]}"
+        return
+    assert_rows_equal(table, rows)
+    path = tmp_path_factory.mktemp("rows") / "traces.jsonl"
+    save_traces(table, path)
+    assert_rows_equal(load_traces(path), rows)
+
+
+def test_a_record_reports_its_confidence_before_its_costs(tmp_path):
+    record = {"instance_id": "a", "exit_stage": 1, "probs": [0.25, 0.75], "confidence": 0.7,
+              "executed_costs": [2], "total_cost": 3}
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    message = re.escape("confidence 0.7 is not the largest of the probabilities")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        oracle_record(record)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 1: {message}$"):
+        load_traces(path)
 
 
 def test_ragged_probs_are_rejected(tmp_path):

@@ -1,14 +1,18 @@
 """The value rule of the Python API.
 
-Every public constructor and function reads its integer and real
-arguments through ``errors.integer`` / ``errors.real``: a wrong value
-fails with ``<name> must be an integer[ >= k| in [a, b]], got <repr>`` or
-``<name> must be a number, got <repr>``, and a numpy value is stored as a
-Python ``int`` / ``float``, so whatever the API builds, the JSON writers
-can save and the readers load back.
+Every public constructor and function reads its integer, real, string
+and boolean arguments through ``errors.integer`` / ``errors.real`` /
+``errors.string`` / ``errors.boolean`` (or their column form): a wrong
+value fails with ``<name> must be an integer[ >= k| in [a, b]], got
+<repr>``, ``<name> must be a number, got <repr>``, ``<name> must be a
+string, got <repr>`` or ``<name> must be a boolean, got <repr>``, and a
+numpy value is stored as a Python ``int`` / ``float`` / ``str`` /
+``bool``, so whatever the API builds, the JSON writers can save and the
+readers load back.
 """
 
 import dataclasses
+import json
 import pathlib
 import re
 import reprlib
@@ -31,6 +35,7 @@ from cascadekit import (
     GradientCheckResult,
     Instance,
     MetricsReport,
+    NumericError,
     OriginalExits,
     ScoredInstance,
     StageSpec,
@@ -157,7 +162,27 @@ REJECTED = [
     (
         "table-total",
         lambda: TraceTable(("a",), [0], [[0.5, 0.5]], ((1,),), (True,)),
-        "total_cost must be an integer, got True",
+        "trace 'a': total_cost must be an integer, got True",
+    ),
+    (
+        "table-stage-float",
+        lambda: TraceTable(("a",), [0.7], [[0.5, 0.5]], ((1,),), (1,)),
+        "trace 'a': exit_stage must be an integer, got 0.7",
+    ),
+    (
+        "table-stage-bool",
+        lambda: TraceTable(("a",), [True], [[0.5, 0.5]], ((1, 1),), (2,)),
+        "trace 'a': exit_stage must be an integer, got True",
+    ),
+    (
+        "table-cost",
+        lambda: TraceTable(("a",), [1], [[0.5, 0.5]], ((0.5, 0.5),), (1,)),
+        "trace 'a': executed_costs must be an integer, got 0.5",
+    ),
+    (
+        "table-id",
+        lambda: TraceTable((1,), [0], [[0.5, 0.5]], ((1,),), (1,)),
+        "trace 1: instance_id must be a string, got 1",
     ),
     (
         "report-count",
@@ -387,12 +412,17 @@ def test_the_guard_sees_the_fields_it_should():
     assert {cls for cls, *_ in _numeric_fields()} == set(FIXTURES)
 
 
-# Hand-written tests of a value's numeric type.  jsonio reads JSON by exact
-# JSON types, a different rule, and is exempt.
+# Hand-written tests of a value's type.  jsonio reads JSON by exact JSON
+# types, a different rule, and is exempt.
 HAND_WRITTEN_TYPE_TEST = re.compile(
-    r"is_(integer|real)\(|numbers\.Real|isinstance\([^)]*\b(bool|int|float)\b"
-    r"|type\([^)]*\) is (not )?(bool|int|float)\b"
+    r"is_(integer|real)\(|numbers\.Real|isinstance\([^)]*\b(bool|int|float|str)\b"
+    r"|type\([^)]*\) is (not )?(bool|int|float|str)\b"
 )
+
+
+def test_the_guard_sees_string_and_boolean_tests():
+    for line in ("isinstance(value, str)", "if type(x) is not str:", "isinstance(v, (bool, np.bool_))"):
+        assert HAND_WRITTEN_TYPE_TEST.search(line), line
 
 
 def test_only_errors_decides_what_a_number_is():
@@ -554,3 +584,101 @@ def test_mlp_hidden_size_follows_the_integer_rule(tmp_path):
         message = f"^hidden_size must be an integer >= 1, got {bad}$"
         with pytest.raises(ValidationError, match=message):
             Architecture("mlp", bad)
+
+
+# Values whose file a loader refuses.  Each used to build and save a file
+# that could not be loaded back; its constructor now refuses it with the
+# loader's kind of error.  Each row: id, the call, its error and whole
+# message, the lines of the file it used to save, and the loader.
+def _model_document(value):
+    document = model_to_dict(_linear())
+    document["weights"]["w"]["data"][0] = value
+    return json.dumps(document)
+
+
+UNSAVABLE = [
+    (
+        "difficulty-outcome",
+        lambda: DifficultyReport({"a": 1}, {"a": [0]}, 2, (1,)),
+        ValidationError,
+        "per_seed_correct must be a boolean, got 0",
+        ['{"labels": {"a": 1}, "num_folds": 2, "per_seed_correct": {"a": [0]}, "seeds": [1]}'],
+        load_report,
+    ),
+    (
+        "model-nan-weight",
+        lambda: ClassifierModel(
+            Architecture("linear"), 2, 2, {"w": np.full((2, 2), np.nan), "b": np.zeros(2)}, TrainConfig()
+        ),
+        NumericError,
+        "weight 'w' holds non-finite values",
+        [_model_document(float("nan"))],
+        load_model,
+    ),
+    (
+        "instance-id",
+        lambda: Dataset((Instance(7, np.zeros(2), 0),), 1, 2),
+        ValidationError,
+        "id must be a string, got 7",
+        ['{"features": [0.0, 0.0], "id": 7, "label": 0}'],
+        load_dataset,
+    ),
+    (
+        "trace-id",
+        lambda: _trace(instance_id=7),
+        ValidationError,
+        "instance_id must be a string, got 7",
+        ['{"confidence": 0.75, "executed_costs": [2], "exit_stage": 0, "instance_id": 7, '
+         '"probs": [0.25, 0.75], "total_cost": 2}'],
+        load_traces,
+    ),
+    (
+        "table-cost",
+        lambda: TraceTable(("a",), [1], [[0.5, 0.5]], ((0.5, 0.5),), (1,)),
+        ValidationError,
+        "trace 'a': executed_costs must be an integer, got 0.5",
+        ['{"confidence": 0.5, "executed_costs": [0.5, 0.5], "exit_stage": 1, "instance_id": "a", '
+         '"probs": [0.5, 0.5], "total_cost": 1}'],
+        load_traces,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message, lines, load",
+    [row[1:] for row in UNSAVABLE],
+    ids=[row[0] for row in UNSAVABLE],
+)
+def test_what_a_loader_refuses_the_constructor_refuses(tmp_path, call, error, message, lines, load):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+    path = tmp_path / "artifact.json"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+        load(path)
+
+
+def test_numpy_bools_and_strings_round_trip(tmp_path):
+    report = DifficultyReport({"a": 0, "b": 1}, {"a": [np.True_], "b": [np.False_]}, 2, (7,))
+    assert [type(v) for v in report.per_seed_correct.values()] == [list, list]
+    assert [type(o) for v in report.per_seed_correct.values() for o in v] == [bool, bool]
+    save_report(report, tmp_path / "report.json")
+    assert load_report(tmp_path / "report.json") == report
+
+    dataset = Dataset((Instance(np.str_("a"), np.zeros(2), 0),), 1, 2)
+    assert type(dataset.instances[0].id) is str
+    save_dataset(dataset, tmp_path / "data.jsonl")
+    assert load_dataset(tmp_path / "data.jsonl").ids() == ["a"]
+
+    table = TraceTable(
+        np.array(["a", "b"]), np.array([0, 1]), [[0.25, 0.75], [0.5, 0.5]],
+        ((np.int64(2),), [2, np.int32(12)]), (np.int64(2), 14),
+    )
+    assert table.ids == ("a", "b") and table.executed_costs == ((2,), (2, 12))
+    assert not [v for v in _leaves([table.ids, table.executed_costs, table.total_cost])
+                if isinstance(v, np.generic)]
+    save_traces(table, tmp_path / "traces.jsonl")
+    def view(traces):
+        return [(t.instance_id, t.exit_stage, t.executed_costs, t.total_cost) for t in traces]
+
+    assert view(load_traces(tmp_path / "traces.jsonl")) == view(table)
