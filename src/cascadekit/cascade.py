@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import reprlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -274,17 +275,9 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
     found += [(len(done), order, why) for order, (done, why) in enumerate(read, 2) if why]
     (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
-    costs = tuple(map(tuple, executed_costs))
-    entries = list(itertools.chain.from_iterable(costs))
-    if column(entries, integer, "executed_costs")[0] is not entries:  # not every entry an int
-        rows = []  # read row by row, up to the row of the first refused entry
-        for row in costs:
-            row, refusal = column(row, integer, "executed_costs")
-            if refusal is not None:
-                found.append((len(rows), 5, refusal))
-                break
-            rows.append(tuple(row))
-        costs = tuple(rows)
+    costs, refusal = _cost_rows(executed_costs)
+    if refusal is not None:
+        found.append((len(costs), 5, refusal))
     whole = min(len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
         # initial: rows of no classes fail the sum check, which comes first.
@@ -302,6 +295,36 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
         row, _, reason = min(found)
         raise ValidationError(where(row) + reason)
     return tuple(ids), tuple(stages), costs, tuple(totals)
+
+
+def _cost_rows(rows) -> tuple[tuple[tuple[int, ...], ...], str | None]:
+    """``rows`` of executed costs as tuples read by the integer rule, up to
+    the first row that is not a sequence or holds a refused entry, and that
+    refusal (None when every row was read).
+
+    Entry types are looked at once per distinct row object: a run's rows
+    are a few shared tuples.  Rows are told apart by identity, because a
+    set of the rows would hide ``(True,)`` behind ``(1,)``.
+    """
+    try:
+        costs = tuple(map(tuple, rows))
+    except TypeError:  # a row that is not a sequence, named below
+        costs = None
+    if costs is not None:
+        distinct = {id(row): row for row in costs}.values()
+        if all(column(row, integer, "executed_costs")[0] is row for row in distinct):
+            return costs, None
+    read = []
+    for row in rows:
+        try:
+            row = tuple(row)
+        except TypeError:
+            return tuple(read), f"executed_costs must be a sequence of integers, got {reprlib.repr(row)}"
+        row, refusal = column(row, integer, "executed_costs")
+        if refusal is not None:
+            return tuple(read), refusal
+        read.append(tuple(row))
+    return tuple(read), None
 
 
 def _exit_table(cascade: Cascade, ids: Sequence[str], stage_probs) -> TraceTable:
@@ -373,7 +396,8 @@ def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
 
 def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
     """Traces for every instance, in dataset order."""
-    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(dataset.instances))
+    rows = tuple(dataset.instances)  # each row's Instance, built once for every stage
+    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(rows))
 
 
 def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
@@ -409,7 +433,7 @@ def calibrate_threshold(
     than ``tolerance * target``, or if the target is outside
     [1, full_model_cost / smallest stage cost].
     """
-    if not calibration.instances:
+    if not len(calibration):
         raise ValidationError("calibration dataset is empty")
     if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
         raise ValidationError("tolerance must be positive")

@@ -133,12 +133,14 @@ def _training_dataset(config: PipelineConfig) -> Dataset:
         return dataset
     if config.difficulty_report is not None:
         return dataset.with_difficulty(load_report(config.difficulty_report).labels)
-    if all(inst.difficulty is not None for inst in dataset.instances):
-        return dataset
-    raise ValidationError(
-        "dar_weight > 0 needs difficulty labels: run the label command first "
-        "and set difficulty_report, or ship a dataset with difficulty fields"
-    )
+    try:
+        dataset.difficulty_array()
+    except ValidationError:
+        raise ValidationError(
+            "dar_weight > 0 needs difficulty labels: run the label command first "
+            "and set difficulty_report, or ship a dataset with difficulty fields"
+        ) from None
+    return dataset
 
 
 def _stage_model_path(config: PipelineConfig, index: int) -> str:
@@ -166,9 +168,12 @@ def _build_cascade(config: PipelineConfig) -> Cascade:
 
 
 def _eval_difficulty(dataset: Dataset) -> dict[str, int] | None:
-    if all(inst.difficulty is not None for inst in dataset.instances):
-        return {inst.id: inst.difficulty for inst in dataset.instances}
-    return None
+    """Every instance's difficulty flag by id, or None if one lacks a flag."""
+    try:
+        flags = dataset.difficulty_array()
+    except ValidationError:
+        return None
+    return dict(zip(dataset.ids(), flags.tolist()))
 
 
 def _evaluate(config: PipelineConfig, traces, eval_ds: Dataset, dis_difficulty) -> MetricsReport:

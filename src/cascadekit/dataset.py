@@ -6,20 +6,23 @@ Datasets are loaded from JSONL files, one record per line:
     {"id": "r2", "label": 1, "text": "some short text"}
 
 A record may also carry a binary "difficulty" field.  Text records are
-featurized with a signed hashing trick (see :func:`hash_featurize`).
+featurized with a signed hashing trick (see :func:`hash_featurize`).  A
+:class:`Dataset` holds its instances as columns (:class:`InstanceColumns`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer, string
-from .jsonio import decoder, numbers, read_jsonl, typed, write_jsonl
+from .errors import ValidationError, column, integer, string, string_keys
+from .jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -27,6 +30,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Distinct tokens whose hashes hash_featurize keeps; bounds the memo's memory.
 _TOKEN_MEMO_SIZE = 1 << 16
 _DIFFICULTY = int | None  # one hint object: hashing a new one per record is slow
+NO_DIFFICULTY = -1  # the difficulty column's entry for an instance without a flag
 
 
 @dataclass(frozen=True)
@@ -56,75 +60,228 @@ class Instance:
             raise ValidationError(f"instance {self.id!r}: {exc}") from None
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class InstanceColumns(Sequence):
+    """Instances as read-only columns: ``ids``, an (N, d) float64
+    ``features`` matrix, int64 ``labels`` and int64 ``difficulty`` flags
+    (``NO_DIFFICULTY`` where an instance has none).
+
+    Indexing or iterating builds each row's :class:`Instance` on demand,
+    its ``features`` a read-only view of the matrix, and keeps none; a
+    slice is a tuple of rows.  Rows are not checked again: the
+    :class:`Dataset` that holds the columns checked them once per column.
+    """
+
+    ids: tuple[str, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    difficulty: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("features", np.float64), ("labels", np.int64), ("difficulty", np.int64)):
+            values = np.asarray(getattr(self, name), dtype=dtype, order="C")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]
+        return _row(self.ids[i], self.features[i], int(self.labels[i]), int(self.difficulty[i]))
+
+    def __iter__(self) -> Iterator[Instance]:
+        return map(_row, self.ids, self.features, self.labels.tolist(), self.difficulty.tolist())
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} instances as columns>"
+
+
+def _row(inst_id: str, features: np.ndarray, label: int, flag: int) -> Instance:
+    """A row of :class:`InstanceColumns` as an :class:`Instance`, made
+    without running the ``__post_init__`` checks."""
+    row = object.__new__(Instance)
+    difficulty = None if flag == NO_DIFFICULTY else flag
+    row.__dict__.update(id=inst_id, features=features, label=label, difficulty=difficulty)
+    return row
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of instances with consistent shape."""
+    """An ordered, immutable collection of instances with consistent shape.
 
-    instances: tuple[Instance, ...]
+    Whatever sequence of instances it is built from, it holds them as
+    :class:`InstanceColumns`, checked once per column by the rules of
+    :class:`Instance` and across rows; an error names the first faulty
+    instance.
+    """
+
+    instances: Sequence[Instance]
     num_classes: int
     feature_dim: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "instances", tuple(self.instances))
-        for name in ("num_classes", "feature_dim"):
-            object.__setattr__(self, name, integer(getattr(self, name), name, low=1))
-        seen: set[str] = set()
-        for inst in self.instances:
-            if inst.id in seen:
-                raise ValidationError(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
-            if inst.features.shape[0] != self.feature_dim:
-                raise ValidationError(
-                    f"instance {inst.id!r}: expected {self.feature_dim} features, "
-                    f"got {inst.features.shape[0]}"
-                )
-            if inst.label >= self.num_classes:
-                raise ValidationError(
-                    f"instance {inst.id!r}: label {inst.label} out of range for "
-                    f"{self.num_classes} classes"
-                )
+        columns, wrong_width = self.instances, None
+        if not isinstance(columns, InstanceColumns):
+            columns, wrong_width = _columns_of(tuple(columns))
+        columns = _check_rows(lambda _: "", columns)
+        _store(self, *_check_shared(columns, self.num_classes, self.feature_dim, wrong_width))
 
     def __len__(self) -> int:
         return len(self.instances)
 
     def ids(self) -> list[str]:
-        return [inst.id for inst in self.instances]
+        return list(self.instances.ids)
 
     def feature_matrix(self) -> np.ndarray:
-        if not self.instances:
-            return np.zeros((0, self.feature_dim))
-        return np.stack([inst.features for inst in self.instances])
+        """The (N, feature_dim) features, read-only."""
+        return self.instances.features
 
     def label_array(self) -> np.ndarray:
-        return np.array([inst.label for inst in self.instances], dtype=np.int64)
+        """The int64 labels, read-only."""
+        return self.instances.labels
 
     def difficulty_array(self) -> np.ndarray:
-        """Difficulty flags for all instances; error if any instance lacks one."""
-        missing = [inst.id for inst in self.instances if inst.difficulty is None]
-        if missing:
+        """Difficulty flags for all instances (int64, read-only); error if any instance lacks one."""
+        flags = self.instances.difficulty
+        missing = np.flatnonzero(flags == NO_DIFFICULTY)
+        if missing.size:
             raise ValidationError(
-                f"{len(missing)} instances lack difficulty labels (first: {missing[0]!r})"
+                f"{missing.size} instances lack difficulty labels "
+                f"(first: {self.instances.ids[missing[0]]!r})"
             )
-        return np.array([inst.difficulty for inst in self.instances], dtype=np.int64)
+        return flags
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """New dataset keeping the given positions, in the given order."""
-        return Dataset(
-            instances=tuple(self.instances[i] for i in indices),
-            num_classes=self.num_classes,
-            feature_dim=self.feature_dim,
+        # Positions as a tuple reads them: negative ones count from the end.
+        rows = list(map(range(len(self)).__getitem__, indices))
+        columns = self.instances
+        picked = InstanceColumns(
+            map(columns.ids.__getitem__, rows),
+            columns.features[rows],
+            columns.labels[rows],
+            columns.difficulty[rows],
         )
+        return Dataset(picked, self.num_classes, self.feature_dim)
 
     def with_difficulty(self, labels: Mapping[str, int]) -> "Dataset":
         """Copy of this dataset with difficulty flags merged in from a full id map."""
-        missing = [inst.id for inst in self.instances if inst.id not in labels]
-        if missing:
-            raise ValidationError(f"difficulty map misses id {missing[0]!r}")
-        merged = tuple(
-            Instance(inst.id, inst.features, inst.label, labels[inst.id])
-            for inst in self.instances
-        )
+        columns = self.instances
+        missing = next((inst_id for inst_id in columns.ids if inst_id not in labels), None)
+        if missing is not None:
+            raise ValidationError(f"difficulty map misses id {missing!r}")
+        flags = []
+        for inst_id in columns.ids:
+            flag = labels[inst_id]
+            try:
+                flags.append(NO_DIFFICULTY if flag is None else integer(flag, "difficulty", 0, 1))
+            except ValidationError as exc:
+                raise ValidationError(f"instance {inst_id!r}: {exc}") from None
+        merged = InstanceColumns(columns.ids, columns.features, columns.labels, flags)
         return Dataset(merged, self.num_classes, self.feature_dim)
+
+
+def _columns_of(instances: tuple[Instance, ...]) -> tuple[InstanceColumns, tuple[int, int] | None]:
+    """``instances`` as columns, every row as wide as the first (a row of
+    another width is left zero), and the first row of another width with
+    that width, or None."""
+    widths = [inst.features.shape[0] for inst in instances]
+    width = widths[0] if widths else 0
+    wrong_width = next(((row, w) for row, w in enumerate(widths) if w != width), None)
+    features = [inst.features if w == width else np.zeros(width) for inst, w in zip(instances, widths)]
+    flags = [NO_DIFFICULTY if inst.difficulty is None else inst.difficulty for inst in instances]
+    columns = InstanceColumns(
+        [inst.id for inst in instances],
+        np.stack(features) if features else np.zeros((0, 0)),
+        [inst.label for inst in instances],
+        flags,
+    )
+    return columns, wrong_width
+
+
+def _worded(value: int, name: str, low: int, high: int | None = None) -> str:
+    """The integer rule's refusal of ``value``."""
+    try:
+        integer(value, name, low, high)
+    except ValidationError as exc:
+        return str(exc)
+    raise AssertionError(f"{name} {value} passes the rule")
+
+
+def _check_rows(where, columns: InstanceColumns, flagged: np.ndarray | None = None) -> InstanceColumns:
+    """``columns``, their ids read by the string rule, if every row obeys the
+    rules of an :class:`Instance` alone: a string id, finite features, a
+    label >= 0, and a difficulty flag in {0, 1} where ``flagged`` says it
+    has one (by default, where the column holds a flag); else
+    ``ValidationError(where(row) + reason)`` for the first row that does
+    not, with the first of these rules it breaks."""
+    ids, refusal = column(columns.ids, string, "id")
+    features, labels, flags = columns.features, columns.labels, columns.difficulty
+    if flagged is None:
+        flagged = flags != NO_DIFFICULTY
+    faulty = (~np.isfinite(features).all(axis=1), labels < 0, flagged & (flags != 0) & (flags != 1))
+    found = [(len(ids), 0)] if refusal else []
+    for order, rows in enumerate(map(np.flatnonzero, faulty), 1):
+        if rows.size:
+            found.append((int(rows[0]), order))
+    if found:
+        row, order = min(found)
+        reasons = (
+            lambda: refusal,
+            lambda: f"instance {ids[row]!r}: features must be finite",
+            lambda: f"instance {ids[row]!r}: {_worded(int(labels[row]), 'label', 0)}",
+            lambda: f"instance {ids[row]!r}: {_worded(int(flags[row]), 'difficulty', 0, 1)}",
+        )
+        raise ValidationError(where(row) + reasons[order]())
+    return columns if ids is columns.ids else InstanceColumns(ids, features, labels, flags)
+
+
+def _check_shared(
+    columns: InstanceColumns, num_classes, feature_dim, wrong_width: tuple[int, int] | None = None
+) -> tuple[InstanceColumns, int, int]:
+    """``columns`` and the two sizes read by the integer rule, if the rows
+    agree with each other and with the sizes: unique ids, ``feature_dim``
+    features each (``wrong_width`` names a row of another width that the
+    matrix does not show) and labels below ``num_classes``; else
+    ``ValidationError`` for the first row that does not, checked in that
+    order."""
+    num_classes = integer(num_classes, "num_classes", low=1)
+    feature_dim = integer(feature_dim, "feature_dim", low=1)
+    ids, labels = columns.ids, columns.labels
+    found = []
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for row, inst_id in enumerate(ids):
+            if inst_id in seen:
+                found.append((row, 0, f"duplicate instance id {inst_id!r}"))
+                break
+            seen.add(inst_id)
+    width = columns.features.shape[1]
+    widths = [(0, width)] if ids and width != feature_dim else []
+    for row, w in widths + ([wrong_width] if wrong_width else []):
+        found.append((row, 1, f"instance {ids[row]!r}: expected {feature_dim} features, got {w}"))
+    over = np.flatnonzero(labels >= num_classes)
+    if over.size:
+        row = int(over[0])
+        reason = f"instance {ids[row]!r}: label {labels[row]} out of range for {num_classes} classes"
+        found.append((row, 2, reason))
+    if found:
+        raise ValidationError(min(found)[2])
+    if not ids:  # no row sets the matrix width
+        columns = InstanceColumns((), np.zeros((0, feature_dim)), labels, columns.difficulty)
+    return columns, num_classes, feature_dim
+
+
+def _store(dataset: Dataset, columns: InstanceColumns, num_classes: int, feature_dim: int) -> Dataset:
+    """``dataset`` holding columns and sizes that passed the checks."""
+    object.__setattr__(dataset, "instances", columns)
+    object.__setattr__(dataset, "num_classes", num_classes)
+    object.__setattr__(dataset, "feature_dim", feature_dim)
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -136,6 +293,7 @@ class FoldAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
+        object.__setattr__(self, "fold_of", string_keys(self.fold_of, "fold_of key"))
 
 
 def fnv1a64(data: bytes) -> int:
@@ -191,8 +349,8 @@ def assign_folds(dataset: Dataset, num_folds: int, seed: int) -> FoldAssignment:
         )
     rng = random.Random(seed)
     by_label: dict[int, list[str]] = {}
-    for inst in dataset.instances:
-        by_label.setdefault(inst.label, []).append(inst.id)
+    for inst_id, label in zip(dataset.ids(), dataset.label_array().tolist()):
+        by_label.setdefault(label, []).append(inst_id)
     fold_of: dict[str, int] = {}
     next_fold = 0
     for label in sorted(by_label):
@@ -218,51 +376,96 @@ def load_dataset(
     ``feature_dim`` for the hashing featurizer.  ``num_classes`` is
     inferred as ``max(label) + 1`` unless given explicitly, in which case
     labels are validated against it.
+
+    Records are appended to the columns field by field; the rules of
+    :class:`Dataset` then run once per column.  An error names the first
+    faulty record as reading record by record would: a fault of a record
+    alone by its line, one across records (a repeated id, a width unlike
+    the first record's, a label out of range) by the instance.
     """
     if format not in ("jsonl_features", "jsonl_text"):
         raise ValidationError(f"unknown dataset format {format!r}")
     if format == "jsonl_text" and feature_dim is None:
         raise ValidationError("jsonl_text requires an explicit feature_dim")
+    ids: list[str] = []
+    lines, labels, flags, flagged, features = array("q"), array("q"), array("q"), array("b"), array("d")
+    width = wrong_width = None
 
     @decoder("dataset record")
-    def decode(record) -> Instance:
+    def append(record) -> None:
+        """Append a record's fields, each read by its JSON type, to the
+        columns; its id goes last, so the records with an id are whole."""
+        nonlocal width, wrong_width
         if not isinstance(record, dict):
             raise ValidationError("record must be a JSON object")
         if format == "jsonl_text":
-            features = hash_featurize(typed(record["text"], str, "text"), feature_dim)
+            row = hash_featurize(typed(record["text"], str, "text"), feature_dim)
         else:
-            features = numbers(record["features"], "features")
-            if not features.size:
+            row = number_list(record["features"], "features")
+            if not row:
                 raise ValidationError("'features' is empty")
         inst_id, label = typed(record["id"], str, "id"), typed(record["label"], int, "label")
         difficulty = typed(record.get("difficulty"), _DIFFICULTY, "difficulty")
-        # Instance checks the label sign, finite features and the difficulty flag.
-        return Instance(inst_id, features, label, difficulty)
+        if width is None:
+            width = len(row)
+        if len(row) != width:  # a fault across records; its own faults still count first
+            wrong_width = wrong_width or (len(ids), len(row))
+            row = [0.0 if all(map(math.isfinite, row)) else math.nan] * width
+        labels.append(label)  # OverflowError beyond int64
+        flags.append(0 if difficulty is None else difficulty)
+        flagged.append(difficulty is not None)
+        if format == "jsonl_text":
+            features.frombytes(row.tobytes())
+        else:
+            features.extend(row)
+        ids.append(inst_id)
 
-    instances = read_jsonl(path, decode)
-    if not instances:
+    def checked_rows() -> InstanceColumns:
+        n = len(ids)
+        matrix = np.frombuffer(features, count=n * (width or 0)).reshape(n, width or 0)
+        read = InstanceColumns(
+            ids, matrix, np.frombuffer(labels, np.int64, n), np.frombuffer(flags, np.int64, n)
+        )
+        has_flag = np.frombuffer(flagged, np.int8, n) != 0
+        read = _check_rows(lambda row: f"{path}: line {lines[row]}: ", read, has_flag)
+        flag_column = np.where(has_flag, read.difficulty, NO_DIFFICULTY)
+        return InstanceColumns(read.ids, read.features, read.labels, flag_column)
+
+    try:
+        for line_no, record in iter_jsonl(path):
+            lines.append(line_no)
+            try:
+                append(record)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {line_no}: {exc}") from None
+    except ValidationError:
+        checked_rows()  # a fault in an earlier record comes first
+        raise
+    if not ids:
         raise ValidationError(f"{path}: empty dataset")
+    columns = checked_rows()
     if num_classes is None:
-        num_classes = max(inst.label for inst in instances) + 1
+        num_classes = int(columns.labels.max()) + 1
     if feature_dim is None:
-        feature_dim = instances[0].features.shape[0]
-    try:  # Dataset checks ids, dims and labels across records
-        return Dataset(tuple(instances), num_classes=num_classes, feature_dim=feature_dim)
+        feature_dim = width
+    try:
+        checked = _check_shared(columns, num_classes, feature_dim, wrong_width)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def _record(inst: Instance) -> dict:
-    record = {
-        "id": inst.id,
-        "label": int(inst.label),
-        "features": [float(x) for x in inst.features],
-    }
-    if inst.difficulty is not None:
-        record["difficulty"] = int(inst.difficulty)
-    return record
+    return _store(object.__new__(Dataset), *checked)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset as jsonl_features; round-trips feature values exactly."""
-    write_jsonl(path, map(_record, dataset.instances))
+    """Write a dataset as jsonl_features, record by record from its
+    columns; round-trips feature values exactly."""
+    columns = dataset.instances
+
+    def records():
+        rows = zip(columns.ids, columns.labels.tolist(), columns.features, columns.difficulty.tolist())
+        for inst_id, label, features, flag in rows:
+            record = {"id": inst_id, "label": label, "features": features.tolist()}
+            if flag != NO_DIFFICULTY:
+                record["difficulty"] = flag
+            yield record
+
+    write_jsonl(path, records())

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
-from .errors import ValidationError, boolean, integer
+from .errors import ValidationError, boolean, integer, string_keys
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_NUM_FOLDS = 8
@@ -32,11 +32,12 @@ class DifficultyReport:
     seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = {inst_id: integer(d, "labels", 0, 1) for inst_id, d in self.labels.items()}
+        labels = string_keys(self.labels, "labels key")
+        labels = {inst_id: integer(d, "labels", 0, 1) for inst_id, d in labels.items()}
         object.__setattr__(self, "labels", labels)
         per_seed_correct = {
             inst_id: [boolean(outcome, "per_seed_correct") for outcome in outcomes]
-            for inst_id, outcomes in self.per_seed_correct.items()
+            for inst_id, outcomes in string_keys(self.per_seed_correct, "per_seed_correct key").items()
         }
         object.__setattr__(self, "per_seed_correct", per_seed_correct)
         object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
@@ -84,7 +85,8 @@ def label_difficulty(
         raise ValidationError("difficulty labeling requires dar_weight = 0")
 
     folds = assign_folds(dataset, num_folds, base_config.seed)
-    fold = np.array([folds.fold_of[inst.id] for inst in dataset.instances])
+    ids = dataset.ids()
+    fold = np.array([folds.fold_of[inst_id] for inst_id in ids])
     X, y = dataset.feature_matrix(), dataset.label_array()
     heldout = [np.flatnonzero(fold == k) for k in range(num_folds)]
     train_rows = [np.flatnonzero(fold != k) for k in range(num_folds)]
@@ -98,9 +100,7 @@ def label_difficulty(
         )
         for (model, _), rows in zip(trained, heldout):
             correct[rows, seed_index] = predict_batch(model, X[rows]).argmax(axis=1) == y[rows]
-    per_seed_correct = {
-        inst.id: outcomes for inst, outcomes in zip(dataset.instances, correct.tolist())
-    }
+    per_seed_correct = dict(zip(ids, correct.tolist()))
 
     labels = {
         inst_id: 0 if all(outcomes) else 1

@@ -5,7 +5,7 @@ boolean, how it is stored, and how a wrong one is reported."""
 import contextlib
 import numbers
 import reprlib
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +68,15 @@ def string(value, name: str) -> str:
     if isinstance(value, str):
         return str(value)
     raise _refuse(name, "a string", value)
+
+
+def string_keys(mapping: Mapping, name: str) -> dict:
+    """``mapping`` as a dict whose keys :func:`string` read, in its column
+    form: a refusal names the first key that is not a string."""
+    keys, refusal = column(tuple(mapping), string, name)
+    if refusal is not None:
+        raise ValidationError(refusal)
+    return dict(zip(keys, mapping.values()))
 
 
 def boolean(value, name: str) -> bool:

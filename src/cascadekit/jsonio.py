@@ -1,11 +1,12 @@
 """The on-disk format and the error rule of every cascadekit artifact.
 
 JSON documents are written with sorted keys, a 2-space indent and a
-trailing newline; JSONL files hold one sorted-key object per line.  The
-readers hand each parsed document or JSONL record to a ``decode``
-function and report invalid JSON, and any ``ValidationError`` or
-``NumericError`` it raises, with ``<path>:`` (plus ``line N:`` for JSONL)
-in front, so a malformed file always names itself.
+trailing newline; JSONL files hold one sorted-key object per line.
+:func:`read_json` hands the parsed document to a ``decode`` function and
+reports invalid JSON, and any ``ValidationError`` or ``NumericError`` it
+raises, with ``<path>:`` in front; :func:`iter_jsonl` yields each JSONL
+record with its line number, which the JSONL loaders put in front of a
+record's fault, so a malformed file always names itself.
 
 Fields are read by their type hints under one rule (:func:`typed`): an
 ``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
@@ -196,14 +197,3 @@ def iter_jsonl(path) -> Iterator[tuple[int, object]]:
                 yield line_no, record
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def read_jsonl(path, decode: Callable) -> list:
-    """Decode every non-blank line, in file order."""
-    out = []
-    for line_no, record in iter_jsonl(path):
-        try:
-            out.append(decode(record))
-        except (ValidationError, NumericError) as exc:
-            raise type(exc)(f"{path}: line {line_no}: {exc}") from None
-    return out

@@ -2,14 +2,15 @@
 
 Both generators attach ground-truth difficulty flags to the instances they
 plant as hard, so experiments can score confidence-difficulty ranking
-against a known reference instead of a labeling heuristic.
+against a known reference instead of a labeling heuristic.  Each writes
+its draws, one instance at a time, straight into the dataset's columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, Instance
+from .dataset import Dataset, InstanceColumns
 from .errors import integer
 
 # planted_hard_task
@@ -45,32 +46,24 @@ def planted_hard_task(num_instances: int, seed: int, id_prefix: str = "inst") ->
     num_instances = integer(num_instances, "num_instances", low=1)
     rng = np.random.default_rng(integer(seed, "seed", low=0))
     num_hard = int(round(num_instances * HARD_FRACTION))
-    instances = []
+    hard = np.arange(num_instances) < num_hard
+    features = np.empty((num_instances, 3))
+    labels = np.empty(num_instances, dtype=np.int64)
     for i in range(num_instances):
-        hard = i < num_hard
-        label = int(rng.integers(0, 2))
-        if hard:
+        label = labels[i] = int(rng.integers(0, 2))
+        if hard[i]:
             center = SEPARATION / 2.0
             marker_mean = MARKER_OFFSET
         else:
             center = (SEPARATION / 2.0) if label == 1 else (-SEPARATION / 2.0)
             marker_mean = MARKER_CLASS_PULL * (2 * label - 1)
-        features = np.array(
-            [
-                center + PLANTED_NOISE * rng.standard_normal(),
-                PLANTED_NOISE * rng.standard_normal(),
-                marker_mean + MARKER_NOISE * rng.standard_normal(),
-            ]
+        features[i] = (
+            center + PLANTED_NOISE * rng.standard_normal(),
+            PLANTED_NOISE * rng.standard_normal(),
+            marker_mean + MARKER_NOISE * rng.standard_normal(),
         )
-        instances.append(
-            Instance(
-                id=f"{id_prefix}{i:05d}",
-                features=features,
-                label=label,
-                difficulty=1 if hard else 0,
-            )
-        )
-    return Dataset(tuple(instances), num_classes=2, feature_dim=3)
+    columns = InstanceColumns(_ids(id_prefix, num_instances), features, labels, hard)
+    return Dataset(columns, num_classes=2, feature_dim=3)
 
 
 def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Dataset:
@@ -85,35 +78,28 @@ def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Datas
     num_instances = integer(num_instances, "num_instances", low=1)
     rng = np.random.default_rng(integer(seed, "seed", low=0))
     num_easy = int(round(num_instances * EASY_FRACTION))
-    instances = []
+    features = np.empty((num_instances, 2))
+    labels = np.empty(num_instances, dtype=np.int64)
     for i in range(num_instances):
         if i < num_easy:
             label = int(rng.integers(0, 2))
-            features = np.array(
-                [
-                    (EASY_OFFSET if label == 1 else -EASY_OFFSET)
-                    + TIERED_NOISE * rng.standard_normal(),
-                    TIERED_NOISE * rng.standard_normal(),
-                ]
+            features[i] = (
+                (EASY_OFFSET if label == 1 else -EASY_OFFSET) + TIERED_NOISE * rng.standard_normal(),
+                TIERED_NOISE * rng.standard_normal(),
             )
-            difficulty = 0
         else:
             sx = 1 if rng.integers(0, 2) else -1
             sy = 1 if rng.integers(0, 2) else -1
             label = 1 if sx * sy > 0 else 0
-            features = np.array(
-                [
-                    sx * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
-                    sy * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
-                ]
+            features[i] = (
+                sx * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
+                sy * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
             )
-            difficulty = 1
-        instances.append(
-            Instance(
-                id=f"{id_prefix}{i:05d}",
-                features=features,
-                label=label,
-                difficulty=difficulty,
-            )
-        )
-    return Dataset(tuple(instances), num_classes=2, feature_dim=2)
+        labels[i] = label
+    difficulty = np.arange(num_instances) >= num_easy
+    columns = InstanceColumns(_ids(id_prefix, num_instances), features, labels, difficulty)
+    return Dataset(columns, num_classes=2, feature_dim=2)
+
+
+def _ids(id_prefix: str, num_instances: int) -> list[str]:
+    return [f"{id_prefix}{i:05d}" for i in range(num_instances)]

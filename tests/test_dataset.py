@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -14,9 +15,13 @@ from cascadekit import (
     assign_folds,
     hash_featurize,
     load_dataset,
+    planted_hard_task,
     save_dataset,
+    tiered_task,
 )
-from cascadekit.dataset import _token_hash, fnv1a64
+from cascadekit.dataset import InstanceColumns, _token_hash, fnv1a64
+from cascadekit.errors import integer
+from cascadekit.jsonio import decoder, iter_jsonl, numbers, typed
 
 # Published FNV-1a 64 test vectors (empty input is the offset basis).
 KNOWN_HASHES = {
@@ -443,3 +448,292 @@ def test_load_infers_and_checks_num_classes(tmp_path):
     assert load_dataset(path).num_classes == 4
     with pytest.raises(ValidationError, match="out of range"):
         load_dataset(path, num_classes=2)
+
+
+# --- columns against the per-record code they replaced -------------------------------------
+#
+# The oracles are the per-record loader (decode a record, build its
+# Instance, then check the instances together) and the per-instance
+# Dataset checks.  Every columnar path must accept what they accept, with
+# the same columns bit for bit, and refuse what they refuse, with the same
+# message.
+
+
+def oracle_dataset(instances, num_classes, feature_dim):
+    """The per-instance Dataset checks: the sizes, then each instance's id,
+    width and label in order."""
+    num_classes = integer(num_classes, "num_classes", low=1)
+    feature_dim = integer(feature_dim, "feature_dim", low=1)
+    seen = set()
+    for inst in instances:
+        if inst.id in seen:
+            raise ValidationError(f"duplicate instance id {inst.id!r}")
+        seen.add(inst.id)
+        if inst.features.shape[0] != feature_dim:
+            raise ValidationError(
+                f"instance {inst.id!r}: expected {feature_dim} features, got {inst.features.shape[0]}"
+            )
+        if inst.label >= num_classes:
+            raise ValidationError(
+                f"instance {inst.id!r}: label {inst.label} out of range for {num_classes} classes"
+            )
+    return tuple(instances), num_classes, feature_dim
+
+
+def oracle_load(path, format="jsonl_features", *, feature_dim=None, num_classes=None):
+    """The per-record loader: decode each record, build its Instance, then
+    check the instances as a Dataset."""
+
+    @decoder("dataset record")
+    def decode(record):
+        if not isinstance(record, dict):
+            raise ValidationError("record must be a JSON object")
+        if format == "jsonl_text":
+            features = hash_featurize(typed(record["text"], str, "text"), feature_dim)
+        else:
+            features = numbers(record["features"], "features")
+            if not features.size:
+                raise ValidationError("'features' is empty")
+        inst_id, label = typed(record["id"], str, "id"), typed(record["label"], int, "label")
+        difficulty = typed(record.get("difficulty"), int | None, "difficulty")
+        return Instance(inst_id, features, label, difficulty)
+
+    instances = []
+    for line_no, record in iter_jsonl(path):
+        try:
+            instances.append(decode(record))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {line_no}: {exc}") from None
+    if not instances:
+        raise ValidationError(f"{path}: empty dataset")
+    if num_classes is None:
+        num_classes = max(inst.label for inst in instances) + 1
+    if feature_dim is None:
+        feature_dim = instances[0].features.shape[0]
+    try:
+        return oracle_dataset(instances, num_classes, feature_dim)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def assert_same(got, want):
+    """A Dataset against the oracle's (instances, num_classes, feature_dim),
+    or the same refusal."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    instances, num_classes, feature_dim = want
+    assert (got.num_classes, got.feature_dim) == (num_classes, feature_dim)
+    assert got.ids() == [inst.id for inst in instances]
+    assert got.label_array().tolist() == [inst.label for inst in instances]
+    assert [inst.difficulty for inst in got.instances] == [inst.difficulty for inst in instances]
+    want_matrix = np.array([inst.features for inst in instances]).reshape(len(instances), feature_dim)
+    assert got.feature_matrix().shape == want_matrix.shape
+    assert got.feature_matrix().tobytes() == want_matrix.tobytes()
+    for row, inst in zip(got.instances, instances, strict=True):
+        assert (row.id, row.label, row.difficulty) == (inst.id, inst.label, inst.difficulty)
+        assert row.features.tobytes() == inst.features.tobytes()
+
+
+FEATURE_VALUES = [math.nan, math.inf, -math.inf, 2**1100, 2**60 + 1, -0.0, 1e-310, "x", True, None, [1.0]]
+# Labels and flags stay within 64 bits: beyond them the columns refuse a
+# record as malformed, where the per-record loader took a huge label.
+FIELD_VALUES = ["x", [], {}, None, math.nan, True, 1, 0, -1, 2, 2.5, "1", 2**40]
+FIELDS = ["id", "label", "features", "text", "difficulty"]
+
+
+def _record(rng, k, dim, text, flagged):
+    record = {"id": f"r{k}", "label": int(rng.integers(0, 3))}
+    if text:
+        words = rng.choice(["good", "bad", "Movie", "ok", "\u3000"], size=int(rng.integers(0, 6)))
+        record["text"] = " ".join(words)
+    else:
+        record["features"] = rng.normal(size=dim).tolist()
+    if flagged:
+        record["difficulty"] = int(rng.integers(0, 2))
+    return record
+
+
+def _edit_record(records, record, rng, data):
+    """One edit of one field; an edit that no longer applies does nothing."""
+    kind = data.draw(st.sampled_from(["replace", "drop", "feature", "width", "label", "flag", "id"]))
+    try:
+        if kind == "replace":
+            record[data.draw(st.sampled_from(FIELDS))] = data.draw(st.sampled_from(FIELD_VALUES))
+        elif kind == "drop":
+            del record[data.draw(st.sampled_from(FIELDS))]
+        elif kind == "feature":
+            features = record["features"]
+            features[int(rng.integers(len(features)))] = data.draw(st.sampled_from(FEATURE_VALUES))
+        elif kind == "width":
+            features = record["features"]
+            record["features"] = features + [0.5] if data.draw(st.booleans()) else features[:-1]
+        elif kind == "label":
+            record["label"] = data.draw(st.sampled_from([-1, -2, 3, 7]))
+        elif kind == "flag":
+            record["difficulty"] = data.draw(st.sampled_from([-1, 2, None, 1.0]))
+        else:
+            record["id"] = records[int(rng.integers(len(records)))]["id"]
+    except (TypeError, KeyError, IndexError, ValueError):
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_columns_load_what_per_record_loading_loads(seed, data, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    text = data.draw(st.booleans(), label="text")
+    dim = data.draw(st.integers(1, 4), label="dim")
+    flagged = data.draw(st.sampled_from([True, False, None]), label="flags")
+    records = [
+        _record(rng, k, dim, text, flagged if flagged is not None else bool(rng.integers(0, 2)))
+        for k in range(data.draw(st.integers(1, 6)))
+    ]
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        _edit_record(records, records[int(rng.integers(len(records)))], rng, data)
+    lines = [json.dumps(r) for r in records]
+    if data.draw(st.booleans(), label="odd line"):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "{broken", "[1, 2]", "null", "\ufeff"])))
+    path = tmp_path_factory.mktemp("load") / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    options = {
+        "format": "jsonl_text" if text else "jsonl_features",
+        "feature_dim": data.draw(st.sampled_from([8, 3] if text else [None, dim, dim + 1, 0]), label="dim option"),
+        "num_classes": data.draw(st.sampled_from([None, 2, 3, 8]), label="classes"),
+    }
+    assert_same(outcome(load_dataset, path, **options), outcome(oracle_load, path, **options))
+
+
+def _instances(rng, data, n, dim):
+    instances = []
+    for k in range(n):
+        width = dim if data.draw(st.integers(0, 5)) else dim + 1
+        inst_id = f"i{k}" if data.draw(st.integers(0, 5)) else f"i{int(rng.integers(0, n))}"
+        flag = data.draw(st.sampled_from([None, 0, 1]))
+        instances.append(Instance(inst_id, rng.normal(size=width), int(rng.integers(0, 4)), flag))
+    return instances
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_columns_build_and_slice_what_per_instance_datasets_do(seed, data):
+    rng = np.random.default_rng(seed)
+    dim = data.draw(st.integers(1, 3), label="dim")
+    instances = _instances(rng, data, data.draw(st.integers(0, 6), label="n"), dim)
+    num_classes = data.draw(st.sampled_from([2, 4]), label="classes")
+    built = outcome(Dataset, instances, num_classes, dim)
+    assert_same(built, outcome(oracle_dataset, instances, num_classes, dim))
+    if isinstance(built, str):
+        return
+    positions = st.integers(-len(instances), len(instances) - 1)
+    indices = data.draw(st.lists(positions, max_size=6)) if instances else []
+    assert_same(
+        outcome(built.subset, indices),
+        outcome(oracle_dataset, [instances[i] for i in indices], num_classes, dim),
+    )
+    values = st.sampled_from([0, 1, np.int64(1), None, 2, True, 1.0])
+    flags = {inst.id: data.draw(values) for inst in instances}
+
+    def oracle_with_difficulty():
+        for inst in instances:
+            if inst.id not in flags:
+                raise ValidationError(f"difficulty map misses id {inst.id!r}")
+        merged = [Instance(inst.id, inst.features, inst.label, flags[inst.id]) for inst in instances]
+        return oracle_dataset(merged, num_classes, dim)
+
+    assert_same(outcome(built.with_difficulty, flags), outcome(oracle_with_difficulty))
+
+
+def test_columns_are_read_only_and_rows_are_views():
+    ds = make_dataset(5, num_classes=3, dim=4, difficulty=[0, 1, 0, 1, 1])
+    for columnar in (ds, ds.subset([3, 1]), ds.with_difficulty({i: 0 for i in ds.ids()})):
+        rows = list(columnar.instances)
+        for array, stacked in (
+            (columnar.feature_matrix(), np.stack([inst.features for inst in rows])),
+            (columnar.label_array(), np.array([inst.label for inst in rows])),
+            (columnar.difficulty_array(), np.array([inst.difficulty for inst in rows])),
+        ):
+            assert not array.flags.writeable
+            assert array.dtype == stacked.dtype and np.array_equal(array, stacked)
+        with pytest.raises(ValueError):
+            columnar.feature_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rows[0].features[0] = 1.0
+        assert rows[0].features.base is not None  # a view of the matrix, not a copy
+    # Rows are built on demand and not kept.
+    assert ds.instances[0] is not ds.instances[0]
+    assert [inst.id for inst in ds.instances[1:4:2]] == ["i1", "i3"]
+    assert ds.instances[-1].id == "i4"
+    with pytest.raises(IndexError):
+        ds.instances[5]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda path: load_dataset(path),
+        lambda path: load_dataset(path, format="jsonl_text", feature_dim=4),
+        lambda path: tiered_task(20, seed=1),
+        lambda path: planted_hard_task(20, seed=1),
+        lambda path: make_dataset(6).subset([4, 1]),
+        lambda path: make_dataset(6).with_difficulty({f"i{k}": 1 for k in range(6)}),
+    ],
+    ids=["load", "load-text", "tiered", "planted", "subset", "with-difficulty"],
+)
+def test_a_dataset_holds_columns_not_instances(tmp_path, build):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": "a", "label": 0, "features": [1.0, 2.0, 0.5, 0.0], "text": "good"}\n')
+    ds = build(path)
+    columns = ds.instances
+    assert type(columns) is InstanceColumns
+    held = gc.get_referents(ds) + gc.get_referents(columns) + gc.get_referents(columns.ids)
+    assert not [x for x in held if isinstance(x, Instance)]
+    assert all(type(x) is str for x in gc.get_referents(columns.ids))
+
+
+@pytest.mark.parametrize(
+    "widths, faults, feature_dim",
+    [
+        ([2, 3, 2], {}, None),
+        ([2, 3, 2], {}, 3),
+        ([3, 2, 2], {}, 2),
+        ([2, 2, 3], {"dup": 1}, None),
+        ([2, 3, 2], {"dup": 2}, None),
+        ([2, 3, 2], {"label": 0}, 2),
+        ([2, 3, 2], {"nan": 1}, None),
+        ([2, 3, 2], {"nan": 2, "flag": 1}, None),
+        ([2, 1, 3], {"negative": 2}, None),
+    ],
+)
+def test_a_width_unlike_the_first_records_is_named_as_per_record_loading_names_it(
+    tmp_path, widths, faults, feature_dim
+):
+    lines = []
+    for k, width in enumerate(widths):
+        record = {"id": f"r{k}", "label": 1, "features": [0.5] * width, "difficulty": 0}
+        if faults.get("dup") == k:
+            record["id"] = "r0"
+        if faults.get("label") == k:
+            record["label"] = 5
+        if faults.get("negative") == k:
+            record["label"] = -1
+        if faults.get("nan") == k:
+            record["features"][-1] = math.nan
+        if faults.get("flag") == k:
+            record["difficulty"] = 3
+        lines.append(json.dumps(record))
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    options = {"feature_dim": feature_dim, "num_classes": 2}
+    want = outcome(oracle_load, path, **options)
+    assert isinstance(want, str)
+    assert outcome(load_dataset, path, **options) == want

@@ -45,7 +45,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
-from cascadekit.jsonio import decoder, numbers, read_jsonl, typed
+from cascadekit.jsonio import decoder, iter_jsonl, numbers, typed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,8 +117,19 @@ def oracle_record(payload):
     return OracleTrace(instance_id, exit_stage, distribution, conf, costs, total)
 
 
+def oracle_read_jsonl(path, decode):
+    """Decode record by record, naming the line of the first bad one."""
+    out = []
+    for line_no, record in iter_jsonl(path):
+        try:
+            out.append(decode(record))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {line_no}: {exc}") from None
+    return out
+
+
 def oracle_load(path):
-    return read_jsonl(path, oracle_record)
+    return oracle_read_jsonl(path, oracle_record)
 
 
 def oracle_scored(traces, dataset, difficulty=None):

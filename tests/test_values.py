@@ -185,6 +185,22 @@ REJECTED = [
         "trace 1: instance_id must be a string, got 1",
     ),
     (
+        # Distinct row objects are each read; a set of the rows would hide True behind 1.
+        "table-cost-distinct-rows",
+        lambda: TraceTable(("a", "b", "c"), [0, 0, 0], [[1.0]] * 3, ((1,), (1,), (True,)), (1, 1, 1)),
+        "trace 'c': executed_costs must be an integer, got True",
+    ),
+    (
+        "table-cost-row",
+        lambda: TraceTable(("a",), [0], [[1.0]], (2,), (2,)),
+        "trace 'a': executed_costs must be a sequence of integers, got 2",
+    ),
+    (
+        "trace-cost-row",
+        lambda: ExitTrace("a", 0, ClassDistribution(np.array([1.0])), 1.0, 2, 2),
+        "executed_costs must be a sequence of integers, got 2",
+    ),
+    (
         "report-count",
         lambda: _report(num_instances=2.5, exit_histogram=(1, 1.5)),
         "num_instances must be an integer, got 2.5",
@@ -215,6 +231,17 @@ REJECTED = [
     ("scored-confidence", lambda: ScoredInstance("0.5", 1, 1), "confidence must be a number, got '0.5'"),
     ("scored-confidence-bool", lambda: ScoredInstance(True, 1, 1), "confidence must be a number, got True"),
     ("fold-assignment", lambda: FoldAssignment(2.5, {}), "num_folds must be an integer, got 2.5"),
+    ("fold-key", lambda: FoldAssignment(2, {"a": 0, 1: 1}), "fold_of key must be a string, got 1"),
+    (
+        "report-label-key",
+        lambda: DifficultyReport({1: 0}, {1: [True]}, 2, (7,)),
+        "labels key must be a string, got 1",
+    ),
+    (
+        "report-outcome-key",
+        lambda: DifficultyReport({"1": 0}, {1: [True]}, 2, (7,)),
+        "per_seed_correct key must be a string, got 1",
+    ),
     (
         "gradient-check",
         lambda: GradientCheckResult(0.0, 2.5, False),
@@ -664,6 +691,14 @@ def test_numpy_bools_and_strings_round_trip(tmp_path):
     assert [type(o) for v in report.per_seed_correct.values() for o in v] == [bool, bool]
     save_report(report, tmp_path / "report.json")
     assert load_report(tmp_path / "report.json") == report
+
+    # Keys are read by the string rule: an int key used to save as "1" and load as a report unequal to it.
+    keyed = DifficultyReport({np.str_("a"): 1}, {np.str_("a"): [False]}, 2, (7,))
+    assert [type(k) for k in [*keyed.labels, *keyed.per_seed_correct]] == [str, str]
+    save_report(keyed, tmp_path / "keyed.json")
+    assert load_report(tmp_path / "keyed.json") == keyed
+    folds = FoldAssignment(2, {np.str_("a"): 0})
+    assert folds == FoldAssignment(2, {"a": 0}) and type(next(iter(folds.fold_of))) is str
 
     dataset = Dataset((Instance(np.str_("a"), np.zeros(2), 0),), 1, 2)
     assert type(dataset.instances[0].id) is str
