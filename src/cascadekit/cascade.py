@@ -28,7 +28,7 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError, column, integer, real, string
+from .errors import ValidationError, column, first_fault, integer, real, refused_at, string, unchecked
 from .jsonio import (
     decoder,
     iter_jsonl,
@@ -231,18 +231,8 @@ def _store(table: TraceTable, probs, ids, stages, costs, totals) -> TraceTable:
 def _trace_row(instance_id, exit_stage, probs, conf, executed_costs, total_cost) -> ExitTrace:
     """A table row as an :class:`ExitTrace`, made without running the
     ``__post_init__`` checks: the table ran the same ones on construction."""
-    distribution = object.__new__(ClassDistribution)
-    distribution.__dict__["probs"] = probs
-    trace = object.__new__(ExitTrace)
-    trace.__dict__.update(
-        instance_id=instance_id,
-        exit_stage=exit_stage,
-        distribution=distribution,
-        confidence=conf,
-        executed_costs=executed_costs,
-        total_cost=total_cost,
-    )
-    return trace
+    distribution = unchecked(ClassDistribution, probs)
+    return unchecked(ExitTrace, instance_id, exit_stage, distribution, conf, executed_costs, total_cost)
 
 
 def _first_difference(a: list, b: list) -> int | None:
@@ -261,39 +251,28 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     costs.  ``probs`` may hold more rows than the other columns, and those
     may be shorter: a load stopped by a bad record checks what it has read.
     """
-    found = []  # (row, check order, reason)
     with np.errstate(all="ignore"):  # NaN and inf rows fail the range check first
-        distribution_checks = (
-            (((probs >= 0) & (probs <= 1)).all(axis=1), "probabilities must lie in [0, 1]"),
-            (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9, "probabilities must sum to 1"),
-        )
-    for order, (ok, reason) in enumerate(distribution_checks):
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            found.append((int(bad[0]), order, reason))
+        faults = [
+            (~((probs >= 0) & (probs <= 1)).all(axis=1), "probabilities must lie in [0, 1]"),
+            (~(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9), "probabilities must sum to 1"),
+        ]
     names = ("instance_id", "exit_stage", "total_cost")
     read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
-    found += [(len(done), order, why) for order, (done, why) in enumerate(read, 2) if why]
+    faults += [(refused_at(done, why), why) for done, why in read]
     (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
     costs, refusal = _cost_rows(executed_costs)
-    if refusal is not None:
-        found.append((len(costs), 5, refusal))
+    faults.append((refused_at(costs, refusal), refusal))
     whole = min(len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
         # initial: rows of no classes fail the sum check, which comes first.
         largest = probs[:whole].max(axis=1, initial=-np.inf)
-        bad = np.flatnonzero(np.asarray(confidences[:whole]) != largest)
-        if bad.size:
-            found.append((int(bad[0]), 6, _NOT_MAX.format(confidences[bad[0]])))
+        bad = np.asarray(confidences[:whole]) != largest
+        faults.append((bad, lambda row: _NOT_MAX.format(confidences[row])))
     # A row that ran no stage has no exit stage to match.
     covered = [len(row) - 1 if row else None for row in costs[:whole]]
-    covered = _first_difference(list(stages[:whole]), covered)
-    summed = _first_difference(list(totals[:whole]), list(map(sum, costs[:whole])))
-    found += [(covered, 7, _NOT_COVERED)] if covered is not None else []
-    found += [(summed, 8, _NOT_SUMMED)] if summed is not None else []
-    if found:
-        row, _, reason = min(found)
-        raise ValidationError(where(row) + reason)
+    faults.append((_first_difference(list(stages[:whole]), covered), _NOT_COVERED))
+    faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
+    first_fault(where, faults)
     return tuple(ids), tuple(stages), costs, tuple(totals)
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, column, integer, string, string_keys
+from .errors import ValidationError, column, first_fault, integer, real, refused_at, string, unchecked
+from .errors import string_keys
 from .jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -35,7 +36,8 @@ NO_DIFFICULTY = -1  # the difficulty column's entry for an instance without a fl
 
 @dataclass(frozen=True)
 class Instance:
-    """A single example: dense feature vector, gold label, optional difficulty flag."""
+    """A single example: dense feature vector, gold label, optional difficulty
+    flag; one row of :class:`InstanceColumns`, checked by their rules."""
 
     id: str
     features: np.ndarray
@@ -43,28 +45,23 @@ class Instance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "id", string(self.id, "id"))
-        # C order: a strided row can change the bits of a model's product.
-        features = np.asarray(self.features, dtype=np.float64, order="C")
-        object.__setattr__(self, "features", features)
-        if features.ndim != 1:
+        if np.ndim(self.features) != 1:
+            string(self.id, "id")  # a wrong id is named first
             raise ValidationError(f"instance {self.id!r}: features must be a flat vector")
-        # count_nonzero: on short vectors, .all() costs twice as much per instance.
-        if np.count_nonzero(np.isfinite(features)) != features.size:
-            raise ValidationError(f"instance {self.id!r}: features must be finite")
-        try:  # the id goes into the message only on failure
-            object.__setattr__(self, "label", integer(self.label, "label", low=0))
-            if self.difficulty is not None:
-                object.__setattr__(self, "difficulty", integer(self.difficulty, "difficulty", 0, 1))
-        except ValidationError as exc:
-            raise ValidationError(f"instance {self.id!r}: {exc}") from None
+        features = self.features[None] if isinstance(self.features, np.ndarray) else [self.features]
+        flag, missing = (NO_DIFFICULTY,) * 2 if self.difficulty is None else (self.difficulty, None)
+        row = InstanceColumns((self.id,), features, [self.label], [flag])
+        self.__dict__.update(vars(_check_rows(lambda _: "", row, missing)[0]))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class InstanceColumns(Sequence):
-    """Instances as read-only columns: ``ids``, an (N, d) float64
-    ``features`` matrix, int64 ``labels`` and int64 ``difficulty`` flags
-    (``NO_DIFFICULTY`` where an instance has none).
+    """Instances as columns: ``ids``, an (N, d) ``features`` matrix,
+    ``labels`` and ``difficulty`` flags (``NO_DIFFICULTY`` where an
+    instance has none).  They are kept as given; a :class:`Dataset` holds
+    them read by the rules of :class:`Instance`, as a tuple of strings, a
+    float64 matrix and int64 columns, all read-only.  Two are equal when
+    their columns are.
 
     Indexing or iterating builds each row's :class:`Instance` on demand,
     its ``features`` a read-only view of the matrix, and keeps none; a
@@ -77,12 +74,11 @@ class InstanceColumns(Sequence):
     labels: np.ndarray
     difficulty: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
-        for name, dtype in (("features", np.float64), ("labels", np.int64), ("difficulty", np.int64)):
-            values = np.asarray(getattr(self, name), dtype=dtype, order="C")
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+    def __eq__(self, other) -> bool:
+        if type(other) is not InstanceColumns:
+            return NotImplemented
+        arrays = [(columns.features, columns.labels, columns.difficulty) for columns in (self, other)]
+        return tuple(self.ids) == tuple(other.ids) and all(map(np.array_equal, *arrays))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -103,10 +99,7 @@ class InstanceColumns(Sequence):
 def _row(inst_id: str, features: np.ndarray, label: int, flag: int) -> Instance:
     """A row of :class:`InstanceColumns` as an :class:`Instance`, made
     without running the ``__post_init__`` checks."""
-    row = object.__new__(Instance)
-    difficulty = None if flag == NO_DIFFICULTY else flag
-    row.__dict__.update(id=inst_id, features=features, label=label, difficulty=difficulty)
-    return row
+    return unchecked(Instance, inst_id, features, label, None if flag == NO_DIFFICULTY else flag)
 
 
 @dataclass(frozen=True)
@@ -160,13 +153,9 @@ class Dataset:
         # Positions as a tuple reads them: negative ones count from the end.
         rows = list(map(range(len(self)).__getitem__, indices))
         columns = self.instances
-        picked = InstanceColumns(
-            map(columns.ids.__getitem__, rows),
-            columns.features[rows],
-            columns.labels[rows],
-            columns.difficulty[rows],
-        )
-        return Dataset(picked, self.num_classes, self.feature_dim)
+        ids = tuple(map(columns.ids.__getitem__, rows))
+        picked = (columns.features[rows], columns.labels[rows], columns.difficulty[rows])
+        return Dataset(InstanceColumns(ids, *picked), self.num_classes, self.feature_dim)
 
     def with_difficulty(self, labels: Mapping[str, int]) -> "Dataset":
         """Copy of this dataset with difficulty flags merged in from a full id map."""
@@ -194,50 +183,47 @@ def _columns_of(instances: tuple[Instance, ...]) -> tuple[InstanceColumns, tuple
     wrong_width = next(((row, w) for row, w in enumerate(widths) if w != width), None)
     features = [inst.features if w == width else np.zeros(width) for inst, w in zip(instances, widths)]
     flags = [NO_DIFFICULTY if inst.difficulty is None else inst.difficulty for inst in instances]
-    columns = InstanceColumns(
-        [inst.id for inst in instances],
-        np.stack(features) if features else np.zeros((0, 0)),
-        [inst.label for inst in instances],
-        flags,
-    )
-    return columns, wrong_width
+    matrix = np.stack(features) if features else np.zeros((0, 0))
+    ids, labels = [inst.id for inst in instances], [inst.label for inst in instances]
+    return InstanceColumns(ids, matrix, labels, flags), wrong_width
 
 
-def _worded(value: int, name: str, low: int, high: int | None = None) -> str:
-    """The integer rule's refusal of ``value``."""
-    try:
-        integer(value, name, low, high)
-    except ValidationError as exc:
-        return str(exc)
-    raise AssertionError(f"{name} {value} passes the rule")
-
-
-def _check_rows(where, columns: InstanceColumns, flagged: np.ndarray | None = None) -> InstanceColumns:
-    """``columns``, their ids read by the string rule, if every row obeys the
-    rules of an :class:`Instance` alone: a string id, finite features, a
-    label >= 0, and a difficulty flag in {0, 1} where ``flagged`` says it
-    has one (by default, where the column holds a flag); else
-    ``ValidationError(where(row) + reason)`` for the first row that does
-    not, with the first of these rules it breaks."""
-    ids, refusal = column(columns.ids, string, "id")
-    features, labels, flags = columns.features, columns.labels, columns.difficulty
-    if flagged is None:
-        flagged = flags != NO_DIFFICULTY
-    faulty = (~np.isfinite(features).all(axis=1), labels < 0, flagged & (flags != 0) & (flags != 1))
-    found = [(len(ids), 0)] if refusal else []
-    for order, rows in enumerate(map(np.flatnonzero, faulty), 1):
-        if rows.size:
-            found.append((int(rows[0]), order))
-    if found:
-        row, order = min(found)
-        reasons = (
-            lambda: refusal,
-            lambda: f"instance {ids[row]!r}: features must be finite",
-            lambda: f"instance {ids[row]!r}: {_worded(int(labels[row]), 'label', 0)}",
-            lambda: f"instance {ids[row]!r}: {_worded(int(flags[row]), 'difficulty', 0, 1)}",
-        )
-        raise ValidationError(where(row) + reasons[order]())
-    return columns if ids is columns.ids else InstanceColumns(ids, features, labels, flags)
+def _check_rows(where, columns: InstanceColumns, missing: int | None = NO_DIFFICULTY) -> InstanceColumns:
+    """``columns`` read by the value rule (ids as a tuple, features as a
+    float64 matrix, labels and flags as read), if they are of one length
+    and every row obeys the rules of an :class:`Instance` alone: a string
+    id, real and finite features, a label >= 0 and a difficulty flag in
+    {0, 1}, or ``missing`` for none; else ``ValidationError(where(row) +
+    reason)`` for the first row that does not, with the first of these
+    rules it breaks."""
+    ids, features, labels, flags = columns.ids, columns.features, columns.labels, columns.difficulty
+    ids = tuple(ids)
+    if not isinstance(features, np.ndarray):
+        features = np.asarray(features, dtype=object)  # keeps each value's type for the rule
+    if features.ndim != 2 or len({len(ids), len(features), len(labels), len(flags)}) != 1:
+        raise ValidationError("instance columns must be of one length, the features a matrix")
+    ids, id_refusal = column(ids, string, "id")
+    flat, feature_refusal = column(features.reshape(-1), real, "features")
+    labels, label_refusal = column(labels, integer, "label", 0)
+    flags, flag_refusal = column(flags, integer, "difficulty", 0, 1, missing=missing)
+    width = features.shape[1]
+    rows = len(flat) // width if width else len(features)  # the rows read whole
+    if not isinstance(flat, np.ndarray):  # read value by value
+        features = np.reshape(flat[: rows * width], (rows, width))
+    # C order: a strided row can change the bits of a model's product.
+    matrix = np.asarray(features, dtype=np.float64, order="C")
+    matrix.flags.writeable = False
+    def named(reason):
+        return lambda row: f"instance {ids[row]!r}: {reason}"
+    faults = [
+        (refused_at(ids, id_refusal), id_refusal),
+        (None if feature_refusal is None else rows, named(feature_refusal)),
+        (~np.isfinite(matrix).all(axis=1), named("features must be finite")),
+        (refused_at(labels, label_refusal), named(label_refusal)),
+        (refused_at(flags, flag_refusal), named(flag_refusal)),
+    ]
+    first_fault(where, faults)
+    return InstanceColumns(tuple(ids), matrix, labels, flags)
 
 
 def _check_shared(
@@ -251,29 +237,24 @@ def _check_shared(
     order."""
     num_classes = integer(num_classes, "num_classes", low=1)
     feature_dim = integer(feature_dim, "feature_dim", low=1)
-    ids, labels = columns.ids, columns.labels
-    found = []
+    ids, labels, flags = columns.ids, np.asarray(columns.labels, np.int64), columns.difficulty
+    duplicate = None
     if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for row, inst_id in enumerate(ids):
-            if inst_id in seen:
-                found.append((row, 0, f"duplicate instance id {inst_id!r}"))
-                break
-            seen.add(inst_id)
+        first: dict[str, int] = {}
+        duplicate = next(row for row, inst_id in enumerate(ids) if first.setdefault(inst_id, row) != row)
     width = columns.features.shape[1]
-    widths = [(0, width)] if ids and width != feature_dim else []
-    for row, w in widths + ([wrong_width] if wrong_width else []):
-        found.append((row, 1, f"instance {ids[row]!r}: expected {feature_dim} features, got {w}"))
-    over = np.flatnonzero(labels >= num_classes)
-    if over.size:
-        row = int(over[0])
-        reason = f"instance {ids[row]!r}: label {labels[row]} out of range for {num_classes} classes"
-        found.append((row, 2, reason))
-    if found:
-        raise ValidationError(min(found)[2])
-    if not ids:  # no row sets the matrix width
-        columns = InstanceColumns((), np.zeros((0, feature_dim)), labels, columns.difficulty)
-    return columns, num_classes, feature_dim
+    wrong_width = (0, width) if ids and width != feature_dim else wrong_width
+    wrong_row, got = wrong_width or (None, None)
+    first_fault(lambda _: "", [
+        (duplicate, lambda row: f"duplicate instance id {ids[row]!r}"),
+        (wrong_row, lambda row: f"instance {ids[row]!r}: expected {feature_dim} features, got {got}"),
+        (labels >= num_classes, lambda row: f"instance {ids[row]!r}: label {labels[row]} out of range "
+         f"for {num_classes} classes"),
+    ])
+    flags = np.asarray(flags, np.int64)
+    labels.flags.writeable = flags.flags.writeable = False
+    features = columns.features if ids else np.zeros((0, feature_dim))  # no row sets the width
+    return InstanceColumns(ids, features, labels, flags), num_classes, feature_dim
 
 
 def _store(dataset: Dataset, columns: InstanceColumns, num_classes: int, feature_dim: int) -> Dataset:
@@ -423,11 +404,9 @@ def load_dataset(
     def checked_rows() -> InstanceColumns:
         n = len(ids)
         matrix = np.frombuffer(features, count=n * (width or 0)).reshape(n, width or 0)
-        read = InstanceColumns(
-            ids, matrix, np.frombuffer(labels, np.int64, n), np.frombuffer(flags, np.int64, n)
-        )
+        read = InstanceColumns(ids, matrix, *(np.frombuffer(c, np.int64, n) for c in (labels, flags)))
+        read = _check_rows(lambda row: f"{path}: line {lines[row]}: ", read, missing=None)
         has_flag = np.frombuffer(flagged, np.int8, n) != 0
-        read = _check_rows(lambda row: f"{path}: line {lines[row]}: ", read, has_flag)
         flag_column = np.where(has_flag, read.difficulty, NO_DIFFICULTY)
         return InstanceColumns(read.ids, read.features, read.labels, flag_column)
 

@@ -33,25 +33,66 @@ def integer(value, name: str, low: int | None = None, high: int | None = None) -
     raise _refuse(name, f"an integer{bounds}", value)
 
 
-def column(values: Sequence, rule, name: str) -> tuple[Sequence, str | None]:
-    """The column form of :func:`integer` (without bounds) or
-    :func:`string`: ``values`` read one by one by ``rule`` up to the first
-    it refuses, and that refusal, worded as ``rule`` words it (None when
-    every value was read).
+def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, str | None]:
+    """The column form of :func:`integer` (with its bounds), :func:`real`
+    or :func:`string`: ``values`` read one by one by ``rule`` up to the
+    first it refuses, and that refusal, worded as ``rule`` words it (None
+    when every value was read).  A value ``rule`` reads as ``missing`` (when
+    given) stands for no value and is kept, whatever the bounds.
 
-    A column whose values all have the one type ``rule`` stores is returned
-    as it is, after a look at the set of their types alone; a set of the
-    values would hide ``True`` behind ``1``.
+    A column whose values the rule stores as they are is returned as it is,
+    after one look at its dtype (an ndarray) or at the set of its values'
+    types (a set of the values would hide ``True`` behind ``1``), and one
+    at its bounds.  An ndarray of another dtype is read by the Python
+    values of its flattened entries.
     """
-    if set(map(type, values)) <= _STORED[rule]:
-        return values, None
+    array = isinstance(values, np.ndarray)
+    if (values.dtype.kind in _KINDS[rule] if array else set(map(type, values)) <= _STORED[rule]):
+        if not bounds or _within(np.asarray(values), *bounds, missing):
+            return values, None
     read = []
-    for value in values:
+    for value in values.ravel().tolist() if array else values:
         try:
-            read.append(rule(value, name))
+            with contextlib.suppress(ValidationError):
+                if missing is not None and rule(value, name) == missing:
+                    read.append(missing)
+                    continue
+            read.append(rule(value, name, *bounds))
         except ValidationError as exc:
             return read, str(exc)
     return read, None
+
+
+def _within(values: np.ndarray, low, high=None, missing=None) -> bool:
+    values = values if missing is None else values[values != missing]
+    return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
+
+
+def first_fault(where, faults) -> None:
+    """Raise ``ValidationError(where(row) + reason)`` for the first faulty
+    row and, of its faults, the first in ``faults``: ``(rows, reason)``
+    pairs in check order, where ``rows`` is a boolean mask of the faulty
+    rows, or the first of them (None for none), and ``reason`` a string or
+    a function of the row."""
+    rows = [(m.argmax() if m.any() else None) if isinstance(m, np.ndarray) else m for m, _ in faults]
+    found = [(row, order) for order, row in enumerate(rows) if row is not None]
+    if found:
+        row, order = min(found)
+        reason = faults[order][1]
+        raise ValidationError(where(row) + (reason(row) if callable(reason) else reason))
+
+
+def unchecked(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values``, made without running
+    ``__post_init__``: a row of a table that ran the same checks."""
+    row = object.__new__(cls)
+    row.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return row
+
+
+def refused_at(read: Sequence, refusal: str | None) -> int | None:
+    """The row of a :func:`column` refusal, or None."""
+    return None if refusal is None else len(read)
 
 
 def real(value, name: str) -> float:
@@ -86,4 +127,5 @@ def boolean(value, name: str) -> bool:
     raise _refuse(name, "a boolean", value)
 
 
-_STORED = {integer: frozenset({int}), string: frozenset({str})}
+_STORED = {integer: frozenset({int}), real: frozenset({float}), string: frozenset({str})}
+_KINDS = {integer: "i", real: "iuf", string: ""}  # dtypes kept as they are; a uint64 may not fit

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, column, first_fault, integer, real, refused_at, unchecked
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
@@ -29,7 +29,8 @@ SWEEP_CSV_FIELDS = ("tau", "speedup", "accuracy", "dis", "ece")
 
 @dataclass(frozen=True)
 class ScoredInstance:
-    """One prediction reduced to what the metrics need."""
+    """One prediction reduced to what the metrics need: one row of a
+    :class:`ScoredTable`, checked by the table's rules."""
 
     confidence: float
     predicted_label: int
@@ -37,13 +38,10 @@ class ScoredInstance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        for name in ("predicted_label", "gold_label"):
-            object.__setattr__(self, name, integer(getattr(self, name), name, low=0))
-        if self.difficulty is not None:
-            object.__setattr__(self, "difficulty", integer(self.difficulty, "difficulty", 0, 1))
+        flag, missing = (-1, -1) if self.difficulty is None else (self.difficulty, None)
+        row = [self.confidence], [self.predicted_label], [self.gold_label], [flag]
+        conf, predicted, gold, flags = _checked_scores(lambda _: "", *row, missing=missing)
+        self.__dict__.update(vars(_scored_row(float(conf[0]), predicted[0], gold[0], flags[0])))
 
     @property
     def correct(self) -> bool:
@@ -85,8 +83,8 @@ class ScoredTable(Sequence):
 
     ``difficulty`` is -1 where an instance has no label (all -1 when None).
     Construction checks the rules of :class:`ScoredInstance` once per
-    column.  The table is also a ``Sequence[ScoredInstance]``: indexing or
-    iterating builds one per row on demand, and a slice is a table.
+    column, naming the first faulty row.  As a ``Sequence[ScoredInstance]``,
+    indexing or iterating builds one per row on demand; a slice is a table.
     """
 
     confidence: np.ndarray
@@ -95,29 +93,11 @@ class ScoredTable(Sequence):
     difficulty: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        conf = np.asarray(self.confidence, dtype=np.float64)
-        difficulty = np.full(conf.shape, -1) if self.difficulty is None else self.difficulty
-        columns = {
-            "confidence": conf,
-            "predicted_label": np.asarray(self.predicted_label),
-            "gold_label": np.asarray(self.gold_label),
-            "difficulty": np.asarray(difficulty),
-        }
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
-        if {c.shape for c in columns.values()} != {conf.shape} or conf.ndim != 1:
-            raise ValidationError("scored columns must be flat and of one length")
-        for name in ("predicted_label", "gold_label", "difficulty"):
-            dtype = columns[name].dtype
-            if not np.issubdtype(dtype, np.integer):
-                raise ValidationError(f"{name} must hold integers, got dtype {dtype}")
-        outside = np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0)))  # NaN fails too
-        if outside.size:
-            raise ValidationError(f"confidence {conf[outside[0]]} outside [0, 1]")
-        if (self.predicted_label < 0).any() or (self.gold_label < 0).any():
-            raise ValidationError("labels must be non-negative")
-        if not np.isin(self.difficulty, (-1, 0, 1)).all():
-            raise ValidationError("difficulty must be 0, 1, or -1 (no label)")
+        flags = np.full(np.shape(self.confidence), -1) if self.difficulty is None else self.difficulty
+        columns = (self.confidence, self.predicted_label, self.gold_label, flags)
+        conf, *labels = _checked_scores(lambda row: f"row {row}: ", *columns)
+        labels = [np.asarray(c, np.int64) for c in labels]
+        self.__dict__.update(zip(self.__dataclass_fields__, (conf, *labels)))
 
     @property
     def correct(self) -> np.ndarray:
@@ -127,24 +107,45 @@ class ScoredTable(Sequence):
         return len(self.confidence)
 
     def __getitem__(self, index):
+        columns = (self.confidence, self.predicted_label, self.gold_label, self.difficulty)
         if isinstance(index, slice):
-            return ScoredTable(
-                self.confidence[index],
-                self.predicted_label[index],
-                self.gold_label[index],
-                self.difficulty[index],
-            )
+            return ScoredTable(*(column[index] for column in columns))
         i = range(len(self))[index]
-        d = int(self.difficulty[i])
-        return ScoredInstance(
-            float(self.confidence[i]),
-            int(self.predicted_label[i]),
-            int(self.gold_label[i]),
-            None if d < 0 else d,
-        )
+        return _scored_row(*(column[i].item() for column in columns))
 
     def __iter__(self) -> Iterator[ScoredInstance]:
         return map(self.__getitem__, range(len(self)))
+
+
+def _checked_scores(where, *columns, missing: int | None = -1) -> tuple:
+    """The columns of a :class:`ScoredTable` read by the value rule, if they
+    are flat and of one length and every row obeys the rules of a
+    :class:`ScoredInstance`: a real confidence in [0, 1], integer labels
+    >= 0 and a difficulty flag in {0, 1}, or ``missing`` for none; else
+    ``ValidationError(where(row) + reason)`` for the first row that does
+    not, with the first of these rules it breaks."""
+    columns = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object) for c in columns]
+    if {c.ndim for c in columns} != {1} or len({len(c) for c in columns}) != 1:
+        raise ValidationError("scored columns must be flat and of one length")
+    conf, conf_refusal = column(columns[0], real, "confidence")
+    predicted, predicted_refusal = column(columns[1], integer, "predicted_label", 0)
+    gold, gold_refusal = column(columns[2], integer, "gold_label", 0)
+    flags, flag_refusal = column(columns[3], integer, "difficulty", 0, 1, missing=missing)
+    conf = np.asarray(conf, dtype=np.float64)
+    first_fault(where, [  # NaN fails the range check
+        (refused_at(conf, conf_refusal), conf_refusal),
+        (~((conf >= 0.0) & (conf <= 1.0)), lambda row: f"confidence {conf[row]} outside [0, 1]"),
+        (refused_at(predicted, predicted_refusal), predicted_refusal),
+        (refused_at(gold, gold_refusal), gold_refusal),
+        (refused_at(flags, flag_refusal), flag_refusal),
+    ])
+    return conf, predicted, gold, flags
+
+
+def _scored_row(confidence: float, predicted: int, gold: int, flag: int) -> ScoredInstance:
+    """A :class:`ScoredTable` row as a :class:`ScoredInstance`, made without
+    running the ``__post_init__`` checks: the table ran the same ones."""
+    return unchecked(ScoredInstance, confidence, predicted, gold, None if flag == -1 else flag)
 
 
 def _scored(scored: Sequence[ScoredInstance], op: str) -> ScoredTable:
@@ -263,7 +264,6 @@ def scored_from_traces(
                 raise ValidationError(f"no difficulty label for instance {inst_id!r}")
             d = difficulty[inst_id]
             flags.append(-1 if d is None else integer(d, "difficulty", 0, 1))
-        flags = np.array(flags, dtype=np.int64)
     return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
 

@@ -62,7 +62,7 @@ def planted_hard_task(num_instances: int, seed: int, id_prefix: str = "inst") ->
             PLANTED_NOISE * rng.standard_normal(),
             marker_mean + MARKER_NOISE * rng.standard_normal(),
         )
-    columns = InstanceColumns(_ids(id_prefix, num_instances), features, labels, hard)
+    columns = InstanceColumns(_ids(id_prefix, num_instances), features, labels, hard.astype(np.int64))
     return Dataset(columns, num_classes=2, feature_dim=3)
 
 
@@ -96,7 +96,7 @@ def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Datas
                 sy * XOR_OFFSET + TIERED_NOISE * rng.standard_normal(),
             )
         labels[i] = label
-    difficulty = np.arange(num_instances) >= num_easy
+    difficulty = (np.arange(num_instances) >= num_easy).astype(np.int64)
     columns = InstanceColumns(_ids(id_prefix, num_instances), features, labels, difficulty)
     return Dataset(columns, num_classes=2, feature_dim=2)
 

@@ -737,3 +737,74 @@ def test_a_width_unlike_the_first_records_is_named_as_per_record_loading_names_i
     want = outcome(oracle_load, path, **options)
     assert isinstance(want, str)
     assert outcome(load_dataset, path, **options) == want
+
+
+# --- a dataset is its rows: one instance rule -------------------------------------------
+
+
+def _no_flag(value):
+    """Whether ``value`` is the difficulty column's integer for no flag."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value == -1
+
+
+@st.composite
+def instance_columns(draw):
+    """Columns of 1-5 rows whose values mix Python and numpy numbers,
+    strings, bools and None.  A row is right in every field unless it
+    draws faults (one row in four, one or two faults); a fault-free column
+    may come as an ndarray."""
+    width = draw(st.integers(1, 3))
+    ids, features, labels, flags, seen = [], [], [], [], set()
+    for k in range(draw(st.integers(1, 5))):
+        faults = set()
+        if draw(st.integers(0, 3)) == 0:
+            faults = draw(st.sets(st.sampled_from(["id", "feature", "label", "flag"]), min_size=1, max_size=2))
+        ids.append(draw(st.sampled_from([k, None, b"r"] if "id" in faults else [f"r{k}", np.str_(f"r{k}")])))
+        row = [draw(st.sampled_from([0.5, 1, np.float32(2.0), np.int64(3), -0.0])) for _ in range(width)]
+        if "feature" in faults:
+            wrong = ["1.5", True, None, math.nan, math.inf, 2**1100, np.bool_(True), 1 + 0j]
+            row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(wrong))
+        features.append(row)
+        right_labels, wrong_labels = [0, 1, np.int64(1), np.int32(0)], [-1, 1.5, True, "1", np.float64(1.0)]
+        labels.append(draw(st.sampled_from(wrong_labels if "label" in faults else right_labels)))
+        right_flags, wrong_flags = [0, 1, -1, np.int64(-1), np.int8(1)], [2, True, 1.0, -1.0, "0", np.bool_(False)]
+        flags.append(draw(st.sampled_from(wrong_flags if "flag" in faults else right_flags)))
+        seen |= faults
+    columns = [ids, features, labels, flags]
+    for at, (fault, dtype) in enumerate([("feature", np.float64), ("label", np.int64), ("flag", np.int64)], 1):
+        if fault not in seen and draw(st.booleans()):
+            columns[at] = np.array(columns[at], dtype=dtype)
+    return columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=instance_columns())
+def test_a_dataset_builds_exactly_when_each_row_builds_alone(columns):
+    ids, features, labels, flags = columns
+
+    def alone(k):
+        return outcome(Instance, ids[k], features[k], labels[k], None if _no_flag(flags[k]) else flags[k])
+
+    rows = [alone(k) for k in range(len(ids))]
+    width = len(features[0])
+    built = outcome(Dataset, InstanceColumns(ids, features, labels, flags), 2, width)
+    faulty = [row for row in rows if isinstance(row, str)]
+    if faulty:
+        assert built == faulty[0]  # a Dataset names the row as the Instance does
+        return
+    assert_same(built, (rows, 2, width))
+
+
+def test_equal_columns_make_equal_datasets(tmp_path):
+    # Dataset equality used to compare the InstanceColumns objects by
+    # identity, so a dataset never equalled its own save/load round trip.
+    original = tiered_task(50, 0)
+    save_dataset(original, tmp_path / "d.jsonl")
+    loaded = load_dataset(tmp_path / "d.jsonl")
+    assert loaded == original and load_dataset(tmp_path / "d.jsonl") == loaded
+    columns = original.instances
+    labels = columns.labels.copy()
+    labels[7] = 1 - labels[7]
+    relabeled = Dataset(InstanceColumns(columns.ids, columns.features, labels, columns.difficulty), 2, 2)
+    assert relabeled != original and relabeled == relabeled.subset(range(50))
+    assert original != tiered_task(50, 0, id_prefix="other")

@@ -251,13 +251,86 @@ def test_scored_instance_keeps_numpy_integers_as_python_ints():
 
 
 @pytest.mark.parametrize(
-    "predicted, gold, difficulty, name",
-    [([1.5, True], [1.5, 1], None, "predicted_label"), ([1, 1], [True, False], None, "gold_label"),
-     ([1, 0], [1, 1], [1.0, 0.0], "difficulty"), ([1, 0], [1, 1], [True, False], "difficulty")],
+    "predicted, gold, difficulty, message",
+    [([1.5, True], [1.5, 1], None, "row 0: predicted_label must be an integer >= 0, got 1.5"),
+     ([1, 1], [True, False], None, "row 0: gold_label must be an integer >= 0, got True"),
+     ([1, 0], [1, 1], [1.0, 0.0], "row 0: difficulty must be an integer in [0, 1], got 1.0"),
+     ([1, 0], [1, 1], [True, False], "row 0: difficulty must be an integer in [0, 1], got True"),
+     (np.array([True, False]), [1, 1], None, "row 0: predicted_label must be an integer >= 0, got True"),
+     ([1, 0], np.array([1.0, 2.5]), None, "row 0: gold_label must be an integer >= 0, got 1.0"),
+     ([1, 0], [1, 1], np.array([0, 2]), "row 1: difficulty must be an integer in [0, 1], got 2")],
 )
-def test_scored_table_rejects_non_integer_columns(predicted, gold, difficulty, name):
-    with pytest.raises(ValidationError, match=f"{name} must hold integers"):
+def test_scored_table_rejects_non_integer_columns(predicted, gold, difficulty, message):
+    # The table's refusals name the row, in the words its ScoredInstance
+    # uses; a bool column used to read "must hold integers, got dtype bool".
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ScoredTable([0.5, 0.5], predicted, gold, difficulty)
+
+
+# --- a table is its rows: one scored rule ------------------------------------------------
+
+
+def _no_flag(value):
+    """Whether ``value`` is the table's integer for no difficulty label."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value == -1
+
+
+SCORED_VALUES = {  # field: (right values, wrong values)
+    "confidence": ([0.5, 1, 0, np.float32(0.25), np.float64(1.0)],
+                   ["0.5", True, None, 1.5, -0.1, float("nan"), np.bool_(True), 1 + 0j]),
+    "predicted_label": ([0, 1, np.int64(2), np.int32(0)], [-1, 1.5, True, "1", np.float64(1.0)]),
+    "gold_label": ([0, 1, np.int64(2), np.uint8(1)], [-2, 2.5, False, None, np.bool_(True)]),
+    "difficulty": ([0, 1, -1, np.int64(-1), np.int8(1)], [2, True, 1.0, -1.0, "0", np.bool_(False)]),
+}
+
+
+@st.composite
+def scored_columns(draw):
+    """Columns of 1-5 rows mixing Python and numpy values; a row is right
+    in every field unless it draws faults (one row in four, one or two
+    faults), and a fault-free column may come as an ndarray (the
+    difficulty column also as None)."""
+    columns, seen = {name: [] for name in SCORED_VALUES}, set()
+    for _ in range(draw(st.integers(1, 5))):
+        faults = set()
+        if draw(st.integers(0, 3)) == 0:
+            faults = draw(st.sets(st.sampled_from(list(SCORED_VALUES)), min_size=1, max_size=2))
+        seen |= faults
+        for name, (right, wrong) in SCORED_VALUES.items():
+            columns[name].append(draw(st.sampled_from(wrong if name in faults else right)))
+    for name, dtype in zip(SCORED_VALUES, (np.float64, np.int64, np.int64, np.int64)):
+        if name not in seen and draw(st.booleans()):
+            columns[name] = np.array(columns[name], dtype=dtype)
+    if "difficulty" not in seen and draw(st.booleans()):
+        columns["difficulty"] = None
+    return list(columns.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=scored_columns())
+def test_a_scored_table_builds_exactly_when_each_row_builds_alone(columns):
+    conf, predicted, gold, flags = columns
+    flags = [-1] * len(conf) if flags is None else flags
+
+    def alone(k):
+        try:
+            return ScoredInstance(conf[k], predicted[k], gold[k], None if _no_flag(flags[k]) else flags[k])
+        except ValidationError as exc:
+            return str(exc)
+
+    rows = [alone(k) for k in range(len(conf))]
+    try:
+        table = ScoredTable(*columns)
+    except ValidationError as exc:
+        table = str(exc)
+    faulty = [k for k, row in enumerate(rows) if isinstance(row, str)]
+    if faulty:
+        assert table == f"row {faulty[0]}: {rows[faulty[0]]}"
+        return
+    assert list(table) == rows
+    assert [type(v) for row in table for v in vars(row).values()] == [
+        type(v) for row in rows for v in vars(row).values()
+    ]
 
 
 # --- trace pairing / evaluate ------------------------------------------------------

@@ -38,6 +38,7 @@ from cascadekit import (
     NumericError,
     OriginalExits,
     ScoredInstance,
+    ScoredTable,
     StageSpec,
     TraceTable,
     TrainConfig,
@@ -71,6 +72,7 @@ from cascadekit import (
     train,
 )
 from cascadekit.classifier import model_to_dict
+from cascadekit.dataset import InstanceColumns
 
 SOURCES = pathlib.Path(cascadekit.__file__).parent
 
@@ -327,6 +329,38 @@ REJECTED = [
         "num_instances must be an integer >= 1, got 2.5",
     ),
     ("tiered-seed", lambda: tiered_task(10, -1), "seed must be an integer >= 0, got -1"),
+    (
+        # Used to build with features [1.5, 1.0]: the cast read the string and the bool.
+        "instance-features",
+        lambda: Instance("a", ["1.5", True], 0),
+        "instance 'a': features must be a number, got '1.5'",
+    ),
+    (
+        # Used to build with labels [1, 1] and difficulty [1, 0]: the columns were cast unread.
+        "columns-label",
+        lambda: Dataset(InstanceColumns(("a", "b"), [[1.0], [2.0]], [1.5, True], ["1", 0]), 2, 1),
+        "instance 'a': label must be an integer >= 0, got 1.5",
+    ),
+    (
+        "columns-bool-labels",
+        lambda: Dataset(InstanceColumns(("a",), np.ones((1, 1)), np.array([True]), np.array([0])), 2, 1),
+        "instance 'a': label must be an integer >= 0, got True",
+    ),
+    (
+        "columns-flag",
+        lambda: Dataset(InstanceColumns(("a", "b"), np.ones((2, 1)), [0, 1], [0, "1"]), 2, 1),
+        "instance 'b': difficulty must be an integer in [0, 1], got '1'",
+    ),
+    (
+        "scored-table-bool-labels",
+        lambda: ScoredTable(np.array([0.5]), np.array([True]), np.array([1])),
+        "row 0: predicted_label must be an integer >= 0, got True",
+    ),
+    (
+        "scored-table-confidence",
+        lambda: ScoredTable([0.5, 0.25, 0.5, 1.5], [1] * 4, [1] * 4),
+        "row 3: confidence 1.5 outside [0, 1]",
+    ),
 ]
 
 
@@ -439,16 +473,23 @@ def test_the_guard_sees_the_fields_it_should():
     assert {cls for cls, *_ in _numeric_fields()} == set(FIXTURES)
 
 
-# Hand-written tests of a value's type.  jsonio reads JSON by exact JSON
+# Hand-written tests of a value's type or of an array's dtype.  jsonio reads JSON by exact JSON
 # types, a different rule, and is exempt.
 HAND_WRITTEN_TYPE_TEST = re.compile(
     r"is_(integer|real)\(|numbers\.Real|isinstance\([^)]*\b(bool|int|float|str)\b"
-    r"|type\([^)]*\) is (not )?(bool|int|float|str)\b"
+    r"|type\([^)]*\) is (not )?(bool|int|float|str)\b|np\.issubdtype\(|\.dtype\.kind\b"
 )
 
 
 def test_the_guard_sees_string_and_boolean_tests():
-    for line in ("isinstance(value, str)", "if type(x) is not str:", "isinstance(v, (bool, np.bool_))"):
+    lines = (
+        "isinstance(value, str)",
+        "if type(x) is not str:",
+        "isinstance(v, (bool, np.bool_))",
+        "if not np.issubdtype(dtype, np.integer):",
+        "if values.dtype.kind in 'iu':",
+    )
+    for line in lines:
         assert HAND_WRITTEN_TYPE_TEST.search(line), line
 
 
