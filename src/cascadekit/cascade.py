@@ -25,6 +25,7 @@ from .classifier import (
     load_model,
     predict,
     predict_batch,
+    probability_rows,
     save_model,
 )
 from .dataset import Dataset, Instance
@@ -98,6 +99,7 @@ class Cascade:
 
 
 # The rules every trace obeys, checked by _checked_rows alone.
+_NOT_TABLE = "trace columns must be flat (probs a matrix) and of one length"
 _NOT_MAX = "confidence {!r} is not the largest of the probabilities"
 _NOT_COVERED = "executed_costs must cover stages 0..exit_stage, and exit_stage must be >= 0"
 _NOT_SUMMED = "total_cost must equal the sum of executed_costs"
@@ -119,7 +121,7 @@ class ExitTrace:
         object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
         names = ("instance_id", "exit_stage", "executed_costs", "total_cost")
         row = [(getattr(self, name),) for name in names]
-        row = _checked_rows(lambda _: "", self.distribution.probs[None], [self.confidence], *row)
+        _, *row = _checked_rows(lambda _: "", self.distribution.probs[None], [self.confidence], *row)
         for name, (value,) in zip(names, row):
             object.__setattr__(self, name, value)
 
@@ -135,8 +137,8 @@ class TraceTable(Sequence):
     ``probs`` holds each instance's answering distribution (N x C), and
     ``exit_stage``, ``executed_costs`` and ``total_cost`` what it ran.
     Construction checks every row by the rules of :class:`ClassDistribution`
-    and :class:`ExitTrace`, once per column.  The table is also a
-    ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace
+    and :class:`ExitTrace` (``probs`` too by the value rule), once per
+    column.  The table is also a ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace
     on demand (already checked, so it is not checked again), and a slice
     is a table.
     """
@@ -148,17 +150,16 @@ class TraceTable(Sequence):
     total_cost: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=np.float64)
         try:
             ids = tuple(self.ids)
             columns = (ids, self.exit_stage, self.executed_costs, self.total_cost)
-            lengths = {len(probs), *map(len, columns)}
+            lengths = {len(self.probs), *map(len, columns)}
         except TypeError:  # a column that is not a sequence
             lengths = set()
-        if probs.ndim != 2 or len(lengths) != 1:
-            raise ValidationError("trace columns must be flat (probs a matrix) and of one length")
-        checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", probs, None, *columns)
-        _store(self, probs, *checked)
+        if len(lengths) != 1:
+            raise ValidationError(_NOT_TABLE)
+        probs, *checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", self.probs, None, *columns)
+        _store(self, probs.copy(), *checked)  # its own read-only copy of a caller's array
 
     @classmethod
     def from_traces(cls, traces: Sequence[ExitTrace]) -> "TraceTable":
@@ -242,27 +243,23 @@ def _first_difference(a: list, b: list) -> int | None:
 
 
 def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, total_cost):
-    """``ids``, ``exit_stage``, ``executed_costs`` and ``total_cost`` read by
-    the value rule (strings, then integers) if every row obeys the trace
-    rules, else ``ValidationError(where(row) + reason)`` for the first row
-    that does not.  A row's checks run in this order: its distribution (as
-    :class:`ClassDistribution`), the value rule, then, given
+    """The columns read by the value rule (``probs`` as a float64 matrix,
+    strings, then integers) if every row obeys the trace rules, else
+    ``ValidationError(where(row) + reason)`` for the first row that does
+    not.  A row's checks run in this order: its distribution (by
+    :func:`probability_rows`), the value rule, then, given
     ``confidences``, that each is its row's largest probability, then the
     costs.  ``probs`` may hold more rows than the other columns, and those
     may be shorter: a load stopped by a bad record checks what it has read.
     """
-    with np.errstate(all="ignore"):  # NaN and inf rows fail the range check first
-        faults = [
-            (~((probs >= 0) & (probs <= 1)).all(axis=1), "probabilities must lie in [0, 1]"),
-            (~(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9), "probabilities must sum to 1"),
-        ]
+    probs, faults = probability_rows(probs, _NOT_TABLE)
     names = ("instance_id", "exit_stage", "total_cost")
     read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
     faults += [(refused_at(done, why), why) for done, why in read]
     (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
     costs, refusal = _cost_rows(executed_costs)
     faults.append((refused_at(costs, refusal), refusal))
-    whole = min(len(ids), len(stages), len(totals), len(costs))
+    whole = min(len(probs), len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
         # initial: rows of no classes fail the sum check, which comes first.
         largest = probs[:whole].max(axis=1, initial=-np.inf)
@@ -273,7 +270,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     faults.append((_first_difference(list(stages[:whole]), covered), _NOT_COVERED))
     faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
     first_fault(where, faults)
-    return tuple(ids), tuple(stages), costs, tuple(totals)
+    return probs, tuple(ids), tuple(stages), costs, tuple(totals)
 
 
 def _cost_rows(rows) -> tuple[tuple[tuple[int, ...], ...], str | None]:
@@ -429,11 +426,11 @@ def calibrate_threshold(
     candidates = np.unique(np.concatenate([conf.ravel(), [0.0, 1.0]]))
     # Under a shared tau, stage s + 1 runs exactly on the instances whose
     # running max confidence over stages 0..s is <= tau (no strict exit yet),
-    # so each candidate's total cost is an integer count-weighted sum.
-    total = np.full(candidates.shape, n * costs[0], dtype=np.int64)
+    # so each candidate's total cost is a count-weighted sum (float64: int64 wraps around).
+    total = np.full(candidates.shape, float(n * costs[0]))
     running_max = np.maximum.accumulate(conf, axis=0)
     for cost, stage_max in zip(costs[1:], running_max):
-        total += cost * np.searchsorted(np.sort(stage_max), candidates, side="right")
+        total += float(cost) * np.searchsorted(np.sort(stage_max), candidates, side="right")
     measured = cascade.full_model_cost / (total / n)
     best = int(np.argmin(np.abs(measured - target_speedup)))
     if abs(measured[best] - target_speedup) > tolerance * target_speedup:
@@ -472,9 +469,8 @@ def _read_table(records, where) -> TraceTable:
 
     def checked() -> tuple:
         width = len(probs[0]) if probs else 0
-        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)
-        rows = _checked_rows(lambda row: where(lines[row]), matrix, confidences, *columns[2:])
-        return matrix, *rows
+        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)  # JSON numbers
+        return _checked_rows(lambda row: where(lines[row]), matrix, confidences, *columns[2:])
 
     try:
         for line_no, payload in records:

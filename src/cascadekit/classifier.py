@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Instance
-from .errors import NumericError, ValidationError, integer, real
-from .jsonio import decoder, from_fields, numbers, read_json, typed, write_json
+from .errors import NumericError, ValidationError, first_fault, integer, real, real_matrix, unchecked
+from .jsonio import decoder, from_fields, number_list, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
 
@@ -80,26 +80,31 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ClassDistribution:
-    """Normalized class-probability vector."""
+    """Normalized class-probability vector: a checked row of :func:`probability_rows`."""
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1:
-            raise ValidationError("probs must be a flat vector")
-        # Both checks are written so that NaN fails them (min and max carry
-        # a NaN through); on short vectors the two reductions cost a third
-        # of an elementwise test.
-        if probs.size and not (np.minimum.reduce(probs) >= 0 and np.maximum.reduce(probs) <= 1):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-9:
-            raise ValidationError("probabilities must sum to 1")
+        row = self.probs[None] if isinstance(self.probs, np.ndarray) else [self.probs]
+        probs, faults = probability_rows(row, "probs must be a flat vector")
+        first_fault(lambda _: "", faults)
+        object.__setattr__(self, "probs", probs[0])
 
     @property
     def predicted_label(self) -> int:
         return int(self.probs.argmax())
+
+
+def probability_rows(probs, not_matrix: str) -> tuple[np.ndarray, list]:
+    """The rule of a row of class probabilities: ``probs`` (N x C) read by
+    :func:`errors.real_matrix`, and its rows' faults for :func:`errors.first_fault` in
+    check order: not flat or not numbers, outside [0, 1], not summing to 1."""
+    matrix, row, refusal = real_matrix(probs, "probs", not_matrix)
+    with np.errstate(all="ignore"):  # NaN and inf rows fail the range check first
+        in_range = ((matrix >= 0) & (matrix <= 1)).all(axis=1)
+        summed = np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9
+    faults = [(~in_range, "probabilities must lie in [0, 1]"), (~summed, "probabilities must sum to 1")]
+    return matrix, [(row, refusal), *faults]
 
 
 @dataclass
@@ -215,13 +220,14 @@ def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
-    """Class distribution for one instance (softmax over the model logits)."""
+    """Class distribution for one instance (softmax over the model logits), built unchecked:
+    :func:`_probabilities` refuses a non-finite one, and a trace table checks its rows again."""
     if instance.features.shape[0] != model.feature_dim:
         raise ValidationError(
             f"instance {instance.id!r} has {instance.features.shape[0]} features, "
             f"model expects {model.feature_dim}"
         )
-    return ClassDistribution(_probabilities(model, instance.features[None, :])[0])
+    return unchecked(ClassDistribution, _probabilities(model, instance.features[None, :])[0])
 
 
 def confidence(dist: ClassDistribution) -> float:
@@ -572,7 +578,7 @@ def model_from_dict(payload: dict) -> ClassifierModel:
     weights = {}
     for name, entry in payload["weights"].items():
         shape = typed(entry["shape"], tuple[int, ...], f"weights[{name!r}].shape")
-        data = numbers(entry["data"], f"weights[{name!r}].data")
+        data = np.array(number_list(entry["data"], f"weights[{name!r}].data"))
         if data.size != int(np.prod(shape)):
             raise ValidationError(
                 f"weight {name!r}: {data.size} values do not fill shape {shape}"

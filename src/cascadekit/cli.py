@@ -159,11 +159,8 @@ def _load_stage_models(config: PipelineConfig) -> list:
 
 def _build_cascade(config: PipelineConfig) -> Cascade:
     """The trained stages, every exit threshold at 1.0."""
-    models = _load_stage_models(config)
-    stages = tuple(
-        StageSpec(model=model, layer_cost=stage.layer_cost)
-        for model, stage in zip(models, config.stages)
-    )
+    costs = [stage.layer_cost for stage in config.stages]
+    stages = tuple(map(StageSpec, _load_stage_models(config), costs))
     return Cascade(stages, (1.0,) * (len(stages) - 1), config.full_model_cost)
 
 
@@ -186,10 +183,6 @@ def _evaluate(config: PipelineConfig, traces, eval_ds: Dataset, dis_difficulty) 
         positive_class=config.positive_class,
         num_stages=len(config.stages),
     )
-
-
-def _speedup_label(target: float) -> str:
-    return f"{target:g}x"
 
 
 def cmd_train(config: PipelineConfig) -> int:
@@ -265,7 +258,7 @@ def cmd_run(config: PipelineConfig) -> int:
         cascade = Cascade(base.stages, thresholds, config.full_model_cost)
         traces = run_batched(cascade, ids, X)
         report = _evaluate(config, traces, eval_ds, dis_difficulty)
-        label = _speedup_label(target)
+        label = f"{target:g}x"
         traces_path = os.path.join(config.output_dir, f"traces_{label}.jsonl")
         metrics_path = os.path.join(config.output_dir, f"metrics_{label}.json")
         cascade_path = os.path.join(config.output_dir, f"cascade_{label}.json")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, column, first_fault, integer, real, refused_at, string, unchecked
-from .errors import string_keys
+from .errors import ValidationError, column, first_fault, int64_column, integer, real_matrix, refused_at
+from .errors import string, string_keys, unchecked
 from .jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -45,10 +45,8 @@ class Instance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
-        if np.ndim(self.features) != 1:
-            string(self.id, "id")  # a wrong id is named first
-            raise ValidationError(f"instance {self.id!r}: features must be a flat vector")
-        features = self.features[None] if isinstance(self.features, np.ndarray) else [self.features]
+        one_row = isinstance(self.features, np.ndarray) and self.features.ndim == 1
+        features = self.features[None] if one_row else [self.features]  # a row that is not flat is refused
         flag, missing = (NO_DIFFICULTY,) * 2 if self.difficulty is None else (self.difficulty, None)
         row = InstanceColumns((self.id,), features, [self.label], [flag])
         self.__dict__.update(vars(_check_rows(lambda _: "", row, missing)[0]))
@@ -192,32 +190,24 @@ def _check_rows(where, columns: InstanceColumns, missing: int | None = NO_DIFFIC
     """``columns`` read by the value rule (ids as a tuple, features as a
     float64 matrix, labels and flags as read), if they are of one length
     and every row obeys the rules of an :class:`Instance` alone: a string
-    id, real and finite features, a label >= 0 and a difficulty flag in
+    id, real and finite features, a label >= 0 within int64 and a flag in
     {0, 1}, or ``missing`` for none; else ``ValidationError(where(row) +
     reason)`` for the first row that does not, with the first of these
     rules it breaks."""
-    ids, features, labels, flags = columns.ids, columns.features, columns.labels, columns.difficulty
-    ids = tuple(ids)
-    if not isinstance(features, np.ndarray):
-        features = np.asarray(features, dtype=object)  # keeps each value's type for the rule
-    if features.ndim != 2 or len({len(ids), len(features), len(labels), len(flags)}) != 1:
-        raise ValidationError("instance columns must be of one length, the features a matrix")
-    ids, id_refusal = column(ids, string, "id")
-    flat, feature_refusal = column(features.reshape(-1), real, "features")
-    labels, label_refusal = column(labels, integer, "label", 0)
-    flags, flag_refusal = column(flags, integer, "difficulty", 0, 1, missing=missing)
-    width = features.shape[1]
-    rows = len(flat) // width if width else len(features)  # the rows read whole
-    if not isinstance(flat, np.ndarray):  # read value by value
-        features = np.reshape(flat[: rows * width], (rows, width))
-    # C order: a strided row can change the bits of a model's product.
-    matrix = np.asarray(features, dtype=np.float64, order="C")
+    ids, features, labels, flags = tuple(columns.ids), columns.features, columns.labels, columns.difficulty
+    shape = "instance columns must be of one length, the features a matrix"
+    matrix, feature_row, feature_refusal = real_matrix(features, "features", shape)
+    if len({len(ids), len(features), len(labels), len(flags)}) != 1:
+        raise ValidationError(shape)
     matrix.flags.writeable = False
+    ids, id_refusal = column(ids, string, "id")
+    labels, label_refusal = int64_column(labels, "label", 0)
+    flags, flag_refusal = column(flags, integer, "difficulty", 0, 1, missing=missing)
     def named(reason):
         return lambda row: f"instance {ids[row]!r}: {reason}"
     faults = [
         (refused_at(ids, id_refusal), id_refusal),
-        (None if feature_refusal is None else rows, named(feature_refusal)),
+        (feature_row, named(feature_refusal)),
         (~np.isfinite(matrix).all(axis=1), named("features must be finite")),
         (refused_at(labels, label_refusal), named(label_refusal)),
         (refused_at(flags, flag_refusal), named(flag_refusal)),

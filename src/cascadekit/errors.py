@@ -3,6 +3,7 @@ Python API: what counts as an integer, a real number, a string or a
 boolean, how it is stored, and how a wrong one is reported."""
 
 import contextlib
+import itertools
 import numbers
 import reprlib
 from collections.abc import Mapping, Sequence
@@ -61,6 +62,46 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
         except ValidationError as exc:
             return read, str(exc)
     return read, None
+
+
+def int64_column(values, name: str, *bounds, missing=None) -> tuple[Sequence, str | None]:
+    """:func:`column` of :func:`integer` that also refuses a value beyond int64."""
+    read, refusal = column(values, integer, name, *bounds, missing=missing)
+    if len(read) and np.asarray(read).dtype.kind != "i":  # uint64 or object: a value beyond int64
+        row = next(k for k, value in enumerate(read) if not -(2**63) <= value < 2**63)
+        return read[:row], str(_refuse(name, "an integer within int64", read[row]))
+    return read, refusal
+
+
+def _flat_vector(values) -> bool:
+    """Whether ``values`` is a 1-D array or a sequence of scalars."""
+    try:
+        return np.ndim(values) == 1
+    except ValueError:  # a ragged nesting
+        return False
+
+
+def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | None, str | None]:
+    """``rows`` read by :func:`real` in :func:`column` form: the float64
+    matrix (C order) of the rows read whole, and the first refused row and
+    refusal (None, None for none).  An ndarray is read by one look at its
+    dtype, a sequence row by row, refusing a row that is not a flat vector;
+    either must be a matrix, else ``ValidationError(not_matrix)``."""
+    nested = None
+    if isinstance(rows, Sequence):
+        flat = list(itertools.takewhile(_flat_vector, rows))
+        nested = None if len(flat) == len(rows) else f"{name} must be a flat vector"
+        rows = np.array(flat, dtype=object) if flat else np.empty((0, 0))  # keeps each value's type
+    if np.ndim(rows) != 2:
+        raise ValidationError(not_matrix)
+    values, refusal = column(rows.reshape(-1), real, name)
+    width = rows.shape[1]
+    whole = len(values) // width if width else len(rows)  # the rows read whole
+    if not isinstance(values, np.ndarray):  # read value by value
+        rows = np.reshape(values[: whole * width], (whole, width))
+    refusal = refusal or nested
+    # C order: a strided row can change the bits of a model's product.
+    return np.asarray(rows, dtype=np.float64, order="C"), None if refusal is None else whole, refusal
 
 
 def _within(values: np.ndarray, low, high=None, missing=None) -> bool:

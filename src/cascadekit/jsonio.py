@@ -24,8 +24,6 @@ import types
 import typing
 from collections.abc import Callable, Iterable, Iterator
 
-import numpy as np
-
 from .errors import NumericError, ValidationError
 
 # What indexing, converting or iterating a wrong-shaped JSON value raises
@@ -67,21 +65,11 @@ def from_fields(cls, payload, where: str = ""):
     return typed(payload, cls, where)
 
 
-def numbers(value, where: str) -> np.ndarray:
-    """A JSON array of numbers as float64 (``np.asarray`` also takes "1.5" and true)."""
-    _require_numbers(value, where)
-    return np.asarray(value, dtype=np.float64)
-
-
 def number_list(value, where: str) -> list[float]:
-    """A JSON array of numbers as a list of floats, for stacking many rows at once."""
-    _require_numbers(value, where)
-    return list(map(float, value))  # OverflowError, as np.asarray, for an int beyond float
-
-
-def _require_numbers(value, where: str) -> None:
+    """A JSON array of numbers as a list of floats (``np.asarray`` would also take "1.5" and true)."""
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"{where} must be an array of numbers")
+    return list(map(float, value))  # OverflowError for an int beyond float
 
 
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to

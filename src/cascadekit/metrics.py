@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
-from .dataset import Dataset
-from .errors import ValidationError, column, first_fault, integer, real, refused_at, unchecked
+from .dataset import NO_DIFFICULTY, Dataset
+from .errors import ValidationError, column, first_fault, int64_column, integer, real, refused_at, unchecked
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
@@ -38,7 +38,7 @@ class ScoredInstance:
     difficulty: int | None = None
 
     def __post_init__(self) -> None:
-        flag, missing = (-1, -1) if self.difficulty is None else (self.difficulty, None)
+        flag, missing = (NO_DIFFICULTY,) * 2 if self.difficulty is None else (self.difficulty, None)
         row = [self.confidence], [self.predicted_label], [self.gold_label], [flag]
         conf, predicted, gold, flags = _checked_scores(lambda _: "", *row, missing=missing)
         self.__dict__.update(vars(_scored_row(float(conf[0]), predicted[0], gold[0], flags[0])))
@@ -81,7 +81,7 @@ class MetricsReport:
 class ScoredTable(Sequence):
     """Scored predictions as columns, one row per instance: what the metrics read.
 
-    ``difficulty`` is -1 where an instance has no label (all -1 when None).
+    ``difficulty`` is ``NO_DIFFICULTY`` where an instance has no flag (all when None).
     Construction checks the rules of :class:`ScoredInstance` once per
     column, naming the first faulty row.  As a ``Sequence[ScoredInstance]``,
     indexing or iterating builds one per row on demand; a slice is a table.
@@ -93,7 +93,8 @@ class ScoredTable(Sequence):
     difficulty: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        flags = np.full(np.shape(self.confidence), -1) if self.difficulty is None else self.difficulty
+        flags = self.difficulty
+        flags = np.full(np.shape(self.confidence), NO_DIFFICULTY) if flags is None else flags
         columns = (self.confidence, self.predicted_label, self.gold_label, flags)
         conf, *labels = _checked_scores(lambda row: f"row {row}: ", *columns)
         labels = [np.asarray(c, np.int64) for c in labels]
@@ -117,19 +118,19 @@ class ScoredTable(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
-def _checked_scores(where, *columns, missing: int | None = -1) -> tuple:
+def _checked_scores(where, *columns, missing: int | None = NO_DIFFICULTY) -> tuple:
     """The columns of a :class:`ScoredTable` read by the value rule, if they
     are flat and of one length and every row obeys the rules of a
-    :class:`ScoredInstance`: a real confidence in [0, 1], integer labels
-    >= 0 and a difficulty flag in {0, 1}, or ``missing`` for none; else
+    :class:`ScoredInstance`: a real confidence in [0, 1], int64 labels >=
+    0 and a difficulty flag in {0, 1}, or ``missing`` for none; else
     ``ValidationError(where(row) + reason)`` for the first row that does
     not, with the first of these rules it breaks."""
     columns = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object) for c in columns]
     if {c.ndim for c in columns} != {1} or len({len(c) for c in columns}) != 1:
         raise ValidationError("scored columns must be flat and of one length")
     conf, conf_refusal = column(columns[0], real, "confidence")
-    predicted, predicted_refusal = column(columns[1], integer, "predicted_label", 0)
-    gold, gold_refusal = column(columns[2], integer, "gold_label", 0)
+    predicted, predicted_refusal = int64_column(columns[1], "predicted_label", 0)
+    gold, gold_refusal = int64_column(columns[2], "gold_label", 0)
     flags, flag_refusal = column(columns[3], integer, "difficulty", 0, 1, missing=missing)
     conf = np.asarray(conf, dtype=np.float64)
     first_fault(where, [  # NaN fails the range check
@@ -145,7 +146,7 @@ def _checked_scores(where, *columns, missing: int | None = -1) -> tuple:
 def _scored_row(confidence: float, predicted: int, gold: int, flag: int) -> ScoredInstance:
     """A :class:`ScoredTable` row as a :class:`ScoredInstance`, made without
     running the ``__post_init__`` checks: the table ran the same ones."""
-    return unchecked(ScoredInstance, confidence, predicted, gold, None if flag == -1 else flag)
+    return unchecked(ScoredInstance, confidence, predicted, gold, None if flag == NO_DIFFICULTY else flag)
 
 
 def _scored(scored: Sequence[ScoredInstance], op: str) -> ScoredTable:
@@ -158,7 +159,7 @@ def _scored(scored: Sequence[ScoredInstance], op: str) -> ScoredTable:
         np.array([s.confidence for s in scored], dtype=np.float64),
         np.array([s.predicted_label for s in scored]),
         np.array([s.gold_label for s in scored]),
-        np.array([-1 if s.difficulty is None else s.difficulty for s in scored]),
+        np.array([NO_DIFFICULTY if s.difficulty is None else s.difficulty for s in scored]),
     )
 
 
@@ -263,7 +264,7 @@ def scored_from_traces(
             if inst_id not in difficulty:
                 raise ValidationError(f"no difficulty label for instance {inst_id!r}")
             d = difficulty[inst_id]
-            flags.append(-1 if d is None else integer(d, "difficulty", 0, 1))
+            flags.append(NO_DIFFICULTY if d is None else integer(d, "difficulty", 0, 1))
     return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
 

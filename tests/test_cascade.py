@@ -266,6 +266,20 @@ def test_calibration_tolerance_check(tolerance, message):
         calibrate_threshold(two_stage_cascade(), ds, target_speedup=5.99, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("unit", [2**40, 2**62, 2**70], ids=["2^40", "2^62", "2^70"])
+def test_calibration_is_exact_for_costs_beyond_int64(unit):
+    # Costs were summed in int64: per-candidate totals beyond 2**63 wrapped
+    # around (a cascade with layer_cost 2**62 reported "closest -100x") or
+    # raised a raw OverflowError.  Speed-ups do not depend on the cost unit.
+    ds = planted_confidence_dataset([0.9, 0.75, 0.6])
+    scaled = two_stage_cascade(costs=(2 * unit, 10 * unit), full=12 * unit)
+    for target in (1.0, 2.25, 6.0):
+        want = calibrate_threshold(two_stage_cascade(), ds, target_speedup=target)
+        assert calibrate_threshold(scaled, ds, target_speedup=target) == want
+    with pytest.raises(ValidationError, match=r"closest 2\.25x, achievable range \[1x, 6x\]"):
+        calibrate_threshold(scaled, ds, target_speedup=3.0)
+
+
 def test_calibration_measured_matches_requested_within_tolerance():
     rng = np.random.default_rng(0)
     confs = np.clip(rng.uniform(0.5, 1.0, size=400), 0.5, 0.999)

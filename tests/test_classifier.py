@@ -35,6 +35,7 @@ from cascadekit.classifier import (
     _batch_loss_and_grads,
     _init_weights,
     _resolve_pairs,
+    _weight_shapes,
     log_softmax,
     model_from_dict,
     model_to_dict,
@@ -211,6 +212,40 @@ def test_predict_batch_consistent_with_predict():
     P = predict_batch(model, ds.feature_matrix())
     for row, inst in zip(P, ds.instances):
         assert np.array_equal(row, predict(model, inst).probs)
+
+
+@st.composite
+def random_models(draw):
+    """A linear or mlp model of 1 to 64 classes whose weights are drawn at a
+    scale from 1e-3 to 1e3, with a few feature rows for it."""
+    num_classes, feature_dim = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    architecture = draw(st.sampled_from([Architecture("linear"), Architecture("mlp", 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    shapes = _weight_shapes(architecture, feature_dim, num_classes)
+    weights = {name: scale * rng.standard_normal(shape) for name, shape in shapes.items()}
+    model = ClassifierModel(architecture, feature_dim, num_classes, weights, TrainConfig())
+    return model, rng.standard_normal((draw(st.integers(1, 5)), feature_dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_models())
+def test_every_predicted_row_builds_as_a_checked_distribution(drawn):
+    # predict builds its ClassDistribution unchecked; this is why it may.
+    model, X = drawn
+    try:
+        batch = list(predict_batch(model, X))
+    except NumericError:
+        batch = []
+    for k, x in enumerate(X):
+        try:
+            one = predict(model, Instance(f"i{k}", x, 0)).probs
+        except NumericError:
+            continue
+        batch.append(one)
+    for probs in batch:
+        assert np.array_equal(ClassDistribution(probs).probs, probs)
+        assert ClassDistribution(list(probs)).probs.tolist() == probs.tolist()
 
 
 def test_predict_rejects_wrong_dim():

@@ -21,7 +21,7 @@ from cascadekit import (
 )
 from cascadekit.dataset import InstanceColumns, _token_hash, fnv1a64
 from cascadekit.errors import integer
-from cascadekit.jsonio import decoder, iter_jsonl, numbers, typed
+from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed
 
 # Published FNV-1a 64 test vectors (empty input is the offset basis).
 KNOWN_HASHES = {
@@ -491,7 +491,7 @@ def oracle_load(path, format="jsonl_features", *, feature_dim=None, num_classes=
         if format == "jsonl_text":
             features = hash_featurize(typed(record["text"], str, "text"), feature_dim)
         else:
-            features = numbers(record["features"], "features")
+            features = np.array(number_list(record["features"], "features"))
             if not features.size:
                 raise ValidationError("'features' is empty")
         inst_id, label = typed(record["id"], str, "id"), typed(record["label"], int, "label")

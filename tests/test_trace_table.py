@@ -45,7 +45,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
-from cascadekit.jsonio import decoder, iter_jsonl, numbers, typed
+from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,7 +100,7 @@ class OracleTrace:
 @decoder("trace record")
 def oracle_record(payload):
     """The per-record reader, with the checks each trace ran on its own."""
-    distribution = ClassDistribution(numbers(payload["probs"], "probs"))
+    distribution = ClassDistribution(np.array(number_list(payload["probs"], "probs")))
     conf = typed(payload["confidence"], float, "confidence")
     instance_id = typed(payload["instance_id"], str, "instance_id")
     exit_stage = typed(payload["exit_stage"], int, "exit_stage")
@@ -427,23 +427,28 @@ def _integers(value, right):
     return st.sampled_from([float(value), np.float64(value), str(value), value + 0.5, value == 1])
 
 
-TRACE_FAULTS = ["id", "stage", "cost", "total", "distribution", "cover", "sum"]
+TRACE_FAULTS = ["id", "stage", "cost", "total", "distribution", "probs", "cover", "sum"]
 
 
 @st.composite
 def trace_columns(draw):
     """Columns of 1-5 rows whose values mix Python and numpy integers,
     strings, bools and floats.  A row is right in every field unless it
-    draws faults (one row in four, one or two faults)."""
+    draws faults (one row in four, one or two faults, and wrong
+    probabilities in one row in eight); probabilities without a value the
+    rule refuses may come as an ndarray."""
     width = draw(st.integers(1, 3))
     one_hot = [1.0] + [0.0] * (width - 1)
     distributions = [one_hot, one_hot[::-1], [1.0 / width] * width]
     wrong_distributions = [[0.5] * width, [math.nan] * width, ([-1.0, 2.0] + one_hot)[:width]]
     ids, stages, probs, costs, totals = [], [], [], [], []
+    wrong_probs = False
     for k in range(draw(st.integers(1, 5))):
         faults = set()
         if draw(st.integers(0, 3)) == 0:
             faults = draw(st.sets(st.sampled_from(TRACE_FAULTS), min_size=1, max_size=2))
+        if draw(st.integers(0, 7)) == 0:  # wrong probabilities, once more in eight rows
+            faults.add("probs")
         ran = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
         stage = len(ran) - 1
         if "cover" in faults:
@@ -452,14 +457,22 @@ def trace_columns(draw):
         right_ids = [f"r{k}", np.str_(f"r{k}")]
         ids.append(draw(st.sampled_from([k, None, b"r"] if "id" in faults else right_ids)))
         stages.append(draw(_integers(stage, "stage" not in faults)))
-        probs.append(draw(st.sampled_from(
-            wrong_distributions if "distribution" in faults else distributions
-        )))
+        row = list(draw(st.sampled_from(wrong_distributions if "distribution" in faults else distributions)))
+        if "probs" in faults:  # a value the value rule refuses, or the row nested in a list
+            wrong = draw(st.sampled_from(["0.5", True, None, "nested"]))
+            if wrong == "nested":
+                row = [row]
+            else:
+                row[draw(st.integers(0, width - 1))] = wrong
+        wrong_probs |= "probs" in faults
+        probs.append(row)
         row = [draw(_integers(c, True)) for c in ran]
         if "cost" in faults and row:
             row[draw(st.integers(0, len(row) - 1))] = draw(_integers(ran[0], False))
         costs.append(tuple(row) if draw(st.booleans()) else row)
         totals.append(draw(_integers(total, "total" not in faults)))
+    if not wrong_probs and draw(st.booleans()):
+        probs = np.array(probs)
     return ids, stages, probs, costs, totals
 
 
@@ -470,7 +483,7 @@ def test_a_table_builds_exactly_when_each_row_builds_alone(columns, tmp_path_fac
 
     def alone(k):
         try:
-            distribution = ClassDistribution(np.array(probs[k]))
+            distribution = ClassDistribution(probs[k])
             top = confidence(distribution)
             return ExitTrace(ids[k], stages[k], distribution, top, costs[k], totals[k])
         except ValidationError as exc:
@@ -635,8 +648,8 @@ def test_no_per_row_objects_on_the_table_path(tmp_path, monkeypatch):
     monkeypatch.setattr(cascadekit.cascade, "predict", counted_predict)
 
     table = run_cascade(with_extra, dataset)
-    assert len(distributions) == len(calls) == sum(table.exit_stage + 1)
-    distributions.clear()
+    assert distributions == []  # predict builds its distribution unchecked; the table checks it
+    assert len(calls) == sum(table.exit_stage + 1)
     report = evaluate(table, dataset, 12, dis_difficulty=difficulty, positive_class=1, num_stages=3)
     save_traces(table, tmp_path / "traces.jsonl")
     loaded = load_traces(tmp_path / "traces.jsonl")

@@ -361,6 +361,61 @@ REJECTED = [
         lambda: ScoredTable([0.5, 0.25, 0.5, 1.5], [1] * 4, [1] * 4),
         "row 3: confidence 1.5 outside [0, 1]",
     ),
+    # Probabilities used to be cast to float64 before any check: strings and bools built,
+    # and a ragged or complex vector failed with a raw ValueError or TypeError.
+    ("distribution-string", lambda: ClassDistribution(["0.5", "0.5"]), "probs must be a number, got '0.5'"),
+    ("distribution-word", lambda: ClassDistribution(["x"]), "probs must be a number, got 'x'"),
+    ("distribution-bool", lambda: ClassDistribution([True, False]), "probs must be a number, got True"),
+    ("distribution-complex", lambda: ClassDistribution([1 + 0j]), "probs must be a number, got (1+0j)"),
+    ("distribution-none", lambda: ClassDistribution([None, 1.0]), "probs must be a number, got None"),
+    ("distribution-ragged", lambda: ClassDistribution([[1.0], [0.5, 0.5]]), "probs must be a flat vector"),
+    (
+        "table-probs-bool",
+        lambda: TraceTable(("a",), [0], [[True]], ((1,),), (1,)),
+        "trace 'a': probs must be a number, got True",
+    ),
+    (
+        "table-probs-ragged",
+        lambda: TraceTable(("a", "b"), [0, 0], [[1.0], [0.5, 0.5]], ((1,), (1,)), (1, 1)),
+        "trace columns must be flat (probs a matrix) and of one length",
+    ),
+    (
+        "table-probs-nested-row",
+        lambda: TraceTable(("a", "b"), [0, 0], [[1.0], [[1.0]]], ((1,), (1,)), (1, 1)),
+        "trace 'b': probs must be a flat vector",
+    ),
+    (
+        # Used to fail with a raw ValueError from np.ndim.
+        "instance-ragged-features",
+        lambda: Instance("a", [[1.0], [1.0, 2.0]], 0),
+        "instance 'a': features must be a flat vector",
+    ),
+    # Labels beyond int64 used to build as rows and fail with a raw OverflowError in a table.
+    (
+        "scored-label-beyond-int64",
+        lambda: ScoredInstance(0.5, 2**70, 1),
+        f"predicted_label must be an integer within int64, got {2**70}",
+    ),
+    (
+        "scored-table-label-beyond-int64",
+        lambda: ScoredTable([0.5], [2**70], [1]),
+        f"row 0: predicted_label must be an integer within int64, got {2**70}",
+    ),
+    (
+        "scored-table-gold-beyond-int64",
+        lambda: ScoredTable(np.array([0.5, 0.5]), [1, 1], [0, 2**64]),
+        f"row 1: gold_label must be an integer within int64, got {2**64}",
+    ),
+    (
+        "instance-label-beyond-int64",
+        lambda: Instance("a", [1.0], 2**70),
+        f"instance 'a': label must be an integer within int64, got {2**70}",
+    ),
+    (
+        "columns-label-beyond-int64",
+        lambda: Dataset(InstanceColumns(("a", "b"), [[1.0], [2.0]], [0, 2**63], [0, 0]), 2**64, 1),
+        f"instance 'b': label must be an integer within int64, got {2**63}",
+    ),
 ]
 
 
@@ -382,6 +437,7 @@ FIXTURES = {
     Cascade: lambda: dict(
         stages=(StageSpec(_linear(), 1), StageSpec(_linear(), 1)), thresholds=(1.0,), full_model_cost=1
     ),
+    ClassDistribution: lambda: dict(probs=[0.0, 1.0]),
     ClassifierModel: lambda: dict(
         architecture=Architecture("linear"),
         feature_dim=1,
@@ -416,6 +472,7 @@ FIXTURES = {
     ),
     OriginalExits: lambda: dict(exits=(1.0,)),
     ScoredInstance: lambda: dict(confidence=1.0, predicted_label=1, gold_label=1, difficulty=1),
+    ScoredTable: lambda: dict(confidence=[1.0], predicted_label=[1], gold_label=[1], difficulty=[1]),
     StageSpec: lambda: dict(model=_linear(), layer_cost=1),
     TraceTable: lambda: dict(
         ids=("a",), exit_stage=[1], probs=[[0.0, 1.0]], executed_costs=((1, 0),), total_cost=(1,)
@@ -427,13 +484,27 @@ FIXTURES = {
 
 
 def _numeric_kind(hint):
-    """``(scalar type, whether the field is a tuple of them)``, or None."""
+    """``(scalar type, how the field holds it)``, or None: one value, a
+    tuple of them, or an array (of numbers of either type)."""
+    if hint in (np.ndarray, np.ndarray | None):
+        return None, "array"
     for kind in (int, float):
         if hint in (kind, kind | None):
-            return kind, False
+            return kind, "value"
         if hint == tuple[kind, ...]:
-            return kind, True
+            return kind, "tuple"
     return None
+
+
+def _with_first(value, holds, bad):
+    """``value`` with ``bad`` as its first entry (of its first row, for a matrix)."""
+    if holds == "value":
+        return bad
+    if holds == "tuple":
+        return (bad, *value[1:])
+    if np.ndim(value) == 2:
+        return [_with_first(value[0], holds, bad), *value[1:]]
+    return [bad, *value[1:]]
 
 
 def _numeric_fields():
@@ -448,21 +519,21 @@ def _numeric_fields():
 
 
 GUARDED = [
-    (cls, field, in_tuple, bad)
-    for cls, field, kind, in_tuple in _numeric_fields()
+    (cls, field, holds, bad)
+    for cls, field, kind, holds in _numeric_fields()
     for bad in ((2.5,) if kind is int else ()) + (True, "1")
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, field, in_tuple, bad",
+    "cls, field, holds, bad",
     GUARDED,
     ids=[f"{cls.__name__}.{field}-{bad!r}" for cls, field, _, bad in GUARDED],
 )
-def test_every_numeric_field_of_the_api_follows_the_rule(cls, field, in_tuple, bad):
+def test_every_numeric_field_of_the_api_follows_the_rule(cls, field, holds, bad):
     fields = FIXTURES[cls]()
     cls(**fields)  # the fixture itself is valid
-    fields[field] = (bad, *fields[field][1:]) if in_tuple else bad
+    fields[field] = _with_first(fields[field], holds, bad)
     with pytest.raises(ValidationError, match=rf"\b{field} must be (an integer|a number)"):
         cls(**fields)
 
@@ -470,6 +541,10 @@ def test_every_numeric_field_of_the_api_follows_the_rule(cls, field, in_tuple, b
 def test_the_guard_sees_the_fields_it_should():
     guarded = {(cls.__name__, field) for cls, field, _, _ in GUARDED}
     assert {("Instance", "label"), ("TraceTable", "total_cost"), ("Cascade", "thresholds")} <= guarded
+    arrays = {("ClassDistribution", "probs"), ("TraceTable", "probs"), ("TraceTable", "exit_stage"),
+              ("Instance", "features"), ("ScoredTable", "confidence"), ("ScoredTable", "predicted_label"),
+              ("ScoredTable", "gold_label"), ("ScoredTable", "difficulty")}
+    assert arrays <= guarded
     assert {cls for cls, *_ in _numeric_fields()} == set(FIXTURES)
 
 
