@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (
+    NOT_FEATURE_MATRIX,
     ClassDistribution,
     ClassifierModel,
     load_model,
@@ -29,7 +30,8 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError, column, first_fault, integer, real, refused_at, string, unchecked
+from .errors import ValidationError, column, first_fault, frozen, integer, real, real_matrix, refused_at
+from .errors import string, unchecked
 from .jsonio import (
     decoder,
     iter_jsonl,
@@ -120,10 +122,10 @@ class ExitTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
         names = ("instance_id", "exit_stage", "executed_costs", "total_cost")
-        row = [(getattr(self, name),) for name in names]
-        _, *row = _checked_rows(lambda _: "", self.distribution.probs[None], [self.confidence], *row)
-        for name, (value,) in zip(names, row):
-            object.__setattr__(self, name, value)
+        probs, row = self.distribution.probs[None], [(getattr(self, name),) for name in names]
+        ids, stages, probs, costs, totals = _checked_rows(lambda _: "", probs, [self.confidence], *row)
+        self.__dict__.update(zip(names, (ids[0], int(stages[0]), costs[0], totals[0])))
+        self.__dict__["distribution"] = unchecked(ClassDistribution, probs[0])  # predict's is writable
 
     @property
     def predicted_label(self) -> int:
@@ -138,9 +140,9 @@ class TraceTable(Sequence):
     ``exit_stage``, ``executed_costs`` and ``total_cost`` what it ran.
     Construction checks every row by the rules of :class:`ClassDistribution`
     and :class:`ExitTrace` (``probs`` too by the value rule), once per
-    column.  The table is also a ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace
-    on demand (already checked, so it is not checked again), and a slice
-    is a table.
+    column, and holds the arrays as :func:`errors.frozen` gives them.  The table is also a
+    ``Sequence[ExitTrace]``: indexing or iterating builds the row's trace on demand (already
+    checked, so it is not checked again, its probabilities a view), and a slice is a table of views.
     """
 
     ids: tuple[str, ...]
@@ -158,8 +160,8 @@ class TraceTable(Sequence):
             lengths = set()
         if len(lengths) != 1:
             raise ValidationError(_NOT_TABLE)
-        probs, *checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", self.probs, None, *columns)
-        _store(self, probs.copy(), *checked)  # its own read-only copy of a caller's array
+        checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", self.probs, None, *columns)
+        self.__dict__.update(zip(self.__dataclass_fields__, checked))
 
     @classmethod
     def from_traces(cls, traces: Sequence[ExitTrace]) -> "TraceTable":
@@ -190,14 +192,8 @@ class TraceTable(Sequence):
         return len(self.ids)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TraceTable(
-                self.ids[index],
-                self._row_scalars[0][index],
-                self.probs[index],
-                self.executed_costs[index],
-                self.total_cost[index],
-            )
+        if isinstance(index, slice):  # a table of views of this one's arrays
+            return TraceTable(*(getattr(self, field)[index] for field in self.__dataclass_fields__))
         i = range(len(self))[index]
         exit_stages, confidences = self._row_scalars
         return _trace_row(
@@ -219,16 +215,6 @@ class TraceTable(Sequence):
         return self.exit_stage.tolist(), self.confidence.tolist()
 
 
-def _store(table: TraceTable, probs, ids, stages, costs, totals) -> TraceTable:
-    """``table`` holding columns that passed :func:`_checked_rows`, its
-    arrays read-only."""
-    stages = np.array(stages, dtype=np.int64)
-    for field, value in zip(table.__dataclass_fields__, (ids, stages, probs, costs, totals)):
-        object.__setattr__(table, field, value)
-    probs.flags.writeable = stages.flags.writeable = False
-    return table
-
-
 def _trace_row(instance_id, exit_stage, probs, conf, executed_costs, total_cost) -> ExitTrace:
     """A table row as an :class:`ExitTrace`, made without running the
     ``__post_init__`` checks: the table ran the same ones on construction."""
@@ -243,8 +229,8 @@ def _first_difference(a: list, b: list) -> int | None:
 
 
 def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, total_cost):
-    """The columns read by the value rule (``probs`` as a float64 matrix,
-    strings, then integers) if every row obeys the trace rules, else
+    """The columns as a :class:`TraceTable` holds them, read by the value rule (``exit_stage``
+    and ``probs`` as :func:`errors.frozen` arrays), if every row obeys the trace rules, else
     ``ValidationError(where(row) + reason)`` for the first row that does
     not.  A row's checks run in this order: its distribution (by
     :func:`probability_rows`), the value rule, then, given
@@ -270,7 +256,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     faults.append((_first_difference(list(stages[:whole]), covered), _NOT_COVERED))
     faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
     first_fault(where, faults)
-    return probs, tuple(ids), tuple(stages), costs, tuple(totals)
+    return tuple(ids), frozen(stages, np.int64), frozen(probs), costs, tuple(totals)
 
 
 def _cost_rows(rows) -> tuple[tuple[tuple[int, ...], ...], str | None]:
@@ -353,8 +339,9 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     rows are batch-invariant: a row's bits do not depend on which other
     rows reached its stage.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(ids):
+    X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
+    first_fault(lambda row: f"row {row}: ", [(row, refusal)])
+    if X.shape[0] != len(ids):
         raise ValidationError(f"need one feature row per id: {len(ids)} ids, X of shape {X.shape}")
     return _exit_table(cascade, ids, lambda model, rows: predict_batch(model, X[rows]))
 
@@ -469,7 +456,7 @@ def _read_table(records, where) -> TraceTable:
 
     def checked() -> tuple:
         width = len(probs[0]) if probs else 0
-        matrix = np.array(probs, dtype=np.float64).reshape(len(probs), width)  # JSON numbers
+        matrix = frozen(probs, np.float64).reshape(len(probs), width)  # JSON numbers
         return _checked_rows(lambda row: where(lines[row]), matrix, confidences, *columns[2:])
 
     try:
@@ -482,7 +469,7 @@ def _read_table(records, where) -> TraceTable:
     except ValidationError:
         checked()  # a fault in an earlier record comes first
         raise
-    return _store(object.__new__(TraceTable), *checked())
+    return unchecked(TraceTable, *checked())
 
 
 def trace_from_dict(payload: dict) -> ExitTrace:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Instance
-from .errors import NumericError, ValidationError, first_fault, integer, real, real_matrix, unchecked
+from .errors import NumericError, ValidationError, first_fault, frozen, integer, real, real_matrix, unchecked
 from .jsonio import decoder, from_fields, number_list, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
@@ -26,6 +26,7 @@ DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
 INIT_SCALE = 0.05
 GRAD_CHECK_STEP = 1e-5
 KINK_TOLERANCE = 1e-3
+NOT_FEATURE_MATRIX = "X must be a matrix, one feature row per instance"
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class ClassDistribution:
         row = self.probs[None] if isinstance(self.probs, np.ndarray) else [self.probs]
         probs, faults = probability_rows(row, "probs must be a flat vector")
         first_fault(lambda _: "", faults)
-        object.__setattr__(self, "probs", probs[0])
+        object.__setattr__(self, "probs", frozen(probs[0]))
 
     @property
     def predicted_label(self) -> int:
@@ -208,14 +209,12 @@ def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     gets the exact bits :func:`predict` gives that instance alone, whatever
     batch it sits in.  (A BLAS product over many rows at once can change a
     row's last bits with its batch-mates, and so can a strided row, hence
-    the C-ordered copy.)
+    the C-ordered read of ``X`` by :func:`errors.real_matrix`.)
     """
-    X = np.asarray(X, dtype=np.float64, order="C")
-    if X.ndim != 2 or X.shape[1] != model.feature_dim:
-        raise ValidationError(
-            f"feature matrix has {X.shape[-1] if X.ndim else 0} columns, "
-            f"model expects {model.feature_dim}"
-        )
+    X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
+    first_fault(lambda row: f"row {row}: ", [(row, refusal)])
+    if X.shape[1] != model.feature_dim:
+        raise ValidationError(f"feature matrix has {X.shape[1]} columns, model expects {model.feature_dim}")
     return _probabilities(model, X[:, None, :])[:, 0, :]
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, column, first_fault, int64_column, integer, real_matrix, refused_at
-from .errors import string, string_keys, unchecked
+from .errors import ValidationError, column, first_fault, frozen, int64_column, integer, real_matrix
+from .errors import refused_at, string, string_keys, unchecked
 from .jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -119,7 +119,8 @@ class Dataset:
         if not isinstance(columns, InstanceColumns):
             columns, wrong_width = _columns_of(tuple(columns))
         columns = _check_rows(lambda _: "", columns)
-        _store(self, *_check_shared(columns, self.num_classes, self.feature_dim, wrong_width))
+        checked = _check_shared(columns, self.num_classes, self.feature_dim, wrong_width)
+        self.__dict__.update(zip(self.__dataclass_fields__, checked))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -147,9 +148,11 @@ class Dataset:
         return flags
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        """New dataset keeping the given positions, in the given order."""
-        # Positions as a tuple reads them: negative ones count from the end.
-        rows = list(map(range(len(self)).__getitem__, indices))
+        """New dataset keeping the given positions (negative ones count from the end), in order."""
+        positions = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+        rows, refusal = column(positions, integer, "indices", -len(self), len(self) - 1)
+        if refusal is not None:
+            raise ValidationError(refusal)
         columns = self.instances
         ids = tuple(map(columns.ids.__getitem__, rows))
         picked = (columns.features[rows], columns.labels[rows], columns.difficulty[rows])
@@ -199,7 +202,7 @@ def _check_rows(where, columns: InstanceColumns, missing: int | None = NO_DIFFIC
     matrix, feature_row, feature_refusal = real_matrix(features, "features", shape)
     if len({len(ids), len(features), len(labels), len(flags)}) != 1:
         raise ValidationError(shape)
-    matrix.flags.writeable = False
+    matrix = frozen(matrix)
     ids, id_refusal = column(ids, string, "id")
     labels, label_refusal = int64_column(labels, "label", 0)
     flags, flag_refusal = column(flags, integer, "difficulty", 0, 1, missing=missing)
@@ -227,7 +230,7 @@ def _check_shared(
     order."""
     num_classes = integer(num_classes, "num_classes", low=1)
     feature_dim = integer(feature_dim, "feature_dim", low=1)
-    ids, labels, flags = columns.ids, np.asarray(columns.labels, np.int64), columns.difficulty
+    ids, labels, flags = columns.ids, frozen(columns.labels, np.int64), frozen(columns.difficulty, np.int64)
     duplicate = None
     if len(set(ids)) != len(ids):
         first: dict[str, int] = {}
@@ -241,18 +244,8 @@ def _check_shared(
         (labels >= num_classes, lambda row: f"instance {ids[row]!r}: label {labels[row]} out of range "
          f"for {num_classes} classes"),
     ])
-    flags = np.asarray(flags, np.int64)
-    labels.flags.writeable = flags.flags.writeable = False
-    features = columns.features if ids else np.zeros((0, feature_dim))  # no row sets the width
+    features = columns.features if ids else frozen(np.zeros((0, feature_dim)))  # no row sets the width
     return InstanceColumns(ids, features, labels, flags), num_classes, feature_dim
-
-
-def _store(dataset: Dataset, columns: InstanceColumns, num_classes: int, feature_dim: int) -> Dataset:
-    """``dataset`` holding columns and sizes that passed the checks."""
-    object.__setattr__(dataset, "instances", columns)
-    object.__setattr__(dataset, "num_classes", num_classes)
-    object.__setattr__(dataset, "feature_dim", feature_dim)
-    return dataset
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,7 @@ def hash_featurize(text: str, dim: int) -> np.ndarray:
     for at most 65,536 distinct tokens.
     """
     dim = integer(dim, "dim", low=1)
-    tokens = text.lower().split()
+    tokens = string(text, "text").lower().split()
     if not tokens:
         return np.zeros(dim)  # np.bincount over no tokens would return int64
     h = np.fromiter(map(_token_hash, tokens), np.uint64, len(tokens))
@@ -318,7 +311,7 @@ def assign_folds(dataset: Dataset, num_folds: int, seed: int) -> FoldAssignment:
         raise ValidationError(
             f"num_folds={num_folds} exceeds dataset size {len(dataset)}"
         )
-    rng = random.Random(seed)
+    rng = random.Random(integer(seed, "seed", low=0))
     by_label: dict[int, list[str]] = {}
     for inst_id, label in zip(dataset.ids(), dataset.label_array().tolist()):
         by_label.setdefault(label, []).append(inst_id)
@@ -392,9 +385,11 @@ def load_dataset(
         ids.append(inst_id)
 
     def checked_rows() -> InstanceColumns:
+        def view(buffer, dtype, count) -> np.ndarray:  # read-only, so the dataset holds it uncopied
+            return np.frombuffer(memoryview(buffer).toreadonly(), dtype, count)
         n = len(ids)
-        matrix = np.frombuffer(features, count=n * (width or 0)).reshape(n, width or 0)
-        read = InstanceColumns(ids, matrix, *(np.frombuffer(c, np.int64, n) for c in (labels, flags)))
+        matrix = view(features, np.float64, n * (width or 0)).reshape(n, width or 0)
+        read = InstanceColumns(ids, matrix, view(labels, np.int64, n), view(flags, np.int64, n))
         read = _check_rows(lambda row: f"{path}: line {lines[row]}: ", read, missing=None)
         has_flag = np.frombuffer(flagged, np.int8, n) != 0
         flag_column = np.where(has_flag, read.difficulty, NO_DIFFICULTY)
@@ -421,7 +416,7 @@ def load_dataset(
         checked = _check_shared(columns, num_classes, feature_dim, wrong_width)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return _store(object.__new__(Dataset), *checked)
+    return unchecked(Dataset, *checked)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the value rule of its
-Python API: what counts as an integer, a real number, a string or a
-boolean, how it is stored, and how a wrong one is reported."""
+"""Exception types shared across the package, and the value rule of its Python API: what
+counts as an integer, a real number, a string or a boolean, how it is stored, and how a
+wrong one is reported; and how a checked object holds an array (:func:`frozen`)."""
 
 import contextlib
 import itertools
@@ -125,10 +125,24 @@ def first_fault(where, faults) -> None:
 
 def unchecked(cls, *values):
     """The frozen dataclass ``cls`` holding ``values``, made without running
-    ``__post_init__``: a row of a table that ran the same checks."""
+    ``__post_init__``: a row of a table that ran the same checks, or a table a loader checked."""
     row = object.__new__(cls)
     row.__dict__.update(zip(cls.__dataclass_fields__, values))
     return row
+
+
+def frozen(values, dtype=None) -> np.ndarray:
+    """``values`` as a checked object holds them, an ndarray (of ``dtype``, where given) that no
+    later write can reach: a read-only ndarray with no writable ndarray behind it (its ``base``)
+    as it is, and anything else copied once, or read into a new array, and made read-only."""
+    behind = values  # the first writable ndarray at or behind ``values``, if any
+    while isinstance(behind, np.ndarray) and not behind.flags.writeable:
+        behind = behind.base
+    if behind is not values and not isinstance(behind, np.ndarray) and dtype in (None, values.dtype):
+        return values
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 def refused_at(read: Sequence, refusal: str | None) -> int | None:

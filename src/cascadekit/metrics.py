@@ -19,7 +19,8 @@ import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import NO_DIFFICULTY, Dataset
-from .errors import ValidationError, column, first_fault, int64_column, integer, real, refused_at, unchecked
+from .errors import ValidationError, column, first_fault, frozen, int64_column, integer, real, refused_at
+from .errors import unchecked
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
@@ -82,9 +83,10 @@ class ScoredTable(Sequence):
     """Scored predictions as columns, one row per instance: what the metrics read.
 
     ``difficulty`` is ``NO_DIFFICULTY`` where an instance has no flag (all when None).
-    Construction checks the rules of :class:`ScoredInstance` once per
-    column, naming the first faulty row.  As a ``Sequence[ScoredInstance]``,
-    indexing or iterating builds one per row on demand; a slice is a table.
+    Construction checks the rules of :class:`ScoredInstance` once per column, naming the first
+    faulty row, and holds the columns as :func:`errors.frozen` gives them.  As a
+    ``Sequence[ScoredInstance]``, indexing or iterating builds one per row on demand; a slice is
+    a table of views.
     """
 
     confidence: np.ndarray
@@ -97,8 +99,7 @@ class ScoredTable(Sequence):
         flags = np.full(np.shape(self.confidence), NO_DIFFICULTY) if flags is None else flags
         columns = (self.confidence, self.predicted_label, self.gold_label, flags)
         conf, *labels = _checked_scores(lambda row: f"row {row}: ", *columns)
-        labels = [np.asarray(c, np.int64) for c in labels]
-        self.__dict__.update(zip(self.__dataclass_fields__, (conf, *labels)))
+        self.__dict__.update(zip(self.__dataclass_fields__, (conf, *(frozen(c, np.int64) for c in labels))))
 
     @property
     def correct(self) -> np.ndarray:
@@ -119,7 +120,8 @@ class ScoredTable(Sequence):
 
 
 def _checked_scores(where, *columns, missing: int | None = NO_DIFFICULTY) -> tuple:
-    """The columns of a :class:`ScoredTable` read by the value rule, if they
+    """The columns of a :class:`ScoredTable` read by the value rule (the
+    confidences as a :func:`errors.frozen` float64 array), if they
     are flat and of one length and every row obeys the rules of a
     :class:`ScoredInstance`: a real confidence in [0, 1], int64 labels >=
     0 and a difficulty flag in {0, 1}, or ``missing`` for none; else
@@ -132,7 +134,7 @@ def _checked_scores(where, *columns, missing: int | None = NO_DIFFICULTY) -> tup
     predicted, predicted_refusal = int64_column(columns[1], "predicted_label", 0)
     gold, gold_refusal = int64_column(columns[2], "gold_label", 0)
     flags, flag_refusal = column(columns[3], integer, "difficulty", 0, 1, missing=missing)
-    conf = np.asarray(conf, dtype=np.float64)
+    conf = frozen(conf, np.float64)
     first_fault(where, [  # NaN fails the range check
         (refused_at(conf, conf_refusal), conf_refusal),
         (~((conf >= 0.0) & (conf <= 1.0)), lambda row: f"confidence {conf[row]} outside [0, 1]"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, InstanceColumns
-from .errors import integer
+from .errors import integer, string
 
 # planted_hard_task
 HARD_FRACTION = 0.2  # share of the instances planted hard
@@ -102,4 +102,5 @@ def tiered_task(num_instances: int, seed: int, id_prefix: str = "inst") -> Datas
 
 
 def _ids(id_prefix: str, num_instances: int) -> list[str]:
+    id_prefix = string(id_prefix, "id_prefix")
     return [f"{id_prefix}{i:05d}" for i in range(num_instances)]

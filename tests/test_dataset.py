@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from cascadekit import (
     Dataset,
     Instance,
+    TraceTable,
     ValidationError,
     assign_folds,
     hash_featurize,
     load_dataset,
     planted_hard_task,
     save_dataset,
+    scored_from_traces,
     tiered_task,
 )
 from cascadekit.dataset import InstanceColumns, _token_hash, fnv1a64
@@ -675,6 +677,23 @@ def test_columns_are_read_only_and_rows_are_views():
     assert ds.instances[-1].id == "i4"
     with pytest.raises(IndexError):
         ds.instances[5]
+    # A trace table and a scored table hold read-only columns too; rows and slices are views.
+    probs = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+    traces = TraceTable(("i0", "i1", "i2"), np.array([0, 1, 0]), probs, ((2,), (2, 12), (2,)), (2, 14, 2))
+    for table in (traces, traces[1:]):
+        for array in (table.exit_stage, table.probs):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            table.probs[0, 0] = 1.0
+        assert table[0].distribution.probs.base is not None and not table[0].distribution.probs.flags.writeable
+    assert traces[1:].probs.base is not None and traces[1:].exit_stage.base is not None  # views, not copies
+    scored = scored_from_traces(traces, make_dataset(3), {"i0": 0, "i1": 1, "i2": None})
+    for table in (scored, scored[1:]):
+        for array in (table.confidence, table.predicted_label, table.gold_label, table.difficulty):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            table.confidence[0] = 1.0
+    assert scored[1:].confidence.base is not None
 
 
 @pytest.mark.parametrize(

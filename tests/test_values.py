@@ -60,6 +60,8 @@ from cascadekit import (
     load_traces,
     max_gain_bound,
     planted_hard_task,
+    predict_batch,
+    run_batched,
     save_cascade,
     save_dataset,
     save_metrics,
@@ -416,6 +418,43 @@ REJECTED = [
         lambda: Dataset(InstanceColumns(("a", "b"), [[1.0], [2.0]], [0, 2**63], [0, 0]), 2**64, 1),
         f"instance 'b': label must be an integer within int64, got {2**63}",
     ),
+    # Feature matrices used to be cast to float, so strings and bools were read as numbers.
+    (
+        "predict-batch-strings",
+        lambda: predict_batch(_linear(), [["1", "2"]]),
+        "row 0: X must be a number, got '1'",
+    ),
+    (
+        "predict-batch-bools",
+        lambda: predict_batch(_linear(), np.array([[True, False]])),
+        "row 0: X must be a number, got True",
+    ),
+    (
+        # Used to say "feature matrix has 2 columns, model expects 2".
+        "predict-batch-flat",
+        lambda: predict_batch(_linear(), np.array([1.0, 2.0])),
+        "X must be a matrix, one feature row per instance",
+    ),
+    (
+        # Used to fail with a raw ValueError.
+        "run-batched-strings",
+        lambda: run_batched(_cascade(), ["a"], [["x", "y"]]),
+        "row 0: X must be a number, got 'x'",
+    ),
+    # Positions used to be read by range indexing: bools as 1 and 0, others with a raw error.
+    (
+        "subset-bools",
+        lambda: _dataset(2).subset([True, False]),
+        "indices must be an integer in [-2, 1], got True",
+    ),
+    ("subset-beyond", lambda: _dataset(2).subset([100]), "indices must be an integer in [-2, 1], got 100"),
+    ("subset-string", lambda: _dataset(2).subset("ab"), "indices must be an integer in [-2, 1], got 'a'"),
+    ("fold-seed-string", lambda: assign_folds(_dataset(), 2, "x"), "seed must be an integer >= 0, got 'x'"),
+    ("fold-seed-bool", lambda: assign_folds(_dataset(), 2, True), "seed must be an integer >= 0, got True"),
+    ("fold-seed-float", lambda: assign_folds(_dataset(), 2, 1.5), "seed must be an integer >= 0, got 1.5"),
+    ("featurize-text", lambda: hash_featurize(5, 4), "text must be a string, got 5"),
+    ("tiered-id-prefix", lambda: tiered_task(3, 0, id_prefix=5), "id_prefix must be a string, got 5"),
+    ("planted-id-prefix", lambda: planted_hard_task(3, 0, id_prefix=5), "id_prefix must be a string, got 5"),
 ]
 
 
@@ -575,6 +614,33 @@ def test_only_errors_decides_what_a_number_is():
         if path.name not in ("errors.py", "jsonio.py")
         for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if HAND_WRITTEN_TYPE_TEST.search(line)
+    ]
+    assert offenders == []
+
+
+# Ways to make an array read-only.  errors.frozen alone decides how a checked object holds an array.
+READ_ONLY_BY_HAND = re.compile(r"\.flags\.writeable\s*=(?!=)|\.setflags\(|\.flags\[.WRITEABLE.\]\s*=(?!=)")
+
+
+def test_the_guard_sees_writeable_assignments():
+    lines = (
+        "probs.flags.writeable = stages.flags.writeable = False",
+        "matrix.flags.writeable=False",
+        "array.setflags(write=False)",
+        "array.flags['WRITEABLE'] = False",
+    )
+    for line in lines:
+        assert READ_ONLY_BY_HAND.search(line), line
+    assert not READ_ONLY_BY_HAND.search("if array.flags.writeable == False:")
+
+
+def test_only_errors_makes_arrays_read_only():
+    offenders = [
+        f"{path.name}:{line_no}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "errors.py"
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if READ_ONLY_BY_HAND.search(line)
     ]
     assert offenders == []
 
