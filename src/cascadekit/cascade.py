@@ -256,7 +256,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     faults.append((_first_difference(list(stages[:whole]), covered), _NOT_COVERED))
     faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
     first_fault(where, faults)
-    return tuple(ids), frozen(stages, np.int64), frozen(probs), costs, tuple(totals)
+    return tuple(ids), frozen(stages[:whole], np.int64), frozen(probs), costs, tuple(totals)
 
 
 def _cost_rows(rows) -> tuple[tuple[tuple[int, ...], ...], str | None]:
@@ -337,13 +337,20 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
 
     Each stage's survivors run through one ``predict_batch`` call, whose
     rows are batch-invariant: a row's bits do not depend on which other
-    rows reached its stage.
+    rows reached its stage.  A stage that every row reaches (stage 0
+    always) reads the checked ``X`` as it is; later stages gather only
+    their survivors' rows.
     """
     X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
     first_fault(lambda row: f"row {row}: ", [(row, refusal)])
     if X.shape[0] != len(ids):
         raise ValidationError(f"need one feature row per id: {len(ids)} ids, X of shape {X.shape}")
-    return _exit_table(cascade, ids, lambda model, rows: predict_batch(model, X[rows]))
+
+    def stage_probs(model, rows):
+        # Survivors are a sorted subset of range(N), so N of them are every row, in order.
+        return predict_batch(model, X if rows.size == len(X) else X[rows])
+
+    return _exit_table(cascade, ids, stage_probs)
 
 
 def _one_predict_per_row(instances: Sequence[Instance]):

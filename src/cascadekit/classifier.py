@@ -27,6 +27,7 @@ INIT_SCALE = 0.05
 GRAD_CHECK_STEP = 1e-5
 KINK_TOLERANCE = 1e-3
 NOT_FEATURE_MATRIX = "X must be a matrix, one feature row per instance"
+BATCH_BLOCK_ROWS = 1024  # rows per predict_batch block: its transient memory grows with this, not with N
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,19 @@ def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     gets the exact bits :func:`predict` gives that instance alone, whatever
     batch it sits in.  (A BLAS product over many rows at once can change a
     row's last bits with its batch-mates, and so can a strided row, hence
-    the C-ordered read of ``X`` by :func:`errors.real_matrix`.)
+    the C-ordered read of ``X`` by :func:`errors.real_matrix`.)  The rows
+    run in blocks of :data:`BATCH_BLOCK_ROWS`, each written into the
+    (N, C) result, so the hidden activations held at once are one block's.
     """
     X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
     first_fault(lambda row: f"row {row}: ", [(row, refusal)])
     if X.shape[1] != model.feature_dim:
         raise ValidationError(f"feature matrix has {X.shape[1]} columns, model expects {model.feature_dim}")
-    return _probabilities(model, X[:, None, :])[:, 0, :]
+    probs = np.empty((X.shape[0], model.num_classes))
+    for start in range(0, X.shape[0], BATCH_BLOCK_ROWS):
+        block = X[start : start + BATCH_BLOCK_ROWS, None, :]
+        probs[start : start + BATCH_BLOCK_ROWS] = _probabilities(model, block)[:, 0, :]
+    return probs
 
 
 def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:

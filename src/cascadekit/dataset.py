@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import reprlib
 from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -149,7 +150,11 @@ class Dataset:
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """New dataset keeping the given positions (negative ones count from the end), in order."""
-        positions = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+        try:
+            positions = list(indices.tolist() if isinstance(indices, np.ndarray) else indices)
+        except TypeError:  # a scalar, a 0-d array or None
+            got = reprlib.repr(indices)
+            raise ValidationError(f"indices must be a sequence of integers, got {got}") from None
         rows, refusal = column(positions, integer, "indices", -len(self), len(self) - 1)
         if refusal is not None:
             raise ValidationError(refusal)

@@ -8,6 +8,7 @@ survivors of the stage before; the instance-major oracle of
 its reference, bit for bit.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
+from cascadekit.classifier import BATCH_BLOCK_ROWS
 from test_trace_table import oracle_run, oracle_save
 
 
@@ -201,3 +203,77 @@ def test_batched_core_handles_no_survivors_and_no_rows():
     assert len(empty) == 0 and empty.probs.shape == (0, 2)
     with pytest.raises(ValidationError, match="one feature row per id"):
         run_batched(everyone_exits, ids[:-1], X)
+
+
+# Three blocks and a few rows: the property above draws at most 40 rows, one block.
+BLOCKED_ROWS = 2 * BATCH_BLOCK_ROWS + 3
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("layout", ["C", "fortran"])
+def test_rows_across_blocks_equal_predict(kind, layout):
+    rng = np.random.default_rng(19)
+    model = random_model(rng, 5, 3, kind, hidden=7)
+    X = laid_out(rng.normal(scale=2.0, size=(BLOCKED_ROWS, 5)), layout, rng)
+    probs = predict_batch(model, X)
+    assert probs.shape == (BLOCKED_ROWS, 3)
+    edges = {0, BLOCKED_ROWS - 1} | {k * BATCH_BLOCK_ROWS + d for k in (1, 2) for d in (-1, 0, 1)}
+    for i in sorted(edges):
+        assert np.array_equal(predict(model, Instance(f"i{i}", X[i], 0)).probs, probs[i])
+    for size in (1, BATCH_BLOCK_ROWS - 1, BATCH_BLOCK_ROWS + 1, BLOCKED_ROWS):
+        rows = rng.permutation(BLOCKED_ROWS)[:size]
+        assert np.array_equal(predict_batch(model, X[rows]), probs[rows])
+
+
+@pytest.mark.parametrize("layout", ["C", "fortran"])
+def test_batched_core_across_blocks_matches_per_row_loop(layout):
+    rng = np.random.default_rng(7)
+    stages = tuple(
+        StageSpec(random_model(rng, 4, 3, kind, hidden=5), cost)
+        for kind, cost in (("linear", 1), ("mlp", 3), ("mlp", 8))
+    )
+    features = rng.normal(scale=2.0, size=(BLOCKED_ROWS, 4))
+    labels = rng.integers(3, size=BLOCKED_ROWS)
+    dataset = Dataset(
+        tuple(Instance(f"i{k}", features[k], int(labels[k])) for k in range(BLOCKED_ROWS)), 3, 4
+    )
+    # Median confidences: about half the rows exit at each non-final stage.
+    thresholds = tuple(
+        float(np.median(predict_batch(stage.model, features).max(axis=1))) for stage in stages[:-1]
+    )
+    cascade = Cascade(stages, thresholds, 12)
+    batched = run_batched(cascade, dataset.ids(), laid_out(features, layout, rng))
+    oracle = oracle_run(cascade, dataset)
+    assert set(batched.exit_stage.tolist()) == {0, 1, 2}
+    assert batched.exit_stage.tolist() == [t.exit_stage for t in oracle]
+    assert batched.probs.tolist() == [t.distribution.probs.tolist() for t in oracle]
+    assert batched.total_cost == tuple(t.total_cost for t in oracle)
+
+
+def peak_traced_bytes(call) -> int:
+    """The most memory ``call()`` held at once, above what was held before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_batch_memory_grows_with_the_block_not_the_rows():
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 8, 2, "mlp", hidden=64)
+    X = rng.normal(size=(50_000, 8))
+    hidden_bytes = 50_000 * 64 * 8  # the hidden activations of every row at once
+    assert peak_traced_bytes(lambda: predict_batch(model, X)) < hidden_bytes
+
+
+def test_run_batched_reads_a_matrix_every_row_reaches_uncopied():
+    rng = np.random.default_rng(4)
+    stages = tuple(StageSpec(random_model(rng, 512, 2, "linear"), cost) for cost in (1, 4))
+    X = rng.normal(size=(4_000, 512))
+    X.flags.writeable = False
+    ids = tuple(f"i{k}" for k in range(4_000))
+    everyone_continues = Cascade(stages, (1.0,), 5)  # no top probability is > 1
+    assert peak_traced_bytes(lambda: run_batched(everyone_continues, ids, X)) < X.nbytes

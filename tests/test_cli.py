@@ -31,6 +31,7 @@ from cascadekit import (
 )
 from cascadekit.cli import PipelineConfig, StageConfig, config_from_dict, load_config, main
 from cascadekit.classifier import Architecture, TrainConfig
+from test_trace_table import MISSING_COSTS, RECORD_WITHOUT_COSTS
 
 
 def write_experiment(base, train_n=150, eval_n=300, **overrides):
@@ -558,6 +559,15 @@ def test_exit_code_for_malformed_trace(tmp_path, capsys):
     capsys.readouterr()
     assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 1
     assert f"{traces}: line 2: malformed trace record" in capsys.readouterr().err
+
+
+def test_exit_code_for_trace_missing_costs_with_a_huge_exit_stage(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(RECORD_WITHOUT_COSTS)
+    capsys.readouterr()
+    assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 1
+    assert f"error: {traces}: {MISSING_COSTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -513,6 +513,22 @@ def test_a_record_reports_its_confidence_before_its_costs(tmp_path):
         load_traces(path)
 
 
+# The record a load stops in was never checked, so its exit stage beyond int64 must not
+# reach the int64 cast (that raised a raw OverflowError).
+RECORD_WITHOUT_COSTS = (
+    '{"confidence": 1.0, "exit_stage": 1180591620717411303424, "instance_id": "a", '
+    '"probs": [1.0], "total_cost": 2}\n'
+)
+MISSING_COSTS = "line 1: malformed trace record: missing required key 'executed_costs'"
+
+
+def test_a_stopped_load_reports_the_record_not_an_overflow(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(RECORD_WITHOUT_COSTS)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {MISSING_COSTS}')}$"):
+        load_traces(path)
+
+
 def test_ragged_probs_are_rejected(tmp_path):
     path = tmp_path / "traces.jsonl"
     records = [

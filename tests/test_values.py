@@ -448,6 +448,20 @@ REJECTED = [
         "indices must be an integer in [-2, 1], got True",
     ),
     ("subset-beyond", lambda: _dataset(2).subset([100]), "indices must be an integer in [-2, 1], got 100"),
+    # A positions argument that is not a sequence used to raise a raw TypeError.
+    ("subset-int", lambda: _dataset(2).subset(5), "indices must be a sequence of integers, got 5"),
+    (
+        "subset-numpy-int",
+        lambda: _dataset(2).subset(np.int64(1)),
+        f"indices must be a sequence of integers, got {np.int64(1)!r}",
+    ),
+    (
+        "subset-0d-array",
+        lambda: _dataset(2).subset(np.array(1)),
+        "indices must be a sequence of integers, got array(1)",
+    ),
+    ("subset-none", lambda: _dataset(2).subset(None), "indices must be a sequence of integers, got None"),
+    ("subset-float", lambda: _dataset(2).subset(2.5), "indices must be a sequence of integers, got 2.5"),
     ("subset-string", lambda: _dataset(2).subset("ab"), "indices must be an integer in [-2, 1], got 'a'"),
     ("fold-seed-string", lambda: assign_folds(_dataset(), 2, "x"), "seed must be an integer >= 0, got 'x'"),
     ("fold-seed-bool", lambda: assign_folds(_dataset(), 2, True), "seed must be an integer >= 0, got True"),
