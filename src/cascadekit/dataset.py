@@ -13,7 +13,9 @@ featurized with a signed hashing trick (see :func:`hash_featurize`).  A
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import random
 import reprlib
 from array import array
@@ -237,7 +239,10 @@ def _check_shared(
     feature_dim = integer(feature_dim, "feature_dim", low=1)
     ids, labels, flags = columns.ids, frozen(columns.labels, np.int64), frozen(columns.difficulty, np.int64)
     duplicate = None
-    if len(set(ids)) != len(ids):
+    # Checked ids are strings, so they sort, and a repeat sits next to its twin: a list of
+    # references, where a set of the ids would hold a hash table several times its size.
+    ordered = sorted(ids)
+    if any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
         first: dict[str, int] = {}
         duplicate = next(row for row, inst_id in enumerate(ids) if first.setdefault(inst_id, row) != row)
     width = columns.features.shape[1]
@@ -396,9 +401,9 @@ def load_dataset(
         matrix = view(features, np.float64, n * (width or 0)).reshape(n, width or 0)
         read = InstanceColumns(ids, matrix, view(labels, np.int64, n), view(flags, np.int64, n))
         read = _check_rows(lambda row: f"{path}: line {lines[row]}: ", read, missing=None)
-        has_flag = np.frombuffer(flagged, np.int8, n) != 0
-        flag_column = np.where(has_flag, read.difficulty, NO_DIFFICULTY)
-        return InstanceColumns(read.ids, read.features, read.labels, flag_column)
+        no_flag = np.frombuffer(flagged, np.int8, n) == 0
+        np.frombuffer(flags, np.int64, n)[no_flag] = NO_DIFFICULTY  # after the checks, in the viewed buffer
+        return InstanceColumns(read.ids, read.features, read.labels, view(flags, np.int64, n))
 
     try:
         for line_no, record in iter_jsonl(path):

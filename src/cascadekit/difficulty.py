@@ -42,7 +42,7 @@ class DifficultyReport:
         object.__setattr__(self, "per_seed_correct", per_seed_correct)
         object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
         object.__setattr__(self, "seeds", tuple(integer(s, "seeds") for s in self.seeds))
-        if set(self.labels) != set(self.per_seed_correct):
+        if self.labels.keys() != self.per_seed_correct.keys():
             raise ValidationError("labels and per_seed_correct must cover the same ids")
         for inst_id, outcomes in self.per_seed_correct.items():
             if len(outcomes) != len(self.seeds):

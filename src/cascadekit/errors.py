@@ -45,7 +45,7 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
     after one look at its dtype (an ndarray) or at the set of its values'
     types (a set of the values would hide ``True`` behind ``1``), and one
     at its bounds.  An ndarray of another dtype is read by the Python
-    values of its flattened entries.
+    values of its entries, flattened in row-major order.
     """
     array = isinstance(values, np.ndarray)
     if (values.dtype.kind in _KINDS[rule] if array else set(map(type, values)) <= _STORED[rule]):
@@ -94,10 +94,11 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
         rows = np.array(flat, dtype=object) if flat else np.empty((0, 0))  # keeps each value's type
     if np.ndim(rows) != 2:
         raise ValidationError(not_matrix)
-    values, refusal = column(rows.reshape(-1), real, name)
-    width = rows.shape[1]
-    whole = len(values) // width if width else len(rows)  # the rows read whole
-    if not isinstance(values, np.ndarray):  # read value by value
+    values, refusal = column(rows, real, name)  # an ndarray of a kept dtype is not flattened
+    whole = len(rows)  # the rows read whole
+    if not isinstance(values, np.ndarray):  # read value by value, in row-major order
+        width = rows.shape[1]
+        whole = len(values) // width if width else whole
         rows = np.reshape(values[: whole * width], (whole, width))
     refusal = refusal or nested
     # C order: a strided row can change the bits of a model's product.

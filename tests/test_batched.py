@@ -277,3 +277,18 @@ def test_run_batched_reads_a_matrix_every_row_reaches_uncopied():
     ids = tuple(f"i{k}" for k in range(4_000))
     everyone_continues = Cascade(stages, (1.0,), 5)  # no top probability is > 1
     assert peak_traced_bytes(lambda: run_batched(everyone_continues, ids, X)) < X.nbytes
+
+
+def test_predict_batch_copies_a_fortran_ordered_matrix_once():
+    rng = np.random.default_rng(5)
+    model = random_model(rng, 256, 2, "linear")
+    X = np.asfortranarray(rng.normal(size=(2_000, 256)))
+    assert peak_traced_bytes(lambda: predict_batch(model, X)) < 1.5 * X.nbytes
+
+
+def test_a_fortran_ordered_refusal_names_the_first_bad_row_in_row_order():
+    model = random_model(np.random.default_rng(6), 2, 2, "linear")
+    X = np.asfortranarray(np.full((3, 2), 0.5, dtype=object))
+    X[1, 1], X[2, 0] = None, "x"  # column by column, row 2's value comes first
+    with pytest.raises(ValidationError, match=r"^row 1: X must be a number, got None$"):
+        predict_batch(model, X)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cascadekit import (
 from cascadekit.dataset import InstanceColumns, _token_hash, fnv1a64
 from cascadekit.errors import integer
 from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed
+from test_batched import peak_traced_bytes
 
 # Published FNV-1a 64 test vectors (empty input is the offset basis).
 KNOWN_HASHES = {
@@ -186,6 +188,17 @@ def test_dataset_rejects_duplicate_ids():
     b = Instance("same", np.ones(2), 1)
     with pytest.raises(ValidationError, match="duplicate"):
         Dataset((a, b), num_classes=2, feature_dim=2)
+
+
+def test_a_duplicate_is_named_in_row_order_not_in_sorted_order(tmp_path):
+    ids = ["z", "a", "z", "a"]  # sorted, the repeated "a" comes first
+    columns = InstanceColumns(ids, np.zeros((4, 2)), [0] * 4, [-1] * 4)
+    with pytest.raises(ValidationError, match=r"^duplicate instance id 'z'$"):
+        Dataset(columns, num_classes=2, feature_dim=2)
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(json.dumps({"id": i, "label": 0, "features": [0.5]}) + "\n" for i in ids))
+    with pytest.raises(ValidationError, match=r": duplicate instance id 'z'$"):
+        load_dataset(path)
 
 
 def test_dataset_rejects_dim_mismatch():
@@ -812,6 +825,37 @@ def test_a_dataset_builds_exactly_when_each_row_builds_alone(columns):
         assert built == faulty[0]  # a Dataset names the row as the Instance does
         return
     assert_same(built, (rows, 2, width))
+
+
+# --- the memory a build holds beyond its columns -------------------------------------------
+
+ROWS = 20_000
+
+
+def held_bytes(dataset) -> int:
+    """The bytes of a dataset's columns: its arrays and its id tuple with its strings."""
+    columns = dataset.instances
+    arrays = columns.features.nbytes + columns.labels.nbytes + columns.difficulty.nbytes
+    return arrays + sys.getsizeof(columns.ids) + sum(map(sys.getsizeof, columns.ids))
+
+
+def test_building_from_columns_holds_under_a_megabyte_beyond_them():
+    ids = tuple(f"i{k}" for k in range(ROWS))
+    arrays = [np.zeros((ROWS, 2)), np.arange(ROWS) % 2, np.full(ROWS, -1)]
+    for array in arrays:
+        array.flags.writeable = False  # so the dataset holds them uncopied
+    columns = InstanceColumns(ids, *arrays)
+    assert peak_traced_bytes(lambda: Dataset(columns, 2, 2)) < 1_000_000
+
+
+def test_loading_holds_under_a_megabyte_beyond_the_columns_loaded(tmp_path):
+    path = tmp_path / "d.jsonl"
+    records = ({"id": f"i{k}", "label": k % 2, "features": [0.5, -1.0]} for k in range(ROWS))
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    loaded = []
+    peak = peak_traced_bytes(lambda: loaded.append(load_dataset(path)))
+    assert len(loaded[0]) == ROWS
+    assert peak - held_bytes(loaded[0]) < 1_000_000
 
 
 def test_equal_columns_make_equal_datasets(tmp_path):
