@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Instance
+from .dataset import NO_DIFFICULTY, Dataset, Instance, _columns_of
 from .errors import NumericError, ValidationError, first_fault, frozen, integer, real, real_matrix, unchecked
 from .jsonio import decoder, from_fields, number_list, read_json, typed, write_json
 
@@ -350,19 +350,25 @@ def _batch_loss_and_grads(
     }
 
 
-def _batch_arrays(batch: Sequence[Instance], config: TrainConfig):
+def _batch_arrays(model: ClassifierModel, batch: Sequence[Instance], config: TrainConfig):
+    """The features, labels and (with ``dar_weight > 0``) difficulty flags of ``batch``, if each row
+    fits ``model`` and carries a flag where one is needed; else ``ValidationError`` naming the first
+    row that does not, with the first of these it breaks.  Ids may repeat: a batch is no dataset."""
     if not batch:
         raise ValidationError("batch must be non-empty")
-    X = np.stack([inst.features for inst in batch])
-    y = np.array([inst.label for inst in batch], dtype=np.int64)
-    difficulty = None
-    if config.dar_weight > 0:
-        missing = [inst.id for inst in batch if inst.difficulty is None]
-        if missing:
-            raise ValidationError(
-                f"dar_weight > 0 requires difficulty labels; missing for {missing[0]!r}"
-            )
-        difficulty = np.array([inst.difficulty for inst in batch], dtype=np.int64)
+    columns, wrong_width = _columns_of(tuple(batch))
+    ids, X = columns.ids, columns.features
+    y = np.array(columns.labels, np.int64)
+    difficulty = np.array(columns.difficulty, np.int64) if config.dar_weight > 0 else None
+    wrong_width = (0, X.shape[1]) if X.shape[1] != model.feature_dim else wrong_width
+    wrong_row, got = wrong_width or (None, None)
+    first_fault(lambda _: "", [
+        (wrong_row, lambda row: f"instance {ids[row]!r} has {got} features, model expects {model.feature_dim}"),
+        (y >= model.num_classes, lambda row: f"instance {ids[row]!r}: label {y[row]} out of range "
+         f"for {model.num_classes} classes"),
+        (None if difficulty is None else difficulty == NO_DIFFICULTY,
+         lambda row: f"dar_weight > 0 requires difficulty labels; missing for {ids[row]!r}"),
+    ])
     return X, y, difficulty
 
 
@@ -373,7 +379,7 @@ def total_loss(model: ClassifierModel, batch: Sequence[Instance], config: TrainC
     ``pair_cap`` by sampling seeded from the config.  With ``dar_weight=0``
     this is exactly the mean cross-entropy.
     """
-    X, y, difficulty = _batch_arrays(batch, config)
+    X, y, difficulty = _batch_arrays(model, batch, config)
     return _batch_loss(model, X, y, config, _resolve_pairs(difficulty, config, rng=None))
 
 
@@ -526,7 +532,7 @@ def gradient_check(
     there.  Relative error uses a 1e-6 floor so that parameters with
     (near-)zero true gradient compare as matching.
     """
-    X, y, difficulty = _batch_arrays(batch, config)
+    X, y, difficulty = _batch_arrays(model, batch, config)
     pairs = _resolve_pairs(difficulty, config, rng=None)
 
     if pairs is not None and pairs[0].size:

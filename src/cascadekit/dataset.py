@@ -168,18 +168,26 @@ class Dataset:
     def with_difficulty(self, labels: Mapping[str, int]) -> "Dataset":
         """Copy of this dataset with difficulty flags merged in from a full id map."""
         columns = self.instances
-        missing = next((inst_id for inst_id in columns.ids if inst_id not in labels), None)
-        if missing is not None:
-            raise ValidationError(f"difficulty map misses id {missing!r}")
-        flags = []
-        for inst_id in columns.ids:
-            flag = labels[inst_id]
-            try:
-                flags.append(NO_DIFFICULTY if flag is None else integer(flag, "difficulty", 0, 1))
-            except ValidationError as exc:
-                raise ValidationError(f"instance {inst_id!r}: {exc}") from None
+        flags = flags_by_id(columns.ids, labels, "difficulty map misses id", lambda i: f"instance {i!r}: ")
         merged = InstanceColumns(columns.ids, columns.features, columns.labels, flags)
         return Dataset(merged, self.num_classes, self.feature_dim)
+
+
+def flags_by_id(ids: Sequence[str], labels: Mapping[str, int], lacks: str, named) -> np.ndarray:
+    """The flags ``labels`` maps ``ids`` to, one int64 column read by the integer rule in [0, 1] (a -1
+    refused, None as ``NO_DIFFICULTY``); the first row it lacks (``lacks``) or refuses (``named``) raises."""
+    if not isinstance(labels, Mapping):
+        raise ValidationError(f"a difficulty map must map ids to flags, got {type(labels).__name__}")
+    lacked = next((row for row, inst_id in enumerate(ids) if inst_id not in labels), None)
+    given = [labels[inst_id] for inst_id in ids[:lacked]]
+    read, refusal = column([0 if flag is None else flag for flag in given], integer, "difficulty", 0, 1)
+    first_fault(lambda _: "", [
+        (lacked, lambda row: f"{lacks} {ids[row]!r}"),
+        (refused_at(read, refusal), lambda row: named(ids[row]) + refusal),
+    ])
+    flags = np.array(read, np.int64)
+    flags[[row for row, flag in enumerate(given) if flag is None]] = NO_DIFFICULTY  # read as a 0 above
+    return flags
 
 
 def _columns_of(instances: tuple[Instance, ...]) -> tuple[InstanceColumns, tuple[int, int] | None]:

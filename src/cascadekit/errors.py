@@ -134,16 +134,15 @@ def unchecked(cls, *values):
 
 def frozen(values, dtype=None) -> np.ndarray:
     """``values`` as a checked object holds them, an ndarray (of ``dtype``, where given) that no
-    later write can reach: a read-only ndarray with no writable ndarray behind it (its ``base``)
-    as it is, and anything else copied once, or read into a new array, and made read-only."""
-    behind = values  # the first writable ndarray at or behind ``values``, if any
-    while isinstance(behind, np.ndarray) and not behind.flags.writeable:
-        behind = behind.base
-    if behind is not values and not isinstance(behind, np.ndarray) and dtype in (None, values.dtype):
+    later write can reach: as it is if it is read-only over read-only ndarrays (its ``base`` chain)
+    down to ``bytes`` or a read-only ``memoryview``, else copied once, or read, into new ``bytes``."""
+    end = values
+    while isinstance(end, np.ndarray) and not end.flags.writeable:
+        end = end.base
+    if (type(end) is bytes or isinstance(end, memoryview) and end.readonly) and dtype in (None, values.dtype):
         return values
-    array = np.array(values, dtype=dtype)
-    array.flags.writeable = False
-    return array
+    array = np.asarray(values, dtype=dtype)
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
 
 
 def refused_at(read: Sequence, refusal: str | None) -> int | None:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cascade import ExitTrace, TraceTable, speedup_ratio
-from .dataset import NO_DIFFICULTY, Dataset
+from .dataset import NO_DIFFICULTY, Dataset, flags_by_id
 from .errors import ValidationError, column, first_fault, frozen, int64_column, integer, real, refused_at
 from .errors import unchecked
 from .jsonio import decoder, from_fields, read_json, write_json
@@ -261,12 +261,7 @@ def scored_from_traces(
         gold = gold[[position[inst_id] for inst_id in trace_ids]]
     flags = None
     if difficulty is not None:
-        flags = []
-        for inst_id in trace_ids:
-            if inst_id not in difficulty:
-                raise ValidationError(f"no difficulty label for instance {inst_id!r}")
-            d = difficulty[inst_id]
-            flags.append(NO_DIFFICULTY if d is None else integer(d, "difficulty", 0, 1))
+        flags = flags_by_id(trace_ids, difficulty, "no difficulty label for instance", lambda _: "")
     return ScoredTable(table.confidence, table.predicted_label, gold, flags)
 
 

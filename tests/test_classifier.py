@@ -337,6 +337,48 @@ def test_total_loss_requires_difficulty_when_weighted():
         total_loss(model, batch, TrainConfig(dar_weight=1.0))
 
 
+@pytest.mark.parametrize(
+    "batch, message",
+    [
+        (
+            [Instance("a", np.ones(2), 0, 1), Instance("b", np.ones(3), 1, 0)],
+            "instance 'b' has 3 features, model expects 2",
+        ),
+        ([Instance("a", np.ones(3), 0, 1)], "instance 'a' has 3 features, model expects 2"),
+        (
+            [Instance("a", np.ones(2), 0, 1), Instance("b", np.ones(2), 2, 0)],
+            "instance 'b': label 2 out of range for 2 classes",
+        ),
+        (
+            [Instance("a", np.ones(2), 2, 1), Instance("b", np.ones(2), 0)],
+            "instance 'a': label 2 out of range for 2 classes",
+        ),
+        (
+            [Instance("a", np.ones(2), 0), Instance("b", np.ones(2), 2, 0)],
+            "dar_weight > 0 requires difficulty labels; missing for 'a'",
+        ),
+    ],
+    ids=["mixed widths", "model width", "label range", "first row first", "missing flag first"],
+)
+def test_a_batch_that_does_not_fit_the_model_is_refused(batch, message):
+    model = fixed_linear_model()
+    for config in (TrainConfig(), TrainConfig(dar_weight=1.0)):
+        if "dar_weight" in message and not config.dar_weight:
+            continue
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            total_loss(model, batch, config)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            gradient_check(model, batch, config)
+
+
+def test_a_batch_may_repeat_an_id():
+    model = fixed_linear_model()
+    batch = [Instance("a", np.array([1.0, 1.0]), 0, 1), Instance("a", np.array([-0.5, 0.25]), 1, 0)]
+    distinct = [Instance("a", batch[0].features, 0, 1), Instance("b", batch[1].features, 1, 0)]
+    config = TrainConfig(dar_weight=1.0)
+    assert total_loss(model, batch, config) == total_loss(model, distinct, config)
+
+
 def test_pair_cap_noop_when_not_binding():
     model = fixed_linear_model()
     rng = np.random.default_rng(0)

@@ -655,14 +655,17 @@ def test_columns_build_and_slice_what_per_instance_datasets_do(seed, data):
         outcome(built.subset, indices),
         outcome(oracle_dataset, [instances[i] for i in indices], num_classes, dim),
     )
-    values = st.sampled_from([0, 1, np.int64(1), None, 2, True, 1.0])
+    values = st.sampled_from([0, 1, np.int64(1), None, 2, True, 1.0, -1])
     flags = {inst.id: data.draw(values) for inst in instances}
+    for inst_id in data.draw(st.lists(st.sampled_from(built.ids()), max_size=2)) if instances else []:
+        flags.pop(inst_id, None)  # a partial map
 
-    def oracle_with_difficulty():
+    def oracle_with_difficulty():  # row by row: an id the map lacks, or its flag, in row order
+        merged = []
         for inst in instances:
             if inst.id not in flags:
                 raise ValidationError(f"difficulty map misses id {inst.id!r}")
-        merged = [Instance(inst.id, inst.features, inst.label, flags[inst.id]) for inst in instances]
+            merged.append(Instance(inst.id, inst.features, inst.label, flags[inst.id]))
         return oracle_dataset(merged, num_classes, dim)
 
     assert_same(outcome(built.with_difficulty, flags), outcome(oracle_with_difficulty))

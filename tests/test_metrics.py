@@ -389,6 +389,74 @@ def test_scored_from_traces_difficulty_map():
         scored_from_traces(tiny_traces(), tiny_dataset(), {"a": 0})
 
 
+@pytest.mark.parametrize("labels", [None, 5, [0, 1, 1], "abc"], ids=["None", "int", "list", "str"])
+def test_a_flag_map_must_be_a_mapping(labels):
+    message = rf"^a difficulty map must map ids to flags, got {type(labels).__name__}$"
+    with pytest.raises(ValidationError, match=message):
+        tiny_dataset().with_difficulty(labels)
+    if labels is not None:  # None there: no map
+        with pytest.raises(ValidationError, match=message):
+            scored_from_traces(tiny_traces(), tiny_dataset(), labels)
+        with pytest.raises(ValidationError, match=message):
+            evaluate(tiny_traces(), tiny_dataset(), 12, dis_difficulty=labels)
+
+
+MAP_VALUES = (None, 0, 1, -1, 2, True, 1.0, "1", np.int8(1), np.int64(0))
+
+
+def _by_rows(ids, read_row):
+    """``read_row`` over ``ids`` in order: the values it reads, or the first refusal."""
+    try:
+        return [read_row(inst_id) for inst_id in ids]
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_a_flag_map_reads_as_per_row_reads_do(data, n):
+    ids = [f"i{k}" for k in range(n)]
+    labels = {inst_id: data.draw(st.sampled_from(MAP_VALUES)) for inst_id in ids}
+    for inst_id in data.draw(st.lists(st.sampled_from(ids), max_size=2)):
+        labels.pop(inst_id, None)  # an id the map lacks
+    labels.update(data.draw(st.dictionaries(st.sampled_from(["x", "y"]), st.sampled_from(MAP_VALUES))))
+    dataset = Dataset([Instance(inst_id, np.zeros(1), k % 2) for k, inst_id in enumerate(ids)], 2, 1)
+    order = data.draw(st.permutations(range(n)))
+    traces = [make_trace(ids[k], 0, [0.4, 0.6] if k % 3 else [0.8, 0.2], [2]) for k in order]
+    trace_ids = [ids[k] for k in order]
+
+    def dataset_row(inst_id):  # the rule of an Instance alone
+        if inst_id not in labels:
+            raise ValidationError(f"difficulty map misses id {inst_id!r}")
+        return Instance(inst_id, np.zeros(1), 0, labels[inst_id]).difficulty
+
+    def scored_row(inst_id):  # the rule of a ScoredInstance alone
+        if inst_id not in labels:
+            raise ValidationError(f"no difficulty label for instance {inst_id!r}")
+        return ScoredInstance(0.5, 0, 0, labels[inst_id]).difficulty
+
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ValidationError as exc:
+            return f"ValidationError: {exc}"
+
+    want = _by_rows(ids, dataset_row)
+    merged = outcome(dataset.with_difficulty, labels)
+    assert merged == want if isinstance(want, str) else [inst.difficulty for inst in merged.instances] == want
+    if not isinstance(want, str):
+        assert all(type(flag) in (int, type(None)) for flag in (i.difficulty for i in merged.instances))
+    want = _by_rows(trace_ids, scored_row)
+    table = outcome(scored_from_traces, traces, dataset, labels)
+    assert table == want if isinstance(want, str) else [row.difficulty for row in table] == want
+    report = outcome(evaluate, traces, dataset, 2, dis_difficulty=labels)
+    if isinstance(want, str):
+        assert report == want
+    else:  # the same report as for the map's flags as Python ints
+        plain = dict(zip(trace_ids, want))
+        assert report == outcome(evaluate, traces, dataset, 2, dis_difficulty=plain)
+
+
 def test_evaluate_recomputes_each_field():
     report = evaluate(
         tiny_traces(),

@@ -2,9 +2,11 @@
 
 ``errors.frozen`` is the one rule: a checked table or row holds read-only
 arrays that no write made after the check can reach.  A read-only array
-with no writable array behind it is kept as it is; anything else is
-copied once.  So a caller's array stays writable, and writing to it
-changes nothing the object holds.
+over a buffer that cannot be written (``bytes`` or a read-only
+``memoryview``) is kept as it is; anything else is copied once, a
+read-only array that owns its data too, since its owner can make it
+writable again.  So a caller's array stays as the caller left it, and
+writing to it changes nothing the object holds.
 """
 
 import dataclasses
@@ -14,28 +16,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadekit import ClassDistribution, Dataset, ExitTrace, Instance, ScoredTable, TraceTable
+from cascadekit import ClassDistribution, Dataset, ExitTrace, Instance, ScoredTable, TraceTable, evaluate
 from cascadekit.dataset import InstanceColumns
 from cascadekit.errors import frozen, unchecked
 
-FORMS = ("C order", "F order", "strided view", "read-only view")
+FORMS = ("C order", "F order", "strided view", "read-only view", "read-only owner")
 
 
 def _caller(data, values: np.ndarray):
     """``values`` as an array a caller passes in, in a drawn form, and the
-    writable arrays the caller keeps behind it."""
+    arrays the caller keeps behind it, each with whether it was writable."""
     form = data.draw(st.sampled_from(FORMS), label="form")
     if form == "strided view":
         buffer = np.zeros((2 * len(values), *values.shape[1:]), values.dtype)
         view = buffer[::2]
         view[...] = values
-        return view, [buffer]
+        return view, [(buffer, True)]
     array = np.array(values, order="F" if form == "F order" else "C")
     if form == "read-only view":
         view = array.view()
         view.flags.writeable = False
-        return view, [array]
-    return array, [array]
+        return view, [(array, True)]
+    array.flags.writeable = form != "read-only owner"
+    return array, [(array, array.flags.writeable)]
 
 
 def _floats(data, shape, low, high) -> np.ndarray:
@@ -54,7 +57,7 @@ def _probs(data, rows, classes) -> np.ndarray:
 
 
 def _columns(data, *values):
-    """Each of ``values`` as a caller's array, and every writable array the caller keeps."""
+    """Each of ``values`` as a caller's array, and every array the caller keeps."""
     columns = [_caller(data, column) for column in values]
     return [array for array, _ in columns], [kept for _, arrays in columns for kept in arrays]
 
@@ -137,8 +140,9 @@ def _arrays(value):
 def test_a_checked_object_owns_its_arrays(build, data, n):
     built, kept = build(data, n)
     snapshot = _state(built)
-    assert all(array.flags.writeable for array in kept)  # the caller's arrays stay theirs
-    for array in kept:
+    assert all(array.flags.writeable == writable for array, writable in kept)  # as the caller left them
+    for array, _ in kept:
+        array.flags.writeable = True  # the caller's own, read-only or not
         array[...] = 7
     assert _state(built) == snapshot
     held = list(_arrays(built))
@@ -146,24 +150,51 @@ def test_a_checked_object_owns_its_arrays(build, data, n):
 
 
 def test_frozen_keeps_a_read_only_array_with_nothing_writable_behind_it():
-    owner = np.arange(4.0)
-    owner.flags.writeable = False
-    for array in (owner, owner[1:], owner.reshape(2, 2), np.frombuffer(bytes(16))):
+    buffer = np.frombuffer(bytes(32))
+    for array in (buffer, buffer[1:], buffer.reshape(2, 2), np.frombuffer(memoryview(bytes(16)))):
         assert frozen(array) is array
-    assert frozen(owner, np.float64) is owner
+    assert frozen(buffer, np.float64) is buffer
 
 
 def test_frozen_copies_anything_else_once():
     writable = np.arange(6.0)
     read_only_view = writable.view()
     read_only_view.flags.writeable = False
-    for values in (writable, writable[::2], read_only_view, read_only_view[1:], [0.0, 1.0], (1, 2)):
+    owner = np.arange(6.0)  # read-only, but its owner can make it writable again
+    owner.flags.writeable = False
+    cases = (writable, writable[::2], read_only_view, read_only_view[1:], owner, owner[1:], owner.reshape(2, 3))
+    for values in (*cases, [0.0, 1.0], (1, 2)):
         held = frozen(values)
         assert held is not values and not held.flags.writeable and frozen(held) is held
         np.testing.assert_array_equal(held, values)
         before = held.copy()
         writable[...] = -1.0
+        owner.flags.writeable = True
+        owner[...] = -1.0
+        owner.flags.writeable = False
         np.testing.assert_array_equal(held, before)
+        with pytest.raises(ValueError):
+            held.flags.writeable = True
     assert writable.flags.writeable  # the caller's array is left as it was
     converted = frozen(read_only_view, np.int64)
     assert converted.dtype == np.int64 and not converted.flags.writeable
+
+
+def test_a_read_only_owner_cannot_reach_a_distribution():
+    p = np.array([0.5, 0.5])
+    p.flags.writeable = False
+    d = ClassDistribution(p)
+    p.flags.writeable = True
+    p[0] = 7.0
+    np.testing.assert_array_equal(d.probs, [0.5, 0.5])
+
+
+def test_a_table_cannot_be_made_writable_again():
+    ids = ("a", "b")
+    table = TraceTable(ids, np.array([0, 1]), np.array([[0.6, 0.4], [0.3, 0.7]]), ((2,), (2, 10)), (2, 12))
+    dataset = Dataset(InstanceColumns(ids, np.ones((2, 1)), np.array([0, 1]), np.array([-1, -1])), 2, 1)
+    before = evaluate(table, dataset, 12)
+    for array in (table.probs, table.probs[0], table.exit_stage):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert evaluate(table, dataset, 12) == before
