@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import reprlib
 from collections.abc import Iterator, Sequence
@@ -33,13 +34,20 @@ from .dataset import Dataset, Instance
 from .errors import ValidationError, column, first_fault, frozen, integer, real, real_matrix, refused_at
 from .errors import string, unchecked
 from .jsonio import (
+    array_text,
     decoder,
+    float_text,
+    int_text,
     iter_jsonl,
+    jsonl_lines,
     number_list,
+    number_rows,
     read_json,
+    string_text,
     typed,
+    typed_column,
     write_json,
-    write_jsonl,
+    write_lines,
 )
 
 DEFAULT_FULL_MODEL_COST = 12
@@ -453,11 +461,10 @@ def _read_record(payload, columns: tuple[list, ...]) -> None:
     totals.append(typed(payload["total_cost"], int, "total_cost"))
 
 
-def _read_table(records, where) -> TraceTable:
-    """The table of ``(line, payload)`` trace records, each read by
-    :func:`_read_record`; the trace rules then run once per column.  An
-    error names the first bad record through ``where(line)``, as reading
-    record by record would."""
+def _read_records(records, where) -> TraceTable:
+    """The table of ``(line, payload)`` trace records, read record by record
+    by :func:`_read_record`; the trace rules then run once per column.  An
+    error names the first bad record through ``where(line)``."""
     columns = probs, confidences, ids, stages, costs, totals = [], [], [], [], [], []
     lines = []
 
@@ -479,35 +486,70 @@ def _read_table(records, where) -> TraceTable:
     return unchecked(TraceTable, *checked())
 
 
+# A trace record's keys in sorted order, the order of a saved line's fields.
+_TRACE_KEYS = ("confidence", "executed_costs", "exit_stage", "instance_id", "probs", "total_cost")
+_TRACE_FIELDS = operator.itemgetter(*_TRACE_KEYS)
+_TRACE_HINTS = (float, _COSTS, int, str, int)  # the fields but probs, in key order
+
+
+def _read_table(records, where) -> TraceTable:
+    """The table of ``(line, payload)`` trace records, read column by column:
+    each field's values are gathered as the records stream, each column is read
+    by its JSON type in one look (:func:`jsonio.typed_column`), and the trace
+    rules run once per column.  A record that does not hold every field,
+    invalid JSON, or a column the look refuses replays the records through
+    :func:`_read_records`, so an error names the first bad record's line in
+    the words of reading record by record."""
+    records = iter(records)
+    lines, rows = [], []
+
+    def replayed(*rest) -> TraceTable:
+        payloads = (dict(zip(_TRACE_KEYS, row)) for row in rows)
+        return _read_records(itertools.chain(zip(lines, payloads), *rest), where)
+
+    try:
+        for line_no, payload in records:
+            try:
+                rows.append(_TRACE_FIELDS(payload))
+            except (KeyError, TypeError):  # not an object holding every field
+                return replayed([(line_no, payload)], records)
+            lines.append(line_no)
+    except ValidationError:  # invalid JSON: a fault in a record before it comes first
+        replayed()
+        raise
+    confidences, costs, stages, ids, probs, totals = zip(*rows) if rows else [()] * len(_TRACE_KEYS)
+    read = list(map(typed_column, (confidences, costs, stages, ids, totals), _TRACE_HINTS))
+    if None in read or number_rows(probs) is None or len(set(map(len, probs))) > 1:
+        return replayed()
+    confidences, costs, stages, ids, totals = read
+    matrix = frozen(probs, np.float64).reshape(len(probs), len(probs[0]) if probs else 0)
+    checked = _checked_rows(lambda row: where(lines[row]), matrix, confidences, ids, stages, costs, totals)
+    return unchecked(TraceTable, *checked)
+
+
 def trace_from_dict(payload: dict) -> ExitTrace:
     """One trace record: the one-row case of :func:`load_traces`."""
     return _read_table([(1, payload)], lambda _: "")[0]
 
 
 def save_traces(traces: Sequence[ExitTrace], path) -> None:
-    """One sorted-key JSON object per trace, written from the table's columns."""
+    """One sorted-key JSON object per trace, written column by column: each
+    column's JSON text is made once (an ``executed_costs`` row once per
+    distinct row, a confidence as its row's largest probability), and the
+    lines are written as they are made."""
     table = TraceTable.from_traces(traces)
-    write_jsonl(
-        path,
-        (
-            {
-                "confidence": conf,
-                "executed_costs": costs,
-                "exit_stage": stage,
-                "instance_id": instance_id,
-                "probs": probs,
-                "total_cost": total,
-            }
-            for instance_id, stage, probs, conf, costs, total in zip(
-                table.ids,
-                table.exit_stage.tolist(),
-                table.probs.tolist(),
-                table.confidence.tolist(),
-                table.executed_costs,
-                table.total_cost,
-            )
-        ),
-    )
+    probs = (list(map(float_text, row)) for row in table.probs.tolist())
+    probs, top = itertools.tee(probs)  # each row's texts are made once, and held no longer
+    cost_texts = {row: array_text(map(int_text, row)) for row in set(table.executed_costs)}
+    texts = {
+        "confidence": map(list.__getitem__, top, table.predicted_label.tolist()),
+        "executed_costs": map(cost_texts.__getitem__, table.executed_costs),
+        "exit_stage": map(int_text, table.exit_stage.tolist()),
+        "instance_id": map(string_text, table.ids),
+        "probs": map(array_text, probs),
+        "total_cost": map(int_text, table.total_cost),
+    }
+    write_lines(path, jsonl_lines(texts))
 
 
 def load_traces(path) -> TraceTable:

@@ -9,7 +9,7 @@ so seeds vary initialization and batch order only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +110,15 @@ def label_difficulty(
 
 
 def report_to_dict(report: DifficultyReport) -> dict:
-    return asdict(report)
+    """The report as a JSON document, in containers of its own (``dataclasses.asdict``
+    would also copy every id and flag, one by one)."""
+    per_seed = report.per_seed_correct
+    return {
+        "labels": dict(report.labels),
+        "per_seed_correct": {inst_id: list(outcomes) for inst_id, outcomes in per_seed.items()},
+        "num_folds": report.num_folds,
+        "seeds": report.seeds,
+    }
 
 
 @decoder("difficulty report")

@@ -10,19 +10,25 @@ record's fault, so a malformed file always names itself.
 
 Fields are read by their type hints under one rule (:func:`typed`): an
 ``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
-and containers and dataclasses are read element by element.
+and containers and dataclasses are read element by element.  A column of
+one field's values is read by the same rule in one look at the set of its
+values' exact types (:func:`typed_column`, :func:`number_rows`).  A writer
+that builds its lines from each column's JSON text (:func:`jsonl_lines`)
+writes the bytes :func:`write_jsonl` writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import reprlib
 import types
 import typing
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
 
 from .errors import NumericError, ValidationError
 
@@ -70,6 +76,35 @@ def number_list(value, where: str) -> list[float]:
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"{where} must be an array of numbers")
     return list(map(float, value))  # OverflowError for an int beyond float
+
+
+def typed_column(values: Sequence, hint) -> Sequence | None:
+    """The column form of :func:`typed` for ``hint`` ``int``, ``str``, ``float`` or
+    ``tuple[int, ...]``, in :func:`errors.column`'s idiom: ``values`` as :func:`typed` reads
+    each, when one look at the set of their exact types (and at the finiteness of floats)
+    shows that it reads every one as it is, else None; the caller then reads them value by
+    value to name the refusal.  Equal ``tuple[int, ...]`` rows come back as one tuple:
+    the look has made every entry an ``int``, so ``(True,)`` never merges with ``(1,)``."""
+    kinds = set(map(type, values))
+    if hint is float:
+        return values if kinds <= {float} and all(map(math.isfinite, values)) else None
+    if hint in _EXACT:
+        return values if kinds <= {hint} else None
+    if hint != tuple[int, ...]:
+        raise NotImplementedError(f"no JSON column reader for {hint!r}")
+    if not kinds <= {list, tuple} or not set(map(type, itertools.chain(*values))) <= {int}:
+        return None
+    shared: dict = {}
+    return [shared.setdefault(row, row) for row in map(tuple, values)]
+
+
+def number_rows(rows: Sequence) -> Sequence | None:
+    """The column form of :func:`number_list`: ``rows`` as they are when one look at the set
+    of their exact types, and at their entries', shows that each is an array of floats
+    (which it reads as they are), else None."""
+    if set(map(type, rows)) <= {list} and set(map(type, itertools.chain(*rows))) <= {float}:
+        return rows
+    return None
 
 
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to
@@ -162,10 +197,33 @@ def write_jsonl(path, records: Iterable) -> None:
     """Write one record per line as it comes, so a generator is never
     held in memory whole."""
     encode = _JSONL_ENCODER.encode
+    write_lines(path, (encode(record) + "\n" for record in records))
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ending in a newline, as they come."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode(record))
-            fh.write("\n")
+        fh.writelines(lines)
+
+
+# The JSON text _JSONL_ENCODER writes for a finite float, an int and a str.
+float_text = float.__repr__
+int_text = int.__repr__
+string_text = encode_basestring_ascii
+
+
+def array_text(texts: Iterable[str]) -> str:
+    """The JSON text of an array whose items' texts are ``texts``."""
+    return "[" + ", ".join(texts) + "]"
+
+
+def jsonl_lines(texts: Mapping[str, Iterable[str]]) -> Iterator[str]:
+    """The lines :func:`write_jsonl` writes for records whose fields come as columns of JSON
+    text, one column per key (at least one): each line is one fixed template, keys in sorted order."""
+    keys = sorted(texts)
+    escaped = (string_text(key).replace("{", "{{").replace("}", "}}") for key in keys)
+    line = "{{" + ", ".join(f"{key}: {{}}" for key in escaped) + "}}\n"
+    return map(line.format, *(texts[key] for key in keys))
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, object]]:

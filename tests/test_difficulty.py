@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -266,6 +266,15 @@ def test_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     save_report(report, path)
     assert load_report(path) == report
+
+
+def test_report_dict_is_a_copy():
+    report = DifficultyReport({"a": 0, "b": 1}, {"a": [True, True], "b": [True, False]}, 2, (3, 4))
+    document = report_to_dict(report)
+    assert document == asdict(report)
+    document["labels"]["c"] = 0
+    document["per_seed_correct"]["a"].append(False)
+    assert report.labels == {"a": 0, "b": 1} and report.per_seed_correct["a"] == [True, True]
 
 
 def test_report_dict_rejects_malformed():

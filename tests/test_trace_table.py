@@ -45,7 +45,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
-from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed
+from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -550,6 +550,137 @@ def test_empty_trace_file_loads_and_saves(tmp_path):
     assert len(table) == 0 and list(table) == []
     save_traces(table, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_text() == ""
+
+
+# --- the column writer and reader against the per-record ones ----------------------------
+
+
+def reference_save(table, path):
+    """The per-record writer: one dict per row through ``write_jsonl``."""
+    write_jsonl(
+        path,
+        (
+            {"confidence": conf, "executed_costs": costs, "exit_stage": stage,
+             "instance_id": instance_id, "probs": probs, "total_cost": total}
+            for instance_id, stage, probs, conf, costs, total in zip(
+                table.ids, table.exit_stage.tolist(), table.probs.tolist(),
+                table.confidence.tolist(), table.executed_costs, table.total_cost,
+            )
+        ),
+    )
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters.
+ID_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\x80é€ \U0001f600\U0010ffff') | st.characters())
+SMALL_PROBABILITIES = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
+
+
+@st.composite
+def saved_tables(draw):
+    """Valid tables of 0-6 rows, 1-9 classes, probabilities down to subnormals and 0.0,
+    and executed costs up to 2**70."""
+    width = draw(st.integers(1, 9), label="classes")
+    ids, stages, probs, costs = [], [], [], []
+    for _ in range(draw(st.integers(0, 6), label="rows")):
+        ids.append(draw(ID_TEXT))
+        row = draw(st.lists(SMALL_PROBABILITIES | st.floats(0.0, 1.0 / width), min_size=width - 1,
+                            max_size=width - 1))
+        row.insert(draw(st.integers(0, width - 1)), 1.0 - sum(row))
+        probs.append(row)
+        ran = draw(st.lists(st.integers(1, 2**70) | st.integers(1, 12), min_size=1, max_size=4))
+        costs.append(tuple(ran))
+        stages.append(len(ran) - 1)
+    matrix = np.array(probs) if probs else np.zeros((0, width))
+    return TraceTable(tuple(ids), stages, matrix, tuple(costs), tuple(map(sum, costs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=saved_tables())
+def test_column_writer_writes_the_per_record_bytes(table, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("bytes")
+    save_traces(table, directory / "columns.jsonl")
+    reference_save(table, directory / "records.jsonl")
+    assert (directory / "columns.jsonl").read_bytes() == (directory / "records.jsonl").read_bytes()
+    loaded = load_traces(directory / "columns.jsonl")
+    assert loaded.ids == table.ids
+    assert loaded.exit_stage.tolist() == table.exit_stage.tolist()
+    assert loaded.probs.shape[0] == len(table)
+    assert loaded.probs.tobytes() == table.probs.tobytes()
+    assert loaded.executed_costs == table.executed_costs
+    assert loaded.total_cost == table.total_cost
+
+
+def _load_counting_records(path, monkeypatch):
+    """``load_traces(path)`` (or its error) and how many records the per-record reader read."""
+    read = []
+    per_record = cascadekit.cascade._read_record
+
+    def counted(payload, columns):
+        read.append(payload)
+        return per_record(payload, columns)
+
+    monkeypatch.setattr(cascadekit.cascade, "_read_record", counted)
+    return outcome(load_traces, path), len(read)
+
+
+VALID_RECORD = {"confidence": 0.75, "executed_costs": [2], "exit_stage": 0, "instance_id": "a",
+                "probs": [0.25, 0.75], "total_cost": 2}
+
+
+def _write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def test_a_valid_file_is_read_by_columns(tmp_path, monkeypatch):
+    records = [dict(VALID_RECORD, instance_id=f"t{k}") for k in range(5)]
+    path = _write_lines(tmp_path / "traces.jsonl", *map(json.dumps, records))
+    table, replayed = _load_counting_records(path, monkeypatch)
+    assert replayed == 0
+    assert_rows_equal(table, oracle_load(path))
+
+
+def test_a_missing_key_before_invalid_json_is_reported_first(tmp_path, monkeypatch):
+    lacking = {key: value for key, value in VALID_RECORD.items() if key != "instance_id"}
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(lacking), "{broken")
+    got, _ = _load_counting_records(path, monkeypatch)
+    missing = "malformed trace record: missing required key 'instance_id'"
+    assert got == f"ValidationError: {path}: line 1: {missing}"
+    assert got == outcome(oracle_load, path)
+
+
+def test_a_refused_type_replays_the_records(tmp_path, monkeypatch):
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD),
+                        json.dumps(dict(VALID_RECORD, instance_id="b", exit_stage=True)))
+    got, replayed = _load_counting_records(path, monkeypatch)
+    refused = "malformed trace record: exit_stage must be an integer, got True"
+    assert got == f"ValidationError: {path}: line 2: {refused}"
+    assert got == outcome(oracle_load, path)
+    assert replayed == 2
+
+
+def test_probability_rows_of_two_widths_are_refused(tmp_path, monkeypatch):
+    wider = dict(VALID_RECORD, instance_id="b", probs=[0.5, 0.25, 0.25], confidence=0.5)
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD), "", json.dumps(wider))
+    got, _ = _load_counting_records(path, monkeypatch)
+    assert got == (f"ValidationError: {path}: line 3: malformed trace record: "
+                   "probs has 3 entries, the first record's has 2")
+
+
+def test_an_integer_confidence_is_read_as_a_float(tmp_path, monkeypatch):
+    certain = dict(VALID_RECORD, instance_id="b", probs=[0.0, 1.0], confidence=1)
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD), json.dumps(certain))
+    table, replayed = _load_counting_records(path, monkeypatch)
+    assert replayed == 2
+    assert_rows_equal(table, oracle_load(path))
+    assert table[1].confidence == 1.0 and table.probs.tolist() == [[0.25, 0.75], [0.0, 1.0]]
+
+
+def test_equal_loaded_cost_rows_are_one_tuple(tmp_path):
+    records = [dict(VALID_RECORD, instance_id=f"t{k}") for k in range(3)]
+    path = _write_lines(tmp_path / "traces.jsonl", *map(json.dumps, records))
+    costs = load_traces(path).executed_costs
+    assert costs == ((2,),) * 3 and costs[0] is costs[1] is costs[2]
 
 
 def test_exit_stage_below_zero_is_rejected():
