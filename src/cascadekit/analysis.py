@@ -70,6 +70,11 @@ class GainScenario:
             raise ValidationError("exit counts must be non-negative")
         if self.num_instances < 1:
             raise ValidationError("scenario needs at least one instance")
+        # The gain algebra runs over reals: a float must hold each count and their total.
+        for s in self.new_exits:
+            real(s, "new_exits")
+        real(self.new_model_exits, "new_model_exits")
+        real(self.num_instances, "num_instances")
 
     @property
     def num_instances(self) -> int:

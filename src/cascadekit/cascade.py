@@ -15,6 +15,7 @@ import itertools
 import operator
 import os
 import reprlib
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import ValidationError, column, first_fault, frozen, integer, real, real_matrix, refused_at
-from .errors import string, unchecked
+from .errors import NumericError, ValidationError, column, column_rows, first_fault, frozen, integer, real
+from .errors import real_matrix, refused_at, string, unchecked
 from .jsonio import (
     array_text,
     decoder,
@@ -251,7 +252,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
     faults += [(refused_at(done, why), why) for done, why in read]
     (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
-    costs, refusal = _cost_rows(executed_costs)
+    costs, refusal = column_rows(executed_costs, integer, "executed_costs", "a sequence of integers")
     faults.append((refused_at(costs, refusal), refusal))
     whole = min(len(probs), len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
@@ -265,36 +266,6 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
     first_fault(where, faults)
     return tuple(ids), frozen(stages[:whole], np.int64), frozen(probs), costs, tuple(totals)
-
-
-def _cost_rows(rows) -> tuple[tuple[tuple[int, ...], ...], str | None]:
-    """``rows`` of executed costs as tuples read by the integer rule, up to
-    the first row that is not a sequence or holds a refused entry, and that
-    refusal (None when every row was read).
-
-    Entry types are looked at once per distinct row object: a run's rows
-    are a few shared tuples.  Rows are told apart by identity, because a
-    set of the rows would hide ``(True,)`` behind ``(1,)``.
-    """
-    try:
-        costs = tuple(map(tuple, rows))
-    except TypeError:  # a row that is not a sequence, named below
-        costs = None
-    if costs is not None:
-        distinct = {id(row): row for row in costs}.values()
-        if all(column(row, integer, "executed_costs")[0] is row for row in distinct):
-            return costs, None
-    read = []
-    for row in rows:
-        try:
-            row = tuple(row)
-        except TypeError:
-            return tuple(read), f"executed_costs must be a sequence of integers, got {reprlib.repr(row)}"
-        row, refusal = column(row, integer, "executed_costs")
-        if refusal is not None:
-            return tuple(read), refusal
-        read.append(tuple(row))
-    return tuple(read), None
 
 
 def _exit_table(cascade: Cascade, ids: Sequence[str], stage_probs) -> TraceTable:
@@ -351,6 +322,10 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     """
     X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
     first_fault(lambda row: f"row {row}: ", [(row, refusal)])
+    try:
+        ids = tuple(ids)
+    except TypeError:  # a scalar or None
+        raise ValidationError(f"ids must be a sequence of strings, got {reprlib.repr(ids)}") from None
     if X.shape[0] != len(ids):
         raise ValidationError(f"need one feature row per id: {len(ids)} ids, X of shape {X.shape}")
 
@@ -384,7 +359,22 @@ def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
         raise ValidationError("speedup_ratio needs at least one trace")
     full_model_cost = integer(full_model_cost, "full_model_cost", low=1)
     costs = TraceTable.from_traces(traces).total_cost
-    return full_model_cost / (sum(costs) / len(costs))
+    return _speedup(full_model_cost, sum(costs), len(costs))
+
+
+def _speedup(full_model_cost: int, total_cost, count: int):
+    """``full_model_cost`` over the mean cost ``total_cost / count`` (an int, or float64
+    totals); NumericError where it is not a finite float."""
+    try:
+        speedup = full_model_cost / (total_cost / count)
+    except (OverflowError, ZeroDivisionError):  # a cost beyond float range, or no cost at all
+        speedup = np.inf
+    if not np.isfinite(speedup).all():
+        raise NumericError(
+            f"speed-up of full_model_cost {reprlib.repr(full_model_cost)} over mean cost "
+            f"{reprlib.repr(total_cost)}/{count} is not a finite float"
+        )
+    return speedup
 
 
 def _confidence_matrix(cascade: Cascade, dataset: Dataset) -> np.ndarray:
@@ -415,8 +405,11 @@ def calibrate_threshold(
         raise ValidationError("calibration dataset is empty")
     if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
         raise ValidationError("tolerance must be positive")
-    costs = [s.layer_cost for s in cascade.stages]
-    max_speedup = cascade.full_model_cost / costs[0]
+    costs, n = [s.layer_cost for s in cascade.stages], len(calibration)
+    if n * sum(costs) > sys.float_info.max:  # no candidate's total cost is larger
+        total = reprlib.repr(n * sum(costs))
+        raise NumericError(f"total cost {total} of {n} instances is beyond float range")
+    max_speedup = _speedup(cascade.full_model_cost, costs[0], 1)
     if not 1.0 <= real(target_speedup, "target_speedup") <= max_speedup:
         raise ValidationError(
             f"target speed-up {target_speedup:g} outside achievable range "
@@ -424,7 +417,6 @@ def calibrate_threshold(
         )
 
     conf = _confidence_matrix(cascade, calibration)
-    n = conf.shape[1]
     candidates = np.unique(np.concatenate([conf.ravel(), [0.0, 1.0]]))
     # Under a shared tau, stage s + 1 runs exactly on the instances whose
     # running max confidence over stages 0..s is <= tau (no strict exit yet),
@@ -433,7 +425,7 @@ def calibrate_threshold(
     running_max = np.maximum.accumulate(conf, axis=0)
     for cost, stage_max in zip(costs[1:], running_max):
         total += float(cost) * np.searchsorted(np.sort(stage_max), candidates, side="right")
-    measured = cascade.full_model_cost / (total / n)
+    measured = _speedup(cascade.full_model_cost, total, n)
     best = int(np.argmin(np.abs(measured - target_speedup)))
     if abs(measured[best] - target_speedup) > tolerance * target_speedup:
         raise ValidationError(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
-from .errors import ValidationError, boolean, integer, string_keys
+from .errors import ValidationError, boolean, column, column_rows, integer, string_keys
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_NUM_FOLDS = 8
@@ -33,13 +33,15 @@ class DifficultyReport:
 
     def __post_init__(self) -> None:
         labels = string_keys(self.labels, "labels key")
-        labels = {inst_id: integer(d, "labels", 0, 1) for inst_id, d in labels.items()}
-        object.__setattr__(self, "labels", labels)
-        per_seed_correct = {
-            inst_id: [boolean(outcome, "per_seed_correct") for outcome in outcomes]
-            for inst_id, outcomes in string_keys(self.per_seed_correct, "per_seed_correct key").items()
-        }
-        object.__setattr__(self, "per_seed_correct", per_seed_correct)
+        flags, refusal = column(tuple(labels.values()), integer, "labels", 0, 1)
+        if refusal is not None:
+            raise ValidationError(refusal)
+        object.__setattr__(self, "labels", dict(zip(labels, flags)))
+        per_seed = string_keys(self.per_seed_correct, "per_seed_correct key")
+        rows, refusal = column_rows(per_seed.values(), boolean, "per_seed_correct", "a sequence of booleans")
+        if refusal is not None:
+            raise ValidationError(refusal)
+        object.__setattr__(self, "per_seed_correct", dict(zip(per_seed, map(list, rows))))
         object.__setattr__(self, "num_folds", integer(self.num_folds, "num_folds"))
         object.__setattr__(self, "seeds", tuple(integer(s, "seeds") for s in self.seeds))
         if self.labels.keys() != self.per_seed_correct.keys():

@@ -2,6 +2,7 @@
 counts as an integer, a real number, a string or a boolean, how it is stored, and how a
 wrong one is reported; and how a checked object holds an array (:func:`frozen`)."""
 
+import bisect
 import contextlib
 import itertools
 import numbers
@@ -35,8 +36,8 @@ def integer(value, name: str, low: int | None = None, high: int | None = None) -
 
 
 def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, str | None]:
-    """The column form of :func:`integer` (with its bounds), :func:`real`
-    or :func:`string`: ``values`` read one by one by ``rule`` up to the
+    """The column form of :func:`integer` (with its bounds), :func:`real`,
+    :func:`string` or :func:`boolean`: ``values`` read one by one by ``rule`` up to the
     first it refuses, and that refusal, worded as ``rule`` words it (None
     when every value was read).  A value ``rule`` reads as ``missing`` (when
     given) stands for no value and is kept, whatever the bounds.
@@ -62,6 +63,28 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
         except ValidationError as exc:
             return read, str(exc)
     return read, None
+
+
+def column_rows(rows, rule, name: str, not_sequence: str) -> tuple[tuple[tuple, ...], str | None]:
+    """The column form of ``rule`` for rows of values: ``rows`` as tuples of the values ``rule``
+    stores, read in one :func:`column` look at every entry of every row, up to the first row
+    that is not a sequence (refused as ``<name> must be <not_sequence>, got <row>``) or holds a
+    refused entry, and that refusal (None for none).  When every entry is stored as it is, each
+    row is returned as ``tuple(row)``: a tuple itself."""
+    read, wrong_row = [], None
+    for row in rows:
+        try:
+            read.append(tuple(row))
+        except TypeError:
+            wrong_row = str(_refuse(name, not_sequence, row))
+            break
+    entries = list(itertools.chain.from_iterable(read))
+    values, refusal = column(entries, rule, name)
+    if values is not entries:  # read value by value: rebuild the rows whole before any refusal
+        whole = bisect.bisect_right(list(itertools.accumulate(map(len, read))), len(values))
+        values = iter(values)
+        read = [tuple(itertools.islice(values, len(row))) for row in read[:whole]]
+    return tuple(read), refusal or wrong_row
 
 
 def int64_column(values, name: str, *bounds, missing=None) -> tuple[Sequence, str | None]:
@@ -182,5 +205,5 @@ def boolean(value, name: str) -> bool:
     raise _refuse(name, "a boolean", value)
 
 
-_STORED = {integer: frozenset({int}), real: frozenset({float}), string: frozenset({str})}
-_KINDS = {integer: "i", real: "iuf", string: ""}  # dtypes kept as they are; a uint64 may not fit
+_STORED = {integer: {int}, real: {float}, string: {str}, boolean: {bool}}
+_KINDS = {integer: "i", real: "iuf", string: "", boolean: "b"}  # dtypes kept; a uint64 may not fit

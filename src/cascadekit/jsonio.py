@@ -83,8 +83,9 @@ def typed_column(values: Sequence, hint) -> Sequence | None:
     ``tuple[int, ...]``, in :func:`errors.column`'s idiom: ``values`` as :func:`typed` reads
     each, when one look at the set of their exact types (and at the finiteness of floats)
     shows that it reads every one as it is, else None; the caller then reads them value by
-    value to name the refusal.  Equal ``tuple[int, ...]`` rows come back as one tuple:
-    the look has made every entry an ``int``, so ``(True,)`` never merges with ``(1,)``."""
+    value to name the refusal.  Equal ``tuple[int, ...]`` rows come back as one tuple, so a
+    loaded table holds a tuple per distinct row, not per row (the look has made every entry
+    an ``int``, so ``(True,)`` never merges with ``(1,)``)."""
     kinds = set(map(type, values))
     if hint is float:
         return values if kinds <= {float} and all(map(math.isfinite, values)) else None

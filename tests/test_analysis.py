@@ -121,6 +121,21 @@ def test_scenario_counts_must_be_integers(fields, name, value):
         GainScenario(**{**scenario_to_dict(worked_scenario()), **fields})
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"new_exits": (10**400, 1)}, "new_exits"),
+        ({"new_model_exits": 10**400}, "new_model_exits"),
+        ({"new_exits": (10**308, 10**308), "new_model_exits": 0}, "num_instances"),
+    ],
+    ids=["exits", "new-model-exits", "total"],
+)
+def test_scenario_counts_a_float_cannot_hold_are_refused(fields, name):
+    # solve_original_exits and predict_gain used to raise a raw OverflowError.
+    with pytest.raises(ValidationError, match=f"^{name} must be a number, got [12]0000"):
+        GainScenario(**{**scenario_to_dict(worked_scenario()), **fields})
+
+
 def test_scenario_keeps_numpy_counts_as_python_ints(tmp_path):
     numpy_counts = {
         "layer_counts": [np.int64(2), np.int64(12)],

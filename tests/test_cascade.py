@@ -200,6 +200,22 @@ def test_speedup_ratio_rejects_non_integer_cost(cost):
     assert speedup_ratio([trace], np.int64(12)) == 4.0
 
 
+@pytest.mark.parametrize(
+    "cost, total, full, message",
+    [
+        ((2**1100,), 2**1100, 12, "full_model_cost 12 over mean cost 1358"),
+        ((1,), 1, 2**1100, "full_model_cost 1358"),
+        ((0,), 0, 12, "full_model_cost 12 over mean cost 0/1"),
+    ],
+    ids=["cost-beyond-float", "full-cost-beyond-float", "no-cost"],
+)
+def test_speedup_ratio_beyond_float_range_is_a_numeric_error(cost, total, full, message):
+    # Used to raise a raw OverflowError, or ZeroDivisionError for a zero cost.
+    trace = ExitTrace("a", 0, ClassDistribution(np.array([1.0, 0.0])), 1.0, cost, total)
+    with pytest.raises(NumericError, match=f"^speed-up of {re.escape(message)}.* is not a finite float$"):
+        speedup_ratio([trace], full)
+
+
 # --- threshold calibration -------------------------------------------------------
 
 
@@ -278,6 +294,22 @@ def test_calibration_is_exact_for_costs_beyond_int64(unit):
         assert calibrate_threshold(scaled, ds, target_speedup=target) == want
     with pytest.raises(ValidationError, match=r"closest 2\.25x, achievable range \[1x, 6x\]"):
         calibrate_threshold(scaled, ds, target_speedup=3.0)
+
+
+@pytest.mark.parametrize(
+    "costs, full, message",
+    [
+        ((2**1100, 2**1100), 2**1100, "total cost 8149"),  # 3 * 2 * 2**1100
+        ((2**1022, 2**1022), 2**1023, "total cost 2696"),  # each cost fits, their total does not
+        ((1, 2), 2**1100, "speed-up of full_model_cost 1358"),
+    ],
+    ids=["costs", "total", "full-cost"],
+)
+def test_calibration_beyond_float_range_is_a_numeric_error(costs, full, message):
+    # float(n * costs[0]) and full_model_cost / costs[0] used to raise a raw OverflowError.
+    ds = planted_confidence_dataset([0.9, 0.75, 0.6])
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}"):
+        calibrate_threshold(two_stage_cascade(costs=costs, full=full), ds, target_speedup=1.0)
 
 
 def test_calibration_measured_matches_requested_within_tolerance():

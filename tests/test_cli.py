@@ -525,6 +525,36 @@ def test_exit_code_for_numeric_failure(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_exit_code_for_traces_whose_speedup_a_float_cannot_hold(tmp_path, capsys):
+    # A traces file with a cost beyond float range loads, and metrics used to end in
+    # a raw OverflowError from speedup_ratio.
+    cfg_path = write_experiment(tmp_path)
+    assert main(["train", "--config", cfg_path]) == 0
+    assert main(["run", "--config", cfg_path]) == 0
+    traces = tmp_path / "out" / "traces_2x.jsonl"
+    records = [json.loads(line) for line in traces.read_text().splitlines()]
+    for record in records:
+        record["exit_stage"], record["executed_costs"], record["total_cost"] = 0, [2**1100], 2**1100
+    traces.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: speed-up of full_model_cost 12 over mean cost ")
+
+
+def test_exit_code_for_costs_a_float_cannot_hold(tmp_path, capsys):
+    # calibrate_threshold used to end in a raw OverflowError.
+    huge = 2**1100
+    stages = [
+        {"architecture": {"kind": "linear"}, "layer_cost": huge},
+        {"architecture": {"kind": "mlp", "hidden_size": 4}, "layer_cost": huge},
+    ]
+    cfg_path = write_experiment(tmp_path, stages=stages, full_model_cost=huge, target_speedups=[1.0])
+    assert main(["train", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: total cost ")
+
+
 def test_exit_code_for_non_finite_stage_weights(tmp_path, capsys):
     cfg_path = write_experiment(tmp_path)
     main(["train", "--config", cfg_path])
@@ -605,6 +635,28 @@ def test_exit_code_for_malformed_scenario(tmp_path, capsys):
     )
     assert main(["analyze", "--config", str(path)]) == 1
     assert f"error: {path}: malformed gain scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"new_exits": [10**400, 1]}, "new_exits"), ({"new_exits": [10**308, 10**308]}, "num_instances")],
+    ids=["count", "total"],
+)
+def test_exit_code_for_scenario_counts_a_float_cannot_hold(tmp_path, capsys, fields, name):
+    # analyze used to end in a raw OverflowError from the gain algebra.
+    scenario = {
+        "layer_counts": [2, 12],
+        "accuracies": [0.85, 0.94],
+        "insert_after": 0,
+        "new_layers": 6,
+        "new_accuracy": 0.91,
+        "new_exits": [50, 30],
+        "new_model_exits": 20,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario, **fields}))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {name} must be a number, got ")
 
 
 def test_exit_code_for_non_numeric_features(tmp_path, capsys):

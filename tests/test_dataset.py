@@ -158,6 +158,19 @@ def test_load_text_rows_match_oracle(tmp_path):
         assert_same_vector(inst.features, hash_featurize_oracle(text, 37))
 
 
+@pytest.mark.parametrize("dim", [0, 2.5, True], ids=["zero", "float", "bool"])
+def test_load_text_refuses_a_bad_feature_dim(tmp_path, dim):
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps({"id": "a", "label": 0, "text": "hello"}) + "\n", encoding="utf-8")
+    message = f"{one}: line 1: dim must be an integer >= 1, got {dim}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_dataset(one, format="jsonl_text", feature_dim=dim)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(empty))}: empty dataset$"):
+        load_dataset(empty, format="jsonl_text", feature_dim=dim)
+
+
 # --- instance / dataset validation ----------------------------------------
 
 

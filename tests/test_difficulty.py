@@ -1,3 +1,5 @@
+import re
+import reprlib
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from cascadekit import (
 )
 from cascadekit.classifier import train_arrays
 from cascadekit.difficulty import report_from_dict, report_to_dict
+from cascadekit.errors import boolean, integer, string_keys
 
 
 def blob_dataset_with_flip(n=24, seed=42):
@@ -94,6 +97,86 @@ def test_report_counts():
     assert report.num_easy == 1
     assert report.num_difficult == 2
 
+
+
+def oracle_report_fields(labels, per_seed_correct, seeds):
+    """The per-value checks the report ran before its outcomes were read as
+    one column, with a row that is not a sequence refused by name."""
+    labels = {k: integer(d, "labels", 0, 1) for k, d in string_keys(labels, "labels key").items()}
+    per_seed = {}
+    for inst_id, outcomes in string_keys(per_seed_correct, "per_seed_correct key").items():
+        try:
+            outcomes = tuple(outcomes)
+        except TypeError:
+            raise ValidationError(
+                f"per_seed_correct must be a sequence of booleans, got {reprlib.repr(outcomes)}"
+            ) from None
+        per_seed[inst_id] = [boolean(outcome, "per_seed_correct") for outcome in outcomes]
+    if labels.keys() != per_seed.keys():
+        raise ValidationError("labels and per_seed_correct must cover the same ids")
+    for inst_id, outcomes in per_seed.items():
+        if len(outcomes) != len(seeds):
+            raise ValidationError(
+                f"instance {inst_id!r} has {len(outcomes)} seed outcomes, expected {len(seeds)}"
+            )
+        if labels[inst_id] != (0 if all(outcomes) else 1):
+            raise ValidationError(
+                f"instance {inst_id!r}: label {labels[inst_id]} inconsistent with seed outcomes {outcomes}"
+            )
+    return labels, per_seed
+
+
+ODD_FLAGS = [True, False, 2, -1, 1.0, "1", None, 2**70, np.int64(1), np.int8(0), np.uint64(1)]
+ODD_OUTCOMES = [0, 1, 1.0, "x", None, np.bool_(False), np.bool_(True), np.int64(1)]
+NOT_SEQUENCES = [5, None, 2.5, True, np.array(1)]
+
+
+@st.composite
+def report_fields(draw):
+    """A report's labels and outcomes, derived from drawn outcomes; in a
+    faulty draw, any value may be swapped for one of another type, a row
+    for one that is not a sequence, and an id for one of another type."""
+    faulty = draw(st.booleans())
+    seeds = tuple(range(draw(st.integers(1, 3))))
+    ids = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=6))
+    outcomes = {k: draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds))) for k in ids}
+    labels = {k: 0 if all(row) else 1 for k, row in outcomes.items()}
+    container = draw(st.sampled_from([list, tuple, np.array]))
+    per_seed = {k: container(row) for k, row in outcomes.items()}
+    if faulty and ids:
+        k = draw(st.sampled_from(ids))
+        fault = draw(st.sampled_from(["flag", "outcome", "row", "key", "length"]))
+        if fault == "flag":
+            labels[k] = draw(st.sampled_from(ODD_FLAGS))
+        elif fault == "outcome":
+            row = list(outcomes[k])
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_OUTCOMES))
+            per_seed[k] = row
+        elif fault == "row":
+            per_seed[k] = draw(st.sampled_from(NOT_SEQUENCES))
+        elif fault == "key":
+            target = draw(st.sampled_from([labels, per_seed]))
+            target[7] = target.pop(k)
+        else:
+            per_seed[k] = list(outcomes[k]) + [True]
+    return labels, per_seed, seeds
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=report_fields())
+def test_report_reads_as_the_per_value_checks_do(fields):
+    labels, per_seed, seeds = fields
+    try:
+        want = oracle_report_fields(labels, per_seed, seeds)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            DifficultyReport(labels, per_seed, 2, seeds)
+        return
+    report = DifficultyReport(labels, per_seed, 2, seeds)
+    assert (report.labels, report.per_seed_correct) == want
+    assert [type(d) for d in report.labels.values()] == [int] * len(want[0])
+    for row in report.per_seed_correct.values():
+        assert type(row) is list and {type(v) for v in row} <= {bool}
 
 # --- labeling ----------------------------------------------------------------
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
+from cascadekit.errors import column, column_rows, integer
 from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -681,6 +683,67 @@ def test_equal_loaded_cost_rows_are_one_tuple(tmp_path):
     path = _write_lines(tmp_path / "traces.jsonl", *map(json.dumps, records))
     costs = load_traces(path).executed_costs
     assert costs == ((2,),) * 3 and costs[0] is costs[1] is costs[2]
+
+
+def oracle_cost_rows(rows):
+    """The cost-row reader that ``errors.column_rows`` replaced: one look per
+    distinct row object, and a row-by-row read when a look fails."""
+    try:
+        costs = tuple(map(tuple, rows))
+    except TypeError:  # a row that is not a sequence, named below
+        costs = None
+    if costs is not None:
+        distinct = {id(row): row for row in costs}.values()
+        if all(column(row, integer, "executed_costs")[0] is row for row in distinct):
+            return costs, None
+    read = []
+    for row in rows:
+        try:
+            row = tuple(row)
+        except TypeError:
+            return tuple(read), f"executed_costs must be a sequence of integers, got {reprlib.repr(row)}"
+        row, refusal = column(row, integer, "executed_costs")
+        if refusal is not None:
+            return tuple(read), refusal
+        read.append(tuple(row))
+    return tuple(read), None
+
+
+ODD_COSTS = [2**70, True, False, 1.0, 2.5, "1", None, np.int64(2), np.int32(3), np.uint64(4), np.bool_(True)]
+NOT_SEQUENCES = [2, None, 2.5, True, np.int64(2), np.array(1)]
+
+
+@st.composite
+def cost_rows(draw):
+    """Rows of executed costs as tuples (shared or fresh) or lists, in a tuple or a
+    list; in a faulty draw, entries of every kind and rows that are not sequences."""
+    faulty = draw(st.booleans())
+    entries = st.one_of(st.integers(0, 30), st.sampled_from(ODD_COSTS)) if faulty else st.integers(0, 30)
+    shared = [tuple(row) for row in draw(st.lists(st.lists(entries, max_size=3), min_size=1, max_size=3))]
+    kinds = ["shared", "tuple", "list"] + (["not a sequence"] if faulty else [])
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "shared":
+            rows.append(shared[draw(st.integers(0, len(shared) - 1))])
+        elif kind == "not a sequence":
+            rows.append(draw(st.sampled_from(NOT_SEQUENCES)))
+        else:
+            values = draw(st.lists(entries, max_size=3))
+            rows.append(tuple(values) if kind == "tuple" else values)
+    return draw(st.sampled_from([tuple, list]))(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=cost_rows())
+def test_cost_rows_read_as_the_per_row_reader_reads_them(rows):
+    got, refusal = column_rows(rows, integer, "executed_costs", "a sequence of integers")
+    want, want_refusal = oracle_cost_rows(rows)
+    assert refusal == want_refusal
+    assert got == want and type(got) is tuple and all(type(row) is tuple for row in got)
+    # (True,) == (1,): the stored types must match too.
+    assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+    if refusal is None and all(type(v) is int for row in rows for v in row):  # shared rows stay shared
+        assert all(g is r for g, r in zip(got, rows) if type(r) is tuple)
 
 
 def test_exit_stage_below_zero_is_rejected():

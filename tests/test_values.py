@@ -441,6 +441,18 @@ REJECTED = [
         lambda: run_batched(_cascade(), ["a"], [["x", "y"]]),
         "row 0: X must be a number, got 'x'",
     ),
+    (
+        # Used to raise a raw TypeError from len().
+        "run-batched-ids",
+        lambda: run_batched(_cascade(), 5, [[0.0, 0.0]]),
+        "ids must be a sequence of strings, got 5",
+    ),
+    (
+        # Used to raise a raw "'int' object is not iterable".
+        "report-outcome-row",
+        lambda: _difficulty_report(per_seed_correct={"a": 5}),
+        "per_seed_correct must be a sequence of booleans, got 5",
+    ),
     # Positions used to be read by range indexing: bools as 1 and 0, others with a raw error.
     (
         "subset-bools",
