@@ -10,11 +10,12 @@ case.  :func:`empirical_gain` is the measured counterpart for real runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
-from .errors import ValidationError, integer, real
+from .errors import NumericError, ValidationError, integer, real
 from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
@@ -195,7 +196,9 @@ def gain_report(scenario: GainScenario) -> dict:
     """Predicted gain, both bounds, and the recovered original exits.
 
     The tighter bound needs the new model's accuracy between its
-    neighbors'; when that fails it is reported as null.
+    neighbors'; when that fails it is reported as null.  A number the
+    algebra cannot hold in a float (a moved mass beyond float range) is a
+    NumericError naming it, so no report holds NaN or Infinity.
     """
     exits = solve_original_exits(scenario)
     i = scenario.insert_after
@@ -203,7 +206,7 @@ def gain_report(scenario: GainScenario) -> dict:
     bound = None
     if a[i] <= scenario.new_accuracy <= a[i + 1]:
         bound = gain_upper_bound(scenario)
-    return {
+    report = {
         "predicted_gain": predict_gain(scenario),
         "original_exits": list(exits.exits),
         "feasible": exits.feasible,
@@ -212,6 +215,12 @@ def gain_report(scenario: GainScenario) -> dict:
             scenario.layer_counts, scenario.accuracies, exits.exits
         ),
     }
+    for name, value in report.items():
+        for k, number in enumerate(value) if isinstance(value, list) else [(None, value)]:
+            if number is not None and not math.isfinite(number):
+                where = name if k is None else f"{name}[{k}]"
+                raise NumericError(f"gain report: {where} = {number!r} is not a finite number")
+    return report
 
 
 def scenario_to_dict(scenario: GainScenario) -> dict:

@@ -32,8 +32,8 @@ from .classifier import (
     save_model,
 )
 from .dataset import Dataset, Instance
-from .errors import NumericError, ValidationError, column, column_rows, first_fault, frozen, integer, real
-from .errors import real_matrix, refused_at, string, unchecked
+from .errors import NumericError, ValidationError, column, column_rows, first_fault, frozen, instance_of
+from .errors import integer, real, real_matrix, refused_at, string, unchecked
 from .jsonio import (
     array_text,
     decoder,
@@ -252,7 +252,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     read = list(map(column, (ids, exit_stage, total_cost), (string, integer, integer), names))
     faults += [(refused_at(done, why), why) for done, why in read]
     (ids, _), (stages, _), (totals, _) = read  # each column up to its first refused value
-    costs, refusal = column_rows(executed_costs, integer, "executed_costs", "a sequence of integers")
+    costs, refusal = column_rows(executed_costs, integer, "executed_costs", "a sequence of integers", 1)
     faults.append((refused_at(costs, refusal), refusal))
     whole = min(len(probs), len(ids), len(stages), len(totals), len(costs))
     if confidences is not None and whole:
@@ -320,6 +320,7 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     always) reads the checked ``X`` as it is; later stages gather only
     their survivors' rows.
     """
+    cascade = instance_of(cascade, Cascade, "cascade")
     X, row, refusal = real_matrix(X, "X", NOT_FEATURE_MATRIX)
     first_fault(lambda row: f"row {row}: ", [(row, refusal)])
     try:
@@ -336,21 +337,31 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     return _exit_table(cascade, ids, stage_probs)
 
 
-def _one_predict_per_row(instances: Sequence[Instance]):
+def _one_predict_per_row(instances_at):
     """A ``stage_probs`` for :func:`_exit_table` that makes one ``predict``
-    call per surviving instance."""
-    return lambda model, rows: np.array([predict(model, instances[r]).probs for r in rows.tolist()])
+    call per surviving instance, on the ``Instance`` that ``instances_at(rows)``
+    yields for it (held only for that call), and writes its probabilities into
+    the stage's block, allocated once at its full size."""
+
+    def stage_probs(model, rows):
+        probs = (predict(model, instance).probs for instance in instances_at(rows))
+        return np.fromiter(probs, dtype=(np.float64, model.num_classes), count=rows.size)
+
+    return stage_probs
 
 
 def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
     """The trace of one instance: row 0 of a one-instance run."""
-    return _exit_table(cascade, (instance.id,), _one_predict_per_row((instance,)))[0]
+    cascade, instance = instance_of(cascade, Cascade, "cascade"), instance_of(instance, Instance, "instance")
+    return _exit_table(cascade, (instance.id,), _one_predict_per_row(lambda rows: (instance,)))[0]
 
 
 def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
-    """Traces for every instance, in dataset order."""
-    rows = tuple(dataset.instances)  # each row's Instance, built once for every stage
-    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(rows))
+    """Traces for every instance, in dataset order.  A stage builds the
+    ``Instance`` of each row it reaches from the dataset's columns and keeps
+    none, so the memory held grows only with the traces."""
+    cascade, dataset = instance_of(cascade, Cascade, "cascade"), instance_of(dataset, Dataset, "dataset")
+    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(dataset.instances.at))
 
 
 def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:

@@ -93,6 +93,17 @@ class InstanceColumns(Sequence):
     def __iter__(self) -> Iterator[Instance]:
         return map(_row, self.ids, self.features, self.labels.tolist(), self.difficulty.tolist())
 
+    def at(self, positions: np.ndarray) -> Iterator[Instance]:
+        """The rows at ``positions`` (an array of ascending, distinct indices in range), built
+        on demand as iteration builds them: each ``features`` a view of the matrix, which is
+        not gathered."""
+        if len(positions) == len(self):  # every row, in order
+            return iter(self)
+        rows = positions.tolist()
+        features = map(self.features.__getitem__, rows)
+        labels, flags = self.labels[positions].tolist(), self.difficulty[positions].tolist()
+        return map(_row, map(self.ids.__getitem__, rows), features, labels, flags)
+
     def __repr__(self) -> str:
         return f"<{len(self)} instances as columns>"
 

@@ -50,7 +50,7 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
     """
     array = isinstance(values, np.ndarray)
     if (values.dtype.kind in _KINDS[rule] if array else set(map(type, values)) <= _STORED[rule]):
-        if not bounds or _within(np.asarray(values), *bounds, missing):
+        if not bounds or _within(values, *bounds, missing):
             return values, None
     read = []
     for value in values.ravel().tolist() if array else values:
@@ -65,12 +65,12 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
     return read, None
 
 
-def column_rows(rows, rule, name: str, not_sequence: str) -> tuple[tuple[tuple, ...], str | None]:
-    """The column form of ``rule`` for rows of values: ``rows`` as tuples of the values ``rule``
-    stores, read in one :func:`column` look at every entry of every row, up to the first row
-    that is not a sequence (refused as ``<name> must be <not_sequence>, got <row>``) or holds a
-    refused entry, and that refusal (None for none).  When every entry is stored as it is, each
-    row is returned as ``tuple(row)``: a tuple itself."""
+def column_rows(rows, rule, name: str, not_sequence: str, *bounds) -> tuple[tuple[tuple, ...], str | None]:
+    """The column form of ``rule`` (with its bounds) for rows of values: ``rows`` as tuples of
+    the values ``rule`` stores, read in one :func:`column` look at every entry of every row, up
+    to the first row that is not a sequence (refused as ``<name> must be <not_sequence>, got
+    <row>``) or holds a refused entry, and that refusal (None for none).  When every entry is
+    stored as it is, each row is returned as ``tuple(row)``: a tuple itself."""
     read, wrong_row = [], None
     for row in rows:
         try:
@@ -79,7 +79,7 @@ def column_rows(rows, rule, name: str, not_sequence: str) -> tuple[tuple[tuple, 
             wrong_row = str(_refuse(name, not_sequence, row))
             break
     entries = list(itertools.chain.from_iterable(read))
-    values, refusal = column(entries, rule, name)
+    values, refusal = column(entries, rule, name, *bounds)
     if values is not entries:  # read value by value: rebuild the rows whole before any refusal
         whole = bisect.bisect_right(list(itertools.accumulate(map(len, read))), len(values))
         values = iter(values)
@@ -128,9 +128,14 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
     return np.asarray(rows, dtype=np.float64, order="C"), None if refusal is None else whole, refusal
 
 
-def _within(values: np.ndarray, low, high=None, missing=None) -> bool:
-    values = values if missing is None else values[values != missing]
-    return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
+def _within(values, low, high=None, missing=None) -> bool:
+    """Whether every value but ``missing`` lies in the bounds: by one look at an ndarray, and
+    by ``min``/``max`` over a sequence, which copies none of its values into an array."""
+    if isinstance(values, np.ndarray):
+        values = values if missing is None else values[values != missing]
+        return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
+    values = values if missing is None else [value for value in values if value != missing]
+    return not len(values) or (min(values) >= low and (high is None or max(values) <= high))
 
 
 def first_fault(where, faults) -> None:
@@ -196,6 +201,13 @@ def string_keys(mapping: Mapping, name: str) -> dict:
     if refusal is not None:
         raise ValidationError(refusal)
     return dict(zip(keys, mapping.values()))
+
+
+def instance_of(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, refused in the rule's words (``<name> must be a <cls>``)."""
+    if isinstance(value, cls):
+        return value
+    raise _refuse(name, f"{'an' if cls.__name__[0] in 'AEIOU' else 'a'} {cls.__name__}", value)
 
 
 def boolean(value, name: str) -> bool:

@@ -34,6 +34,7 @@ from cascadekit import (
     save_traces,
 )
 from cascadekit.classifier import BATCH_BLOCK_ROWS
+from cascadekit.dataset import NO_DIFFICULTY, InstanceColumns
 from test_trace_table import oracle_run, oracle_save
 
 
@@ -267,6 +268,23 @@ def test_predict_batch_memory_grows_with_the_block_not_the_rows():
     X = rng.normal(size=(50_000, 8))
     hidden_bytes = 50_000 * 64 * 8  # the hidden activations of every row at once
     assert peak_traced_bytes(lambda: predict_batch(model, X)) < hidden_bytes
+
+
+@pytest.mark.parametrize("tau", [0.9, 1.0], ids=["some-exit", "every-row-reaches-every-stage"])
+def test_run_cascade_memory_grows_with_its_traces_as_run_batched_does(tau):
+    # run_cascade used to hold every row's Instance for the whole call and stack each
+    # stage's probabilities from a list: 6.2x and 5.3x run_batched's peak here.
+    rng = np.random.default_rng(8)
+    stages = tuple(StageSpec(random_model(rng, 8, 2, "mlp", hidden=16), cost) for cost in (2, 12))
+    n = 20_000
+    columns = InstanceColumns(
+        tuple(f"i{k}" for k in range(n)), rng.normal(size=(n, 8)), np.arange(n) % 2, np.full(n, NO_DIFFICULTY)
+    )
+    dataset = Dataset(columns, 2, 8)
+    cascade = Cascade(stages, (tau,), 12)
+    per_row = peak_traced_bytes(lambda: run_cascade(cascade, dataset))
+    batched = peak_traced_bytes(lambda: run_batched(cascade, dataset.ids(), dataset.feature_matrix()))
+    assert per_row < 1.5 * batched
 
 
 def test_run_batched_reads_a_matrix_every_row_reaches_uncopied():

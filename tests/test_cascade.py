@@ -19,6 +19,7 @@ from cascadekit import (
     Instance,
     NumericError,
     StageSpec,
+    TraceTable,
     TrainConfig,
     ValidationError,
     calibrate_threshold,
@@ -205,15 +206,22 @@ def test_speedup_ratio_rejects_non_integer_cost(cost):
     [
         ((2**1100,), 2**1100, 12, "full_model_cost 12 over mean cost 1358"),
         ((1,), 1, 2**1100, "full_model_cost 1358"),
-        ((0,), 0, 12, "full_model_cost 12 over mean cost 0/1"),
     ],
-    ids=["cost-beyond-float", "full-cost-beyond-float", "no-cost"],
+    ids=["cost-beyond-float", "full-cost-beyond-float"],
 )
 def test_speedup_ratio_beyond_float_range_is_a_numeric_error(cost, total, full, message):
-    # Used to raise a raw OverflowError, or ZeroDivisionError for a zero cost.
+    # Used to raise a raw OverflowError.
     trace = ExitTrace("a", 0, ClassDistribution(np.array([1.0, 0.0])), 1.0, cost, total)
     with pytest.raises(NumericError, match=f"^speed-up of {re.escape(message)}.* is not a finite float$"):
         speedup_ratio([trace], full)
+
+
+@pytest.mark.parametrize("cost", [0, -1], ids=["no-cost", "negative-cost"])
+def test_a_trace_costing_less_than_a_layer_is_refused(cost):
+    # A zero cost used to reach speedup_ratio's ZeroDivisionError, and -1 gave a speed-up of -12.0.
+    message = f"trace 'a': executed_costs must be an integer >= 1, got {cost}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        speedup_ratio(TraceTable(("a",), [0], np.array([[0.9, 0.1]]), ((cost,),), (cost,)), 12)
 
 
 # --- threshold calibration -------------------------------------------------------

@@ -541,6 +541,22 @@ def test_exit_code_for_traces_whose_speedup_a_float_cannot_hold(tmp_path, capsys
     assert capsys.readouterr().err.startswith("numeric error: speed-up of full_model_cost 12 over mean cost ")
 
 
+def test_exit_code_for_traces_that_cost_less_than_a_layer(tmp_path, capsys):
+    # A cost of -1 used to load, and metrics then failed on "speedup = -12.0", naming no line.
+    cfg_path = write_experiment(tmp_path)
+    assert main(["train", "--config", cfg_path]) == 0
+    assert main(["run", "--config", cfg_path]) == 0
+    traces = tmp_path / "out" / "traces_2x.jsonl"
+    records = [json.loads(line) for line in traces.read_text().splitlines()]
+    records[1]["exit_stage"], records[1]["executed_costs"], records[1]["total_cost"] = 0, [-1], -1
+    traces.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 1
+    message = f"error: {traces}: line 2: executed_costs must be an integer >= 1, got -1"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out" / "metrics_recomputed.json").exists()
+
+
 def test_exit_code_for_costs_a_float_cannot_hold(tmp_path, capsys):
     # calibrate_threshold used to end in a raw OverflowError.
     huge = 2**1100
@@ -657,6 +673,26 @@ def test_exit_code_for_scenario_counts_a_float_cannot_hold(tmp_path, capsys, fie
     path.write_text(json.dumps({**scenario, **fields}))
     assert main(["analyze", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {name} must be a number, got ")
+
+
+def test_exit_code_for_a_gain_report_a_float_cannot_hold(tmp_path, capsys):
+    # The counts fit a float but the moved mass does not: analyze used to exit 0 and write
+    # "original_exits": [-8.5e+307, Infinity] and "max_gain_bound": NaN.
+    scenario = {
+        "layer_counts": [2, 12],
+        "accuracies": [0.85, 0.94],
+        "insert_after": 0,
+        "new_layers": 6,
+        "new_accuracy": 0.91,
+        "new_exits": [0, 17 * 10**307],
+        "new_model_exits": 0,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: gain report: original_exits[1] = inf is not a finite number")
+    assert not (tmp_path / "out" / "gain_report.json").exists()
 
 
 def test_exit_code_for_non_numeric_features(tmp_path, capsys):

@@ -748,6 +748,18 @@ def test_a_dataset_holds_columns_not_instances(tmp_path, build):
     assert all(type(x) is str for x in gc.get_referents(columns.ids))
 
 
+@pytest.mark.parametrize("positions", [[], [1, 3], [0, 1, 2, 3, 4]], ids=["none", "some", "every"])
+def test_rows_at_positions_are_the_indexed_rows_over_the_matrix(positions):
+    columns = make_dataset(5, difficulty=[0, 1, None, 1, 0]).instances
+    rows = list(columns.at(np.array(positions, dtype=np.int64)))
+
+    def fields(row):
+        return row.id, row.features.tolist(), row.label, row.difficulty
+
+    assert list(map(fields, rows)) == [fields(columns[k]) for k in positions]
+    assert all(np.shares_memory(row.features, columns.features) for row in rows)  # views, not a copy
+
+
 @pytest.mark.parametrize(
     "widths, faults, feature_dim",
     [

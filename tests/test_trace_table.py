@@ -107,6 +107,9 @@ def oracle_record(payload):
     instance_id = typed(payload["instance_id"], str, "instance_id")
     exit_stage = typed(payload["exit_stage"], int, "exit_stage")
     costs = typed(payload["executed_costs"], tuple[int, ...], "executed_costs")
+    below_one = next((cost for cost in costs if cost < 1), None)  # no stage costs less than a layer
+    if below_one is not None:
+        raise ValidationError(f"executed_costs must be an integer >= 1, got {below_one}")
     total = typed(payload["total_cost"], int, "total_cost")
     if conf != confidence(distribution):
         raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
@@ -356,7 +359,7 @@ def _edit(record, rng, data):
         record["exit_stage"] += data.draw(st.sampled_from([-1, 1, 2**70]))
     elif kind == "cost":
         costs = record["executed_costs"]
-        record["executed_costs"] = data.draw(st.sampled_from([[], costs + [3], [2**70]]))
+        record["executed_costs"] = data.draw(st.sampled_from([[], costs + [3], [2**70], [0], costs + [-1]]))
     elif kind == "total":
         record["total_cost"] += data.draw(st.sampled_from([-1, 1, 2**70]))
     else:
@@ -513,6 +516,22 @@ def test_a_record_reports_its_confidence_before_its_costs(tmp_path):
         oracle_record(record)
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 1: {message}$"):
         load_traces(path)
+
+
+def test_a_cost_below_one_layer_is_refused_at_its_line(tmp_path):
+    records = [
+        {"instance_id": "a", "exit_stage": 1, "probs": [0.25, 0.75], "confidence": 0.75,
+         "executed_costs": [2, 10], "total_cost": 12},
+        {"instance_id": "b", "exit_stage": 1, "probs": [0.5, 0.5], "confidence": 0.5,
+         "executed_costs": [2, 0], "total_cost": 2},
+    ]
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = "executed_costs must be an integer >= 1, got 0"
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: line 2: {message}')}$"):
+        load_traces(path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        oracle_record(records[1])
 
 
 # The record a load stops in was never checked, so its exit stage beyond int64 must not

@@ -45,6 +45,7 @@ from cascadekit import (
     ValidationError,
     assign_folds,
     calibrate_threshold,
+    cascade_predict,
     dar_pair_loss,
     ece,
     evaluate,
@@ -62,6 +63,7 @@ from cascadekit import (
     planted_hard_task,
     predict_batch,
     run_batched,
+    run_cascade,
     save_cascade,
     save_dataset,
     save_metrics,
@@ -157,7 +159,13 @@ REJECTED = [
     ),
     ("trace-exit-stage", lambda: _trace(exit_stage=0.0), "exit_stage must be an integer, got 0.0"),
     ("trace-confidence", lambda: _trace(confidence="0.75"), "confidence must be a number, got '0.75'"),
-    ("trace-costs", lambda: _trace(executed_costs=(2.0,)), "executed_costs must be an integer, got 2.0"),
+    ("trace-costs", lambda: _trace(executed_costs=(2.0,)), "executed_costs must be an integer >= 1, got 2.0"),
+    # A cost below a stage's least layer_cost used to load, and speedup_ratio then read -12.0.
+    (
+        "trace-cost-zero",
+        lambda: _trace(executed_costs=(0,), total_cost=0),
+        "executed_costs must be an integer >= 1, got 0",
+    ),
     (
         "trace-total",
         lambda: _trace(total_cost=True, executed_costs=(1,)),
@@ -181,7 +189,12 @@ REJECTED = [
     (
         "table-cost",
         lambda: TraceTable(("a",), [1], [[0.5, 0.5]], ((0.5, 0.5),), (1,)),
-        "trace 'a': executed_costs must be an integer, got 0.5",
+        "trace 'a': executed_costs must be an integer >= 1, got 0.5",
+    ),
+    (
+        "table-cost-below-one",
+        lambda: TraceTable(("a",), [0], np.array([[0.9, 0.1]]), ((-1,),), (-1,)),
+        "trace 'a': executed_costs must be an integer >= 1, got -1",
     ),
     (
         "table-id",
@@ -192,7 +205,7 @@ REJECTED = [
         # Distinct row objects are each read; a set of the rows would hide True behind 1.
         "table-cost-distinct-rows",
         lambda: TraceTable(("a", "b", "c"), [0, 0, 0], [[1.0]] * 3, ((1,), (1,), (True,)), (1, 1, 1)),
-        "trace 'c': executed_costs must be an integer, got True",
+        "trace 'c': executed_costs must be an integer >= 1, got True",
     ),
     (
         "table-cost-row",
@@ -447,6 +460,23 @@ REJECTED = [
         lambda: run_batched(_cascade(), 5, [[0.0, 0.0]]),
         "ids must be a sequence of strings, got 5",
     ),
+    # The execution entry points used to end in a raw AttributeError on a wrong-typed argument.
+    (
+        "run-cascade-instances",
+        lambda: run_cascade(_cascade(), list(_dataset(1).instances)),
+        f"dataset must be a Dataset, got {reprlib.repr(list(_dataset(1).instances))}",
+    ),
+    ("run-cascade-none", lambda: run_cascade(_cascade(), None), "dataset must be a Dataset, got None"),
+    (
+        "cascade-predict-array",
+        lambda: cascade_predict(_cascade(), np.zeros(2)),
+        f"instance must be an Instance, got {reprlib.repr(np.zeros(2))}",
+    ),
+    (
+        "run-batched-cascade",
+        lambda: run_batched("x", ["a"], [[0.0, 0.0]]),
+        "cascade must be a Cascade, got 'x'",
+    ),
     (
         # Used to raise a raw "'int' object is not iterable".
         "report-outcome-row",
@@ -517,8 +547,8 @@ FIXTURES = {
         exit_stage=1,
         distribution=ClassDistribution(np.array([0.0, 1.0])),
         confidence=1.0,
-        executed_costs=(1, 0),
-        total_cost=1,
+        executed_costs=(1, 1),
+        total_cost=2,
     ),
     FoldAssignment: lambda: dict(num_folds=1, fold_of={"a": 0}),
     GainScenario: lambda: dict(
@@ -540,7 +570,7 @@ FIXTURES = {
     ScoredTable: lambda: dict(confidence=[1.0], predicted_label=[1], gold_label=[1], difficulty=[1]),
     StageSpec: lambda: dict(model=_linear(), layer_cost=1),
     TraceTable: lambda: dict(
-        ids=("a",), exit_stage=[1], probs=[[0.0, 1.0]], executed_costs=((1, 0),), total_cost=(1,)
+        ids=("a",), exit_stage=[1], probs=[[0.0, 1.0]], executed_costs=((1, 1),), total_cost=(2,)
     ),
     TrainConfig: lambda: dict(
         epochs=1, learning_rate=1.0, batch_size=1, dar_weight=1.0, margin=0.5, seed=1, pair_cap=1
@@ -871,9 +901,18 @@ UNSAVABLE = [
         "table-cost",
         lambda: TraceTable(("a",), [1], [[0.5, 0.5]], ((0.5, 0.5),), (1,)),
         ValidationError,
-        "trace 'a': executed_costs must be an integer, got 0.5",
+        "trace 'a': executed_costs must be an integer >= 1, got 0.5",
         ['{"confidence": 0.5, "executed_costs": [0.5, 0.5], "exit_stage": 1, "instance_id": "a", '
          '"probs": [0.5, 0.5], "total_cost": 1}'],
+        load_traces,
+    ),
+    (
+        "table-cost-below-one",
+        lambda: TraceTable(("a",), [0], [[0.5, 0.5]], ((-1,),), (-1,)),
+        ValidationError,
+        "trace 'a': executed_costs must be an integer >= 1, got -1",
+        ['{"confidence": 0.5, "executed_costs": [-1], "exit_stage": 0, "instance_id": "a", '
+         '"probs": [0.5, 0.5], "total_cost": -1}'],
         load_traces,
     ),
 ]
