@@ -623,7 +623,9 @@ def test_column_writer_writes_the_per_record_bytes(table, tmp_path_factory):
     reference_save(table, directory / "records.jsonl")
     assert (directory / "columns.jsonl").read_bytes() == (directory / "records.jsonl").read_bytes()
     loaded = load_traces(directory / "columns.jsonl")
-    assert loaded.ids == table.ids
+    # An id is read back as JSON reads its text: a high surrogate followed by a low
+    # one is written as two escapes, which JSON reads as one astral character.
+    assert loaded.ids == tuple(json.loads(json.dumps(i)) for i in table.ids)
     assert loaded.exit_stage.tolist() == table.exit_stage.tolist()
     assert loaded.probs.shape[0] == len(table)
     assert loaded.probs.tobytes() == table.probs.tobytes()
