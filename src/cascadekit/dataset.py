@@ -97,8 +97,6 @@ class InstanceColumns(Sequence):
         """The rows at ``positions`` (an array of ascending, distinct indices in range), built
         on demand as iteration builds them: each ``features`` a view of the matrix, which is
         not gathered."""
-        if len(positions) == len(self):  # every row, in order
-            return iter(self)
         rows = positions.tolist()
         features = map(self.features.__getitem__, rows)
         labels, flags = self.labels[positions].tolist(), self.difficulty[positions].tolist()

@@ -6,6 +6,7 @@ import bisect
 import contextlib
 import itertools
 import numbers
+import re
 import reprlib
 from collections.abc import Mapping, Sequence
 
@@ -45,12 +46,17 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
     A column whose values the rule stores as they are is returned as it is,
     after one look at its dtype (an ndarray) or at the set of its values'
     types (a set of the values would hide ``True`` behind ``1``), and one
-    at its bounds.  An ndarray of another dtype is read by the Python
-    values of its entries, flattened in row-major order.
+    at its bounds (for :func:`string`, at the code points of all its
+    strings).  An ndarray of another dtype is read by the Python values of
+    its entries, flattened in row-major order.
     """
     array = isinstance(values, np.ndarray)
     if (values.dtype.kind in _KINDS[rule] if array else set(map(type, values)) <= _STORED[rule]):
-        if not bounds or _within(values, *bounds, missing):
+        if rule is string:
+            stored = _encodable("".join(values))
+        else:
+            stored = not bounds or _within(np.asarray(values), *bounds, missing)
+        if stored:
             return values, None
     read = []
     for value in values.ravel().tolist() if array else values:
@@ -128,14 +134,9 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
     return np.asarray(rows, dtype=np.float64, order="C"), None if refusal is None else whole, refusal
 
 
-def _within(values, low, high=None, missing=None) -> bool:
-    """Whether every value but ``missing`` lies in the bounds: by one look at an ndarray, and
-    by ``min``/``max`` over a sequence, which copies none of its values into an array."""
-    if isinstance(values, np.ndarray):
-        values = values if missing is None else values[values != missing]
-        return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
-    values = values if missing is None else [value for value in values if value != missing]
-    return not len(values) or (min(values) >= low and (high is None or max(values) <= high))
+def _within(values: np.ndarray, low, high=None, missing=None) -> bool:
+    values = values if missing is None else values[values != missing]
+    return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
 
 
 def first_fault(where, faults) -> None:
@@ -187,11 +188,23 @@ def real(value, name: str) -> float:
     raise _refuse(name, "a number", value)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(text: str) -> bool:
+    """Whether ``text`` holds no surrogate code point (ASCII text, at once)."""
+    return text.isascii() or _SURROGATE.search(text) is None
+
+
 def string(value, name: str) -> str:
-    """``value`` as a ``str``: a Python or numpy string."""
-    if isinstance(value, str):
-        return str(value)
-    raise _refuse(name, "a string", value)
+    """``value`` as a ``str``: a Python or numpy string that UTF-8 can encode, so one that holds
+    no surrogate code point (JSON writes a high and a low one as two escapes, and reads them
+    back as one other character)."""
+    if not isinstance(value, str):
+        raise _refuse(name, "a string", value)
+    if not _encodable(value):
+        raise _refuse(name, "a string without surrogates", value)
+    return str(value)
 
 
 def string_keys(mapping: Mapping, name: str) -> dict:

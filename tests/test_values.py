@@ -511,6 +511,17 @@ REJECTED = [
     ("featurize-text", lambda: hash_featurize(5, 4), "text must be a string, got 5"),
     ("tiered-id-prefix", lambda: tiered_task(3, 0, id_prefix=5), "id_prefix must be a string, got 5"),
     ("planted-id-prefix", lambda: planted_hard_task(3, 0, id_prefix=5), "id_prefix must be a string, got 5"),
+    # A high and a low surrogate were saved as two escapes that loaded back as one other character.
+    (
+        "trace-id-surrogates",
+        lambda: _trace(instance_id="\ud800\udc00"),
+        "instance_id must be a string without surrogates, got '\\ud800\\udc00'",
+    ),
+    (
+        "instance-id-surrogate",
+        lambda: Instance("a\udfff", np.zeros(2), 0),
+        "id must be a string without surrogates, got 'a\\udfff'",
+    ),
 ]
 
 
