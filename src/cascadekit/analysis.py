@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
-from .errors import NumericError, ValidationError, integer, real
+from .errors import NumericError, ValidationError, instance_of, integer, real
 from .jsonio import decoder, from_fields, read_json, write_json
 from .metrics import accuracy, scored_from_traces
 
@@ -177,6 +177,9 @@ def empirical_gain(
     Both cascades must land within 1% of each other's measured speed-up on
     the dataset, otherwise the comparison confounds accuracy with cost.
     """
+    cascade_without = instance_of(cascade_without, Cascade, "cascade_without")
+    cascade_with = instance_of(cascade_with, Cascade, "cascade_with")
+    dataset = instance_of(dataset, Dataset, "dataset")
     ids, X = dataset.ids(), dataset.feature_matrix()
     traces_without = run_batched(cascade_without, ids, X)
     traces_with = run_batched(cascade_with, ids, X)

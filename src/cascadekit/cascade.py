@@ -132,9 +132,10 @@ class ExitTrace:
         object.__setattr__(self, "confidence", real(self.confidence, "confidence"))
         names = ("instance_id", "exit_stage", "executed_costs", "total_cost")
         probs, row = self.distribution.probs[None], [(getattr(self, name),) for name in names]
-        ids, stages, probs, costs, totals = _checked_rows(lambda _: "", probs, [self.confidence], *row)
+        table = _checked_rows(lambda _: "", probs, [self.confidence], *row)
+        ids, stages, probs, costs, totals = table.values()
         self.__dict__.update(zip(names, (ids[0], int(stages[0]), costs[0], totals[0])))
-        self.__dict__["distribution"] = unchecked(ClassDistribution, probs[0])  # predict's is writable
+        self.__dict__["distribution"] = unchecked(ClassDistribution, probs=probs[0])  # predict's is writable
 
     @property
     def predicted_label(self) -> int:
@@ -169,14 +170,14 @@ class TraceTable(Sequence):
             lengths = set()
         if len(lengths) != 1:
             raise ValidationError(_NOT_TABLE)
-        checked = _checked_rows(lambda row: f"trace {ids[row]!r}: ", self.probs, None, *columns)
-        self.__dict__.update(zip(self.__dataclass_fields__, checked))
+        self.__dict__.update(_checked_rows(lambda row: f"trace {ids[row]!r}: ", self.probs, None, *columns))
 
     @classmethod
     def from_traces(cls, traces: Sequence[ExitTrace]) -> "TraceTable":
-        """The table of ``traces``; a table is returned as it is."""
+        """The table of ``traces``, a sequence of :class:`ExitTrace`; a table is returned as it is."""
         if isinstance(traces, TraceTable):
             return traces
+        traces = [instance_of(trace, ExitTrace, "traces") for trace in instance_of(traces, Sequence, "traces")]
         shapes = {t.distribution.probs.shape for t in traces}
         if len(shapes) > 1:
             raise ValidationError(f"traces mix probability vectors of shapes {sorted(shapes)}")
@@ -227,8 +228,16 @@ class TraceTable(Sequence):
 def _trace_row(instance_id, exit_stage, probs, conf, executed_costs, total_cost) -> ExitTrace:
     """A table row as an :class:`ExitTrace`, made without running the
     ``__post_init__`` checks: the table ran the same ones on construction."""
-    distribution = unchecked(ClassDistribution, probs)
-    return unchecked(ExitTrace, instance_id, exit_stage, distribution, conf, executed_costs, total_cost)
+    distribution = unchecked(ClassDistribution, probs=probs)
+    return unchecked(
+        ExitTrace,
+        instance_id=instance_id,
+        exit_stage=exit_stage,
+        distribution=distribution,
+        confidence=conf,
+        executed_costs=executed_costs,
+        total_cost=total_cost,
+    )
 
 
 def _first_difference(a: list, b: list) -> int | None:
@@ -238,7 +247,7 @@ def _first_difference(a: list, b: list) -> int | None:
 
 
 def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, total_cost):
-    """The columns as a :class:`TraceTable` holds them, read by the value rule (``exit_stage``
+    """The columns as a :class:`TraceTable` holds them, by field name, read by the value rule (``exit_stage``
     and ``probs`` as :func:`errors.frozen` arrays), if every row obeys the trace rules, else
     ``ValidationError(where(row) + reason)`` for the first row that does
     not.  A row's checks run in this order: its distribution (by
@@ -265,7 +274,13 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     faults.append((_first_difference(list(stages[:whole]), covered), _NOT_COVERED))
     faults.append((_first_difference(list(totals[:whole]), list(map(sum, costs[:whole]))), _NOT_SUMMED))
     first_fault(where, faults)
-    return tuple(ids), frozen(stages[:whole], np.int64), frozen(probs), costs, tuple(totals)
+    return dict(
+        ids=tuple(ids),
+        exit_stage=frozen(stages[:whole], np.int64),
+        probs=frozen(probs),
+        executed_costs=costs,
+        total_cost=tuple(totals),
+    )
 
 
 def _exit_table(cascade: Cascade, ids: Sequence[str], stage_probs) -> TraceTable:
@@ -366,10 +381,10 @@ def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
 
 def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:
     """Reference cost divided by the mean executed cost per instance."""
-    if not len(traces):
+    costs = TraceTable.from_traces(traces).total_cost
+    if not costs:
         raise ValidationError("speedup_ratio needs at least one trace")
     full_model_cost = integer(full_model_cost, "full_model_cost", low=1)
-    costs = TraceTable.from_traces(traces).total_cost
     return _speedup(full_model_cost, sum(costs), len(costs))
 
 
@@ -412,6 +427,8 @@ def calibrate_threshold(
     than ``tolerance * target``, or if the target is outside
     [1, full_model_cost / smallest stage cost].
     """
+    cascade = instance_of(cascade, Cascade, "cascade")
+    calibration = instance_of(calibration, Dataset, "calibration")
     if not len(calibration):
         raise ValidationError("calibration dataset is empty")
     if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
@@ -486,7 +503,7 @@ def _read_records(records, where) -> TraceTable:
     except ValidationError:
         checked()  # a fault in an earlier record comes first
         raise
-    return unchecked(TraceTable, *checked())
+    return unchecked(TraceTable, **checked())
 
 
 # A trace record's keys in sorted order, the order of a saved line's fields.
@@ -527,7 +544,7 @@ def _read_table(records, where) -> TraceTable:
     confidences, costs, stages, ids, totals = read
     matrix = frozen(probs, np.float64).reshape(len(probs), len(probs[0]) if probs else 0)
     checked = _checked_rows(lambda row: where(lines[row]), matrix, confidences, ids, stages, costs, totals)
-    return unchecked(TraceTable, *checked)
+    return unchecked(TraceTable, **checked)
 
 
 def trace_from_dict(payload: dict) -> ExitTrace:

@@ -28,6 +28,7 @@ GRAD_CHECK_STEP = 1e-5
 KINK_TOLERANCE = 1e-3
 NOT_FEATURE_MATRIX = "X must be a matrix, one feature row per instance"
 BATCH_BLOCK_ROWS = 1024  # rows per predict_batch block: its transient memory grows with this, not with N
+NON_FINITE_PROBS = "model produced non-finite class probabilities"
 
 
 @dataclass(frozen=True)
@@ -162,21 +163,23 @@ def _init_weights(
     return weights
 
 
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits minus their row maximum, its exp, and the exp's row sum: the
-    part that softmax and log_softmax share."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The logits' row maximum, the logits minus it, their exp, and the exp's row sum: the part
+    that softmax and log_softmax share.  (The ufunc reductions are what ``ndarray.max`` and
+    ``.sum`` call, so they give the same bits, without the wrappers' per-call cost.)"""
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    shifted = logits - top
     exp = np.exp(shifted)
-    return shifted, exp, exp.sum(axis=-1, keepdims=True)
+    return top, shifted, exp, np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    _, exp, total = _shifted_exp(logits)
+    _, _, exp, total = _shifted_exp(logits)
     return exp / total
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted, _, total = _shifted_exp(logits)
+    _, shifted, _, total = _shifted_exp(logits)
     return shifted - np.log(total)
 
 
@@ -195,12 +198,18 @@ def _forward(kind: str, weights: dict[str, np.ndarray], X: np.ndarray):
 
 def _probabilities(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     """Softmax of the model's logits for ``X`` (..., d); NumericError if any
-    probability is non-finite."""
+    probability is non-finite.
+
+    A row's probabilities are finite exactly when its largest logit is:
+    ``np.maximum`` carries a NaN through, and a finite maximum leaves every
+    exp in [0, 1] with a 1 among them, so the row sum lies in [1, C].  So
+    the row maxima are checked, not every probability.
+    """
     logits, _ = _forward(model.architecture.kind, model.weights, X)
-    probs = softmax(logits)
-    if not np.isfinite(probs).all():
-        raise NumericError("model produced non-finite class probabilities")
-    return probs
+    top, _, exp, total = _shifted_exp(logits)
+    if not np.isfinite(top).all():
+        raise NumericError(NON_FINITE_PROBS)
+    return exp / total
 
 
 def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
@@ -227,13 +236,24 @@ def predict_batch(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
 
 def predict(model: ClassifierModel, instance: Instance) -> ClassDistribution:
     """Class distribution for one instance (softmax over the model logits), built unchecked:
-    :func:`_probabilities` refuses a non-finite one, and a trace table checks its rows again."""
-    if instance.features.shape[0] != model.feature_dim:
+    a non-finite one is refused by the rule of :func:`_probabilities`, and a trace table checks
+    its rows again.
+
+    The same bits as the instance's row of :func:`predict_batch`: the logits come from the same
+    (1, d) product, and the softmax of that one row is taken as a 1-D array, whose reductions
+    add and compare in the order a row's do, without the per-call cost of (1, C) arrays.
+    """
+    features = instance.features
+    if features.shape[0] != model.feature_dim:
         raise ValidationError(
-            f"instance {instance.id!r} has {instance.features.shape[0]} features, "
-            f"model expects {model.feature_dim}"
+            f"instance {instance.id!r} has {features.shape[0]} features, model expects {model.feature_dim}"
         )
-    return unchecked(ClassDistribution, _probabilities(model, instance.features[None, :])[0])
+    logits = _forward(model.architecture.kind, model.weights, features[None, :])[0][0]
+    top = np.maximum.reduce(logits)
+    if not math.isfinite(top):
+        raise NumericError(NON_FINITE_PROBS)
+    exp = np.exp(logits - top)
+    return unchecked(ClassDistribution, probs=exp / np.add.reduce(exp))
 
 
 def confidence(dist: ClassDistribution) -> float:
@@ -287,7 +307,7 @@ def _objective(
     the logits of one model.
     """
     n = y.shape[-1]
-    shifted, exp, total = _shifted_exp(logits)
+    _, shifted, exp, total = _shifted_exp(logits)
     probs = exp / total
     gold = y[..., None] == np.arange(logits.shape[-1])
     # The gold entries of log_softmax, averaged as .mean() does: sum, then divide.

@@ -109,7 +109,8 @@ class InstanceColumns(Sequence):
 def _row(inst_id: str, features: np.ndarray, label: int, flag: int) -> Instance:
     """A row of :class:`InstanceColumns` as an :class:`Instance`, made
     without running the ``__post_init__`` checks."""
-    return unchecked(Instance, inst_id, features, label, None if flag == NO_DIFFICULTY else flag)
+    difficulty = None if flag == NO_DIFFICULTY else flag
+    return unchecked(Instance, id=inst_id, features=features, label=label, difficulty=difficulty)
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,7 @@ class Dataset:
         if not isinstance(columns, InstanceColumns):
             columns, wrong_width = _columns_of(tuple(columns))
         columns = _check_rows(lambda _: "", columns)
-        checked = _check_shared(columns, self.num_classes, self.feature_dim, wrong_width)
-        self.__dict__.update(zip(self.__dataclass_fields__, checked))
+        self.__dict__.update(_check_shared(columns, self.num_classes, self.feature_dim, wrong_width))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -245,8 +245,8 @@ def _check_rows(where, columns: InstanceColumns, missing: int | None = NO_DIFFIC
 
 def _check_shared(
     columns: InstanceColumns, num_classes, feature_dim, wrong_width: tuple[int, int] | None = None
-) -> tuple[InstanceColumns, int, int]:
-    """``columns`` and the two sizes read by the integer rule, if the rows
+) -> dict:
+    """``columns`` and the two sizes read by the integer rule, as the fields of a :class:`Dataset`, if the rows
     agree with each other and with the sizes: unique ids, ``feature_dim``
     features each (``wrong_width`` names a row of another width that the
     matrix does not show) and labels below ``num_classes``; else
@@ -272,7 +272,8 @@ def _check_shared(
          f"for {num_classes} classes"),
     ])
     features = columns.features if ids else frozen(np.zeros((0, feature_dim)))  # no row sets the width
-    return InstanceColumns(ids, features, labels, flags), num_classes, feature_dim
+    columns = InstanceColumns(ids, features, labels, flags)
+    return dict(instances=columns, num_classes=num_classes, feature_dim=feature_dim)
 
 
 @dataclass(frozen=True)
@@ -443,7 +444,7 @@ def load_dataset(
         checked = _check_shared(columns, num_classes, feature_dim, wrong_width)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return unchecked(Dataset, *checked)
+    return unchecked(Dataset, **checked)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -153,11 +153,11 @@ def first_fault(where, faults) -> None:
         raise ValidationError(where(row) + (reason(row) if callable(reason) else reason))
 
 
-def unchecked(cls, *values):
-    """The frozen dataclass ``cls`` holding ``values``, made without running
+def unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` (every one, by name), made without running
     ``__post_init__``: a row of a table that ran the same checks, or a table a loader checked."""
     row = object.__new__(cls)
-    row.__dict__.update(zip(cls.__dataclass_fields__, values))
+    row.__dict__.update(fields)
     return row
 
 

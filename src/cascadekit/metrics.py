@@ -20,7 +20,7 @@ import numpy as np
 from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import NO_DIFFICULTY, Dataset, flags_by_id
 from .errors import ValidationError, column, first_fault, frozen, int64_column, integer, real, refused_at
-from .errors import unchecked
+from .errors import instance_of, unchecked
 from .jsonio import decoder, from_fields, read_json, write_json
 
 DEFAULT_ECE_BINS = 10
@@ -148,7 +148,9 @@ def _checked_scores(where, *columns, missing: int | None = NO_DIFFICULTY) -> tup
 def _scored_row(confidence: float, predicted: int, gold: int, flag: int) -> ScoredInstance:
     """A :class:`ScoredTable` row as a :class:`ScoredInstance`, made without
     running the ``__post_init__`` checks: the table ran the same ones."""
-    return unchecked(ScoredInstance, confidence, predicted, gold, None if flag == NO_DIFFICULTY else flag)
+    difficulty = None if flag == NO_DIFFICULTY else flag
+    return unchecked(ScoredInstance, confidence=confidence, predicted_label=predicted, gold_label=gold,
+                     difficulty=difficulty)
 
 
 def _scored(scored: Sequence[ScoredInstance], op: str) -> ScoredTable:
@@ -279,6 +281,7 @@ def evaluate(
     given, F1 only when ``positive_class`` is given.  ``num_stages`` sizes
     the exit histogram; by default the deepest observed exit sets it.
     """
+    dataset = instance_of(dataset, Dataset, "dataset")
     if positive_class is not None:
         integer(positive_class, "positive_class", 0, dataset.num_classes - 1)
     table = TraceTable.from_traces(traces)

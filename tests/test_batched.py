@@ -23,6 +23,7 @@ from cascadekit import (
     ClassifierModel,
     Dataset,
     Instance,
+    NumericError,
     StageSpec,
     TrainConfig,
     ValidationError,
@@ -38,19 +39,27 @@ from cascadekit.dataset import NO_DIFFICULTY, InstanceColumns
 from test_trace_table import oracle_run, oracle_save
 
 
-def random_model(rng, dim, num_classes, kind, hidden=None):
+def random_model(rng, dim, num_classes, kind, hidden=None, output_scale=1.0):
+    """A model of random weights; ``output_scale`` multiplies its output layer's, each kept
+    within float range."""
     scale = rng.uniform(0.1, 4.0) / np.sqrt(dim)
     if kind == "linear":
-        weights = {"w": rng.normal(scale=scale, size=(dim, num_classes))}
+        weights = {"w": scaled(rng.normal(scale=scale, size=(dim, num_classes)), output_scale)}
         weights["b"] = rng.normal(size=num_classes)
         return ClassifierModel(Architecture("linear"), dim, num_classes, weights, TrainConfig())
     weights = {
         "w1": rng.normal(scale=scale, size=(dim, hidden)),
         "b1": rng.normal(size=hidden),
-        "w2": rng.normal(scale=2.0, size=(hidden, num_classes)),
+        "w2": scaled(rng.normal(scale=2.0, size=(hidden, num_classes)), output_scale),
         "b2": rng.normal(size=num_classes),
     }
     return ClassifierModel(Architecture("mlp", hidden), dim, num_classes, weights, TrainConfig())
+
+
+def scaled(weights, scale):
+    largest = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        return np.clip(scale * weights, -largest, largest)
 
 
 def laid_out(X, layout, rng):
@@ -68,30 +77,84 @@ def laid_out(X, layout, rng):
     return X
 
 
+# Output weights up to float range: logits past it, where some classes' overflow to -inf (and
+# exp to 0) under a finite top, and rows whose top is NaN or +-inf.
+output_scales = st.one_of(st.just(0.0), st.floats(0, 308), st.floats(306, 308)).map(lambda p: 10.0**p)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["linear", "mlp"]),
     dim=st.integers(1, 256),
-    num_classes=st.integers(2, 6),
+    # Past 8 classes a row's sum is pairwise, so a 1-D sum could add in another order.
+    num_classes=st.integers(2, 16),
     hidden=st.integers(1, 48),
     n=st.integers(0, 40),
     layout=st.sampled_from(["C", "fortran", "column-strided", "row-strided"]),
+    output_scale=output_scales,
 )
-def test_predict_batch_rows_equal_predict(seed, kind, dim, num_classes, hidden, n, layout):
+def test_predict_batch_rows_equal_predict(seed, kind, dim, num_classes, hidden, n, layout, output_scale):
     rng = np.random.default_rng(seed)
-    model = random_model(rng, dim, num_classes, kind, hidden)
+    model = random_model(rng, dim, num_classes, kind, hidden, output_scale)
     X = laid_out(rng.normal(scale=2.0, size=(n, dim)), layout, rng)
-    probs = predict_batch(model, X)
-    assert probs.shape == (n, num_classes)
-    for i in range(n):
-        # The instance is built from a row view of X, strided in every layout but C.
-        alone = predict(model, Instance(f"i{i}", X[i], 0)).probs
-        assert np.array_equal(alone, probs[i])
-        assert np.array_equal(predict_batch(model, X[i : i + 1])[0], probs[i])
-    for size in (0, n // 2, n):
-        rows = rng.permutation(n)[:size]
-        assert np.array_equal(predict_batch(model, X[rows]), probs[rows])
+    with np.errstate(all="ignore"):
+        try:
+            probs = predict_batch(model, X)
+        except NumericError:  # a row's top logit is not finite: the other rows are compared one by one
+            probs = None
+        for i in range(n):
+            try:
+                # The instance is built from a row view of X, strided in every layout but C.
+                alone = predict(model, Instance(f"i{i}", X[i], 0)).probs
+            except NumericError:  # test_predict_refuses_the_rows_predict_batch_refuses
+                continue
+            assert np.array_equal(predict_batch(model, X[i : i + 1])[0], alone)
+            assert probs is None or np.array_equal(alone, probs[i])
+        if probs is None:
+            return
+        assert probs.shape == (n, num_classes)
+        for size in (0, n // 2, n):
+            rows = rng.permutation(n)[:size]
+            assert np.array_equal(predict_batch(model, X[rows]), probs[rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["linear", "mlp"]),
+    dim=st.integers(1, 64),
+    num_classes=st.integers(1, 16),
+    hidden=st.integers(1, 48),
+    output_scale=output_scales,
+)
+def test_predict_refuses_the_rows_predict_batch_refuses(seed, kind, dim, num_classes, hidden, output_scale):
+    # One rule: a row's probabilities are finite exactly when its largest logit is (not NaN or
+    # +-inf), and a row that breaks it is a NumericError in predict and in predict_batch alike.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim, num_classes, kind, hidden, output_scale)
+    X = rng.normal(scale=2.0, size=(8, dim))
+    with np.errstate(all="ignore"):
+        logits = oracle_logits(model, X)
+        for x, row in zip(X, logits):
+            refused = []
+            for call in (lambda: predict(model, Instance("a", x, 0)), lambda: predict_batch(model, x[None])):
+                try:
+                    call()
+                except NumericError as exc:
+                    assert str(exc) == "model produced non-finite class probabilities"
+                    refused.append(True)
+                else:
+                    refused.append(False)
+            assert refused == [not np.isfinite(row.max())] * 2
+
+
+def oracle_logits(model, X):
+    """The logits of each row of ``X`` alone, written out."""
+    w = model.weights
+    if model.architecture.kind == "linear":
+        return np.stack([x[None] @ w["w"] + w["b"] for x in X])[:, 0]
+    return np.stack([np.tanh(x[None] @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"] for x in X])[:, 0]
 
 
 def test_instance_features_are_c_ordered():

@@ -101,7 +101,7 @@ def _exit_trace(data, n):
     probs, kept = _caller(data, _probs(data, 1, n)[0])
     # predict builds its distribution unchecked, over an array of its own.
     checked = data.draw(st.booleans())
-    distribution = ClassDistribution(probs) if checked else unchecked(ClassDistribution, probs)
+    distribution = ClassDistribution(probs) if checked else unchecked(ClassDistribution, probs=probs)
     confidence = float(distribution.probs.max())
     return ExitTrace("a", 1, distribution, confidence, (2, 12), 14), kept
 

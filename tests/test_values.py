@@ -48,6 +48,7 @@ from cascadekit import (
     cascade_predict,
     dar_pair_loss,
     ece,
+    empirical_gain,
     evaluate,
     f1_binary,
     hash_featurize,
@@ -72,6 +73,7 @@ from cascadekit import (
     save_scenario,
     save_traces,
     scored_from_traces,
+    speedup_ratio,
     tiered_task,
     train,
 )
@@ -522,6 +524,38 @@ REJECTED = [
         lambda: Instance("a\udfff", np.zeros(2), 0),
         "id must be a string without surrogates, got 'a\\udfff'",
     ),
+    # These used to end in a raw AttributeError or TypeError on a wrong-typed argument.
+    ("calibrate-cascade", lambda: calibrate_threshold("x", _dataset(), 2.0), "cascade must be a Cascade, got 'x'"),
+    (
+        "calibrate-instances",
+        lambda: calibrate_threshold(_cascade(), list(_dataset(1).instances), 2.0),
+        f"calibration must be a Dataset, got {reprlib.repr(list(_dataset(1).instances))}",
+    ),
+    ("evaluate-traces-none", lambda: evaluate(None, _dataset(2), 12), "traces must be a Sequence, got None"),
+    ("evaluate-trace-row", lambda: evaluate(["x"], _dataset(2), 12), "traces must be an ExitTrace, got 'x'"),
+    (
+        "evaluate-instances",
+        lambda: evaluate(_traces(), list(_dataset(2).instances), 12),
+        f"dataset must be a Dataset, got {reprlib.repr(list(_dataset(2).instances))}",
+    ),
+    (
+        "evaluate-cost",
+        lambda: evaluate(_traces(), _dataset(2), "12"),
+        "full_model_cost must be an integer >= 1, got '12'",
+    ),
+    (
+        "gain-without",
+        lambda: empirical_gain("x", _cascade(), _dataset()),
+        "cascade_without must be a Cascade, got 'x'",
+    ),
+    (
+        "gain-with",
+        lambda: empirical_gain(_cascade(), None, _dataset()),
+        "cascade_with must be a Cascade, got None",
+    ),
+    ("gain-dataset", lambda: empirical_gain(_cascade(), _cascade(), None), "dataset must be a Dataset, got None"),
+    ("speedup-traces-none", lambda: speedup_ratio(None, 12), "traces must be a Sequence, got None"),
+    ("speedup-trace-row", lambda: speedup_ratio([5], 12), "traces must be an ExitTrace, got 5"),
 ]
 
 
