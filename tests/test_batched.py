@@ -36,6 +36,7 @@ from cascadekit import (
 )
 from cascadekit.classifier import BATCH_BLOCK_ROWS
 from cascadekit.dataset import NO_DIFFICULTY, InstanceColumns
+from test_classifier import oracle_forward
 from test_trace_table import oracle_run, oracle_save
 
 
@@ -135,8 +136,8 @@ def test_predict_refuses_the_rows_predict_batch_refuses(seed, kind, dim, num_cla
     model = random_model(rng, dim, num_classes, kind, hidden, output_scale)
     X = rng.normal(scale=2.0, size=(8, dim))
     with np.errstate(all="ignore"):
-        logits = oracle_logits(model, X)
-        for x, row in zip(X, logits):
+        for x in X:
+            row = oracle_forward(model, x[None])[0][0]  # the row's logits, alone
             refused = []
             for call in (lambda: predict(model, Instance("a", x, 0)), lambda: predict_batch(model, x[None])):
                 try:
@@ -147,14 +148,6 @@ def test_predict_refuses_the_rows_predict_batch_refuses(seed, kind, dim, num_cla
                 else:
                     refused.append(False)
             assert refused == [not np.isfinite(row.max())] * 2
-
-
-def oracle_logits(model, X):
-    """The logits of each row of ``X`` alone, written out."""
-    w = model.weights
-    if model.architecture.kind == "linear":
-        return np.stack([x[None] @ w["w"] + w["b"] for x in X])[:, 0]
-    return np.stack([np.tanh(x[None] @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"] for x in X])[:, 0]
 
 
 def test_instance_features_are_c_ordered():
