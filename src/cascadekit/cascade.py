@@ -44,6 +44,7 @@ from .jsonio import (
     number_list,
     number_rows,
     read_json,
+    reader,
     string_text,
     typed,
     typed_column,
@@ -464,87 +465,73 @@ def calibrate_threshold(
     return (float(candidates[best]),) * (len(cascade.stages) - 1)
 
 
+# A trace record's fields in the order a record is read, each with its JSON type: probs first,
+# so a record's distribution is checked before its other fields (the order _checked_rows takes).
+_TRACE_FIELDS = (("probs", list[float]), ("confidence", float), ("instance_id", str), ("exit_stage", int),
+                 ("executed_costs", _COSTS), ("total_cost", int))
+_TRACE_KEYS, _TRACE_HINTS = zip(*_TRACE_FIELDS)
+_TRACE_ROW = operator.itemgetter(*_TRACE_KEYS)
+_TRACE_READERS = tuple(zip(_TRACE_KEYS[1:], map(reader, _TRACE_HINTS[1:])))  # the fields after probs
+
+
 @decoder("trace record")
 def _read_record(payload, columns: tuple[list, ...]) -> None:
-    """Append a trace record's fields, each read by its JSON type, to
-    ``columns``; a field that cannot be read leaves the ones before it
-    appended, so the record's distribution is still checked first."""
-    probs, confidences, ids, stages, costs, totals = columns
+    """Append a trace record's fields, each read by its JSON type (probs by
+    :func:`number_list`, at the first record's width), to ``columns``; a field
+    that cannot be read leaves the ones before it appended, so the record's
+    distribution is still checked first."""
+    probs = columns[0]
     row = number_list(payload["probs"], "probs")
     if probs and len(row) != len(probs[0]):
         raise ValueError(f"probs has {len(row)} entries, the first record's has {len(probs[0])}")
     probs.append(row)
-    confidences.append(typed(payload["confidence"], float, "confidence"))
-    ids.append(typed(payload["instance_id"], str, "instance_id"))
-    stages.append(typed(payload["exit_stage"], int, "exit_stage"))
-    costs.append(typed(payload["executed_costs"], _COSTS, "executed_costs"))
-    totals.append(typed(payload["total_cost"], int, "total_cost"))
-
-
-def _read_records(records, where) -> TraceTable:
-    """The table of ``(line, payload)`` trace records, read record by record
-    by :func:`_read_record`; the trace rules then run once per column.  An
-    error names the first bad record through ``where(line)``."""
-    columns = probs, confidences, ids, stages, costs, totals = [], [], [], [], [], []
-    lines = []
-
-    def checked() -> tuple:
-        width = len(probs[0]) if probs else 0
-        matrix = frozen(probs, np.float64).reshape(len(probs), width)  # JSON numbers
-        return _checked_rows(lambda row: where(lines[row]), matrix, confidences, *columns[2:])
-
-    try:
-        for line_no, payload in records:
-            lines.append(line_no)
-            try:
-                _read_record(payload, columns)
-            except ValidationError as exc:
-                raise ValidationError(f"{where(line_no)}{exc}") from None
-    except ValidationError:
-        checked()  # a fault in an earlier record comes first
-        raise
-    return unchecked(TraceTable, **checked())
-
-
-# A trace record's keys in sorted order, the order of a saved line's fields.
-_TRACE_KEYS = ("confidence", "executed_costs", "exit_stage", "instance_id", "probs", "total_cost")
-_TRACE_FIELDS = operator.itemgetter(*_TRACE_KEYS)
-_TRACE_HINTS = (float, _COSTS, int, str, int)  # the fields but probs, in key order
+    for (key, read), values in zip(_TRACE_READERS, columns[1:]):
+        values.append(read(payload[key], key))
 
 
 def _read_table(records, where) -> TraceTable:
     """The table of ``(line, payload)`` trace records, read column by column:
     each field's values are gathered as the records stream, each column is read
     by its JSON type in one look (:func:`jsonio.typed_column`), and the trace
-    rules run once per column.  A record that does not hold every field,
-    invalid JSON, or a column the look refuses replays the records through
-    :func:`_read_records`, so an error names the first bad record's line in
-    the words of reading record by record."""
-    records = iter(records)
-    lines, rows = [], []
-
-    def replayed(*rest) -> TraceTable:
-        payloads = (dict(zip(_TRACE_KEYS, row)) for row in rows)
-        return _read_records(itertools.chain(zip(lines, payloads), *rest), where)
-
+    rules run once per column.  Where the look refuses a column, or reading
+    stops at a record that is not an object holding every field or at invalid
+    JSON, the records read so far (and the one it stopped at) are read again one
+    by one by :func:`_read_record`, up to the first it refuses; the trace rules
+    then run on what was read, so an error names the first bad record's line."""
+    lines, rows, stopped_at, refusal = [], [], [], None
     try:
         for line_no, payload in records:
-            try:
-                rows.append(_TRACE_FIELDS(payload))
-            except (KeyError, TypeError):  # not an object holding every field
-                return replayed([(line_no, payload)], records)
             lines.append(line_no)
-    except ValidationError:  # invalid JSON: a fault in a record before it comes first
-        replayed()
-        raise
-    confidences, costs, stages, ids, probs, totals = zip(*rows) if rows else [()] * len(_TRACE_KEYS)
-    read = list(map(typed_column, (confidences, costs, stages, ids, totals), _TRACE_HINTS))
-    if None in read or number_rows(probs) is None or len(set(map(len, probs))) > 1:
-        return replayed()
-    confidences, costs, stages, ids, totals = read
-    matrix = frozen(probs, np.float64).reshape(len(probs), len(probs[0]) if probs else 0)
-    checked = _checked_rows(lambda row: where(lines[row]), matrix, confidences, ids, stages, costs, totals)
-    return unchecked(TraceTable, **checked)
+            try:
+                rows.append(_TRACE_ROW(payload))
+            except (KeyError, TypeError):  # not an object holding every field
+                stopped_at.append(payload)
+                break
+    except ValidationError as exc:  # invalid JSON: a fault in a record before it comes first
+        refusal = exc
+    if not stopped_at and refusal is None:
+        probs, *fields = zip(*rows) if rows else [()] * len(_TRACE_FIELDS)
+        read = list(map(typed_column, fields, _TRACE_HINTS[1:]))
+        if None not in read and number_rows(probs) is not None and len(set(map(len, probs))) < 2:
+            return _table(where, lines, probs, *read)
+    columns = tuple([] for _ in _TRACE_FIELDS)
+    payloads = itertools.chain((dict(zip(_TRACE_KEYS, row)) for row in rows), stopped_at)
+    for line_no, payload in zip(lines, payloads):
+        try:
+            _read_record(payload, columns)
+        except ValidationError as exc:
+            refusal = ValidationError(f"{where(line_no)}{exc}")
+            break
+    table = _table(where, lines, *columns)  # a fault in an earlier record comes first
+    if refusal is not None:
+        raise refusal
+    return table
+
+
+def _table(where, lines, probs, *columns) -> TraceTable:
+    """The checked table of read trace columns, a fault named by ``where(line)``."""
+    matrix = frozen(probs, np.float64).reshape(len(probs), len(probs[0]) if probs else 0)  # JSON numbers
+    return unchecked(TraceTable, **_checked_rows(lambda row: where(lines[row]), matrix, *columns))
 
 
 def trace_from_dict(payload: dict) -> ExitTrace:
@@ -578,26 +565,27 @@ def load_traces(path) -> TraceTable:
     return _read_table(iter_jsonl(path), lambda line: f"{path}: line {line}: ")
 
 
+def cascade_to_dict(cascade: Cascade) -> dict:
+    """The JSON description of ``cascade``, which references stage k's model by
+    the relative name ``stage<k>_model.json``."""
+    stages = [
+        {"model_path": STAGE_MODEL_FILENAME.format(i), "layer_cost": stage.layer_cost}
+        for i, stage in enumerate(cascade.stages)
+    ]
+    return {"stages": stages, "thresholds": list(cascade.thresholds), "full_model_cost": cascade.full_model_cost}
+
+
 def save_cascade(cascade: Cascade, path) -> None:
-    """Write a cascade description JSON plus one model file per stage.
+    """Write one model file per stage, then the cascade description.
 
     Stage k's model is ``stage<k>_model.json`` next to the description,
     which references it by that relative name so the bundle can be moved
     as a directory.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    names = [STAGE_MODEL_FILENAME.format(i) for i in range(len(cascade.stages))]
-    for stage, name in zip(cascade.stages, names):
-        save_model(stage.model, os.path.join(directory, name))
-    payload = {
-        "stages": [
-            {"model_path": name, "layer_cost": stage.layer_cost}
-            for stage, name in zip(cascade.stages, names)
-        ],
-        "thresholds": list(cascade.thresholds),
-        "full_model_cost": cascade.full_model_cost,
-    }
-    write_json(path, payload)
+    for i, stage in enumerate(cascade.stages):
+        save_model(stage.model, os.path.join(directory, STAGE_MODEL_FILENAME.format(i)))
+    write_json(path, cascade_to_dict(cascade))
 
 
 @decoder("cascade description")

@@ -23,8 +23,8 @@ from .cascade import (
     Cascade,
     StageSpec,
     calibrate_threshold,
+    cascade_to_dict,
     run_batched,
-    save_cascade,
     save_traces,
     load_traces,
 )
@@ -264,7 +264,7 @@ def cmd_run(config: PipelineConfig) -> int:
         cascade_path = os.path.join(config.output_dir, f"cascade_{label}.json")
         save_traces(traces, traces_path)
         save_metrics(report, metrics_path)
-        save_cascade(cascade, cascade_path)
+        write_json(cascade_path, cascade_to_dict(cascade))  # its stages are the models train wrote
         tau = thresholds[0] if thresholds else None
         print(
             f"target {label}: tau={tau}, measured {report.speedup:.3f}x, "

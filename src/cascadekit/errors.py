@@ -55,7 +55,7 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
         if rule is string:
             stored = _encodable("".join(values))
         else:
-            stored = not bounds or _within(np.asarray(values), *bounds, missing)
+            stored = not bounds or _within(values, *bounds, missing=missing)
         if stored:
             return values, None
     read = []
@@ -134,9 +134,14 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
     return np.asarray(rows, dtype=np.float64, order="C"), None if refusal is None else whole, refusal
 
 
-def _within(values: np.ndarray, low, high=None, missing=None) -> bool:
-    values = values if missing is None else values[values != missing]
-    return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
+def _within(values, low, high=None, missing=None) -> bool:
+    """Whether every value but ``missing`` lies within the bounds: an ndarray by its own
+    ``min`` and ``max``, a sequence of ints by the builtin ones, so with no int64 copy."""
+    if isinstance(values, np.ndarray):
+        values = values if missing is None else values[values != missing]
+        return not values.size or bool(values.min() >= low and (high is None or values.max() <= high))
+    values = values if missing is None else [value for value in values if value != missing]
+    return min(values, default=low) >= low and (high is None or max(values, default=high) <= high)
 
 
 def first_fault(where, faults) -> None:

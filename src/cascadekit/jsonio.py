@@ -60,9 +60,13 @@ def decoder(what: str):
 
 def typed(value, hint, where: str):
     """``value`` read as the field ``where`` of type ``hint``."""
+    return (_READERS.get(hint) or reader(hint))(value, where)
+
+
+def reader(hint) -> Callable:
+    """The ``read(value, where)`` function by which :func:`typed` reads ``hint``."""
     # Each hint's reader is built once, so a read never dispatches on the hint.
-    read = _READERS.get(hint) or _READERS.setdefault(hint, _reader(hint))
-    return read(value, where)
+    return _READERS.get(hint) or _READERS.setdefault(hint, _reader(hint))
 
 
 def from_fields(cls, payload, where: str = ""):

@@ -36,6 +36,7 @@ from cascadekit import (
 )
 from cascadekit.classifier import BATCH_BLOCK_ROWS
 from cascadekit.dataset import NO_DIFFICULTY, InstanceColumns
+from cascadekit.errors import column, integer
 from test_classifier import oracle_forward
 from test_trace_table import oracle_run, oracle_save
 
@@ -351,6 +352,36 @@ def test_run_batched_reads_a_matrix_every_row_reaches_uncopied():
     ids = tuple(f"i{k}" for k in range(4_000))
     everyone_continues = Cascade(stages, (1.0,), 5)  # no top probability is > 1
     assert peak_traced_bytes(lambda: run_batched(everyone_continues, ids, X)) < X.nbytes
+
+
+def test_a_sequence_column_is_bounded_without_a_copy():
+    # The bounds of a list of ints were checked on an int64 copy of it: 470 KB here.
+    values = [3, 5, 7] * 20_000
+    assert peak_traced_bytes(lambda: column(values, integer, "x", 1)) < 8 * 1024
+    assert column(values, integer, "x", 1)[0] is values
+
+
+def oracle_bounded(values, bounds, missing):
+    """``errors.column`` of ``integer`` with bounds, read value by value."""
+    for k, value in enumerate(values):
+        if missing is None or value != missing:
+            try:
+                integer(value, "x", *bounds)
+            except ValidationError as exc:
+                return values[:k], str(exc)
+    return values, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 6) | st.sampled_from([2**63, 2**70, -(2**63) - 1])),
+    bounds=st.tuples(st.integers(-2, 2)) | st.tuples(st.integers(-2, 2), st.integers(0, 5)),
+    missing=st.sampled_from([None, -1]),
+)
+def test_a_sequence_column_is_bounded_as_value_by_value(values, bounds, missing):
+    read, refusal = column(values, integer, "x", *bounds, missing=missing)
+    assert (list(read), refusal) == oracle_bounded(values, bounds, missing)
+    assert refusal is not None or read is values
 
 
 def test_predict_batch_copies_a_fortran_ordered_matrix_once():

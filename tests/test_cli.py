@@ -246,7 +246,7 @@ def test_run_calibrates_and_reports(tmp_path, capsys):
     assert 0.0 <= cascade.thresholds[0] <= 1.0
     assert [s.layer_cost for s in cascade.stages] == [2, 12]
     assert cascade.full_model_cost == 12
-    # the bundle references the trained models, rewritten byte for byte
+    # the bundle references the trained models, left as train wrote them
     assert [(out / f"stage{i}_model.json").read_bytes() for i in range(2)] == trained
     assert f"target 2x: tau={cascade.thresholds[0]}," in capsys.readouterr().out
 
@@ -272,6 +272,16 @@ def test_cascade_bundle_references_the_trained_model_files(tmp_path):
     description = json.loads((out / "cascade_2x.json").read_text())
     assert [stage["model_path"] for stage in description["stages"]] == trained
     assert {name: (out / name).read_bytes() for name in trained} == before
+
+
+def test_run_writes_no_model_file(tmp_path, monkeypatch):
+    # run's descriptions reference the models train wrote; it used to rewrite them once per target.
+    cfg_path = write_experiment(tmp_path)
+    assert main(["train", "--config", cfg_path]) == 0
+    written = []
+    monkeypatch.setattr(cascadekit.classifier, "write_json", lambda path, payload: written.append(path))
+    assert main(["run", "--config", cfg_path]) == 0
+    assert written == []
 
 
 def test_run_metrics_match_offline_recomputation(tmp_path):

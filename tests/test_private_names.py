@@ -1,0 +1,63 @@
+"""No dead private code: every module-level private name of the package is used in it.
+
+A private name (``_name``, not a dunder) that a module binds by ``def``, ``class``
+or assignment must be read somewhere in ``src/``: as a name, an attribute, or an
+import.  A helper left behind when its last caller goes fails here.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "cascadekit"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _bound_at_module_level(tree: ast.Module):
+    """The private names a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _reads(tree: ast.AST):
+    """Every name a tree reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _trees(root: Path):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))}
+
+
+def test_every_private_module_name_is_used():
+    trees = _trees(SRC)
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unused = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in dict.fromkeys(_bound_at_module_level(tree))
+        if _private(name) and not reads[name]
+    ]
+    assert unused == []
+
+
+def test_the_check_sees_an_unused_helper_and_a_used_one():
+    tree = ast.parse("def _dead():\n    pass\n\ndef _live():\n    pass\n\n_X, _Y = 1, _live()\n")
+    assert list(_bound_at_module_level(tree)) == ["_dead", "_live", "_X", "_Y"]
+    reads = Counter(_reads(tree))
+    assert [name for name in ("_dead", "_live", "_X", "_Y") if not reads[name]] == ["_dead", "_X", "_Y"]

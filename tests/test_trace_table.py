@@ -46,6 +46,7 @@ from cascadekit import (
     run_cascade,
     save_traces,
 )
+from cascadekit.cascade import trace_from_dict
 from cascadekit.errors import column, column_rows, integer
 from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
 
@@ -420,6 +421,12 @@ def test_matrix_checks_accept_and_reject_what_per_record_checks_do(seed, data, t
         assert got == want
     else:
         assert_rows_equal(got, want)
+    for record in records:  # each record alone, through the one-record API
+        alone = outcome(oracle_record, record)
+        if isinstance(alone, str):
+            assert outcome(trace_from_dict, record) == alone
+        else:
+            assert_rows_equal([trace_from_dict(record)], [alone])
 
 
 # --- a table is its rows: one trace rule ------------------------------------------------
