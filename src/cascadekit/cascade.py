@@ -10,13 +10,14 @@ row per instance, which also reads as a sequence of :class:`ExitTrace`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
 import os
 import reprlib
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,6 @@ from .jsonio import (
     reader,
     string_text,
     typed,
-    typed_column,
     write_json,
     write_lines,
 )
@@ -265,7 +265,10 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     costs, refusal = column_rows(executed_costs, integer, "executed_costs", "a sequence of integers", 1)
     faults.append((refused_at(costs, refusal), refusal))
     whole = min(len(probs), len(ids), len(stages), len(totals), len(costs))
-    if confidences is not None and whole:
+    if confidences is not None:
+        confidences, refusal = column(confidences, real, "confidence")  # a JSON true equals 1.0
+        faults.append((refused_at(confidences, refusal), refusal))
+        whole = min(whole, len(confidences))
         # initial: rows of no classes fail the sum check, which comes first.
         largest = probs[:whole].max(axis=1, initial=-np.inf)
         bad = np.asarray(confidences[:whole]) != largest
@@ -404,14 +407,6 @@ def _speedup(full_model_cost: int, total_cost, count: int):
     return speedup
 
 
-def _confidence_matrix(cascade: Cascade, dataset: Dataset) -> np.ndarray:
-    """Top probabilities of the stages that can exit an instance (all but
-    the last), shape (num_stages - 1, num_instances)."""
-    X = dataset.feature_matrix()
-    gating = [predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages[:-1]]
-    return np.array(gating).reshape(len(gating), X.shape[0])
-
-
 def calibrate_threshold(
     cascade: Cascade,
     calibration: Dataset,
@@ -428,41 +423,59 @@ def calibrate_threshold(
     than ``tolerance * target``, or if the target is outside
     [1, full_model_cost / smallest stage cost].
     """
+    return calibrator(cascade, calibration)(target_speedup, tolerance)
+
+
+def calibrator(cascade: Cascade, calibration: Dataset) -> Callable[..., tuple[float, ...]]:
+    """:func:`calibrate_threshold` of one cascade and calibration set, as a function of
+    ``(target_speedup, tolerance)`` with the same checks, thresholds and messages, which scores
+    the candidate thresholds once, at its first call whose arguments pass, for every call."""
     cascade = instance_of(cascade, Cascade, "cascade")
     calibration = instance_of(calibration, Dataset, "calibration")
     if not len(calibration):
         raise ValidationError("calibration dataset is empty")
-    if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
-        raise ValidationError("tolerance must be positive")
     costs, n = [s.layer_cost for s in cascade.stages], len(calibration)
-    if n * sum(costs) > sys.float_info.max:  # no candidate's total cost is larger
-        total = reprlib.repr(n * sum(costs))
-        raise NumericError(f"total cost {total} of {n} instances is beyond float range")
-    max_speedup = _speedup(cascade.full_model_cost, costs[0], 1)
-    if not 1.0 <= real(target_speedup, "target_speedup") <= max_speedup:
-        raise ValidationError(
-            f"target speed-up {target_speedup:g} outside achievable range "
-            f"[1, {max_speedup:g}] for this cascade"
-        )
 
-    conf = _confidence_matrix(cascade, calibration)
-    candidates = np.unique(np.concatenate([conf.ravel(), [0.0, 1.0]]))
-    # Under a shared tau, stage s + 1 runs exactly on the instances whose
-    # running max confidence over stages 0..s is <= tau (no strict exit yet),
-    # so each candidate's total cost is a count-weighted sum (float64: int64 wraps around).
-    total = np.full(candidates.shape, float(n * costs[0]))
-    running_max = np.maximum.accumulate(conf, axis=0)
-    for cost, stage_max in zip(costs[1:], running_max):
-        total += float(cost) * np.searchsorted(np.sort(stage_max), candidates, side="right")
-    measured = _speedup(cascade.full_model_cost, total, n)
-    best = int(np.argmin(np.abs(measured - target_speedup)))
-    if abs(measured[best] - target_speedup) > tolerance * target_speedup:
-        raise ValidationError(
-            f"no threshold reaches {target_speedup:g}x within "
-            f"relative tolerance {tolerance:g}: closest {measured[best]:g}x, achievable "
-            f"range [{measured.min():g}x, {measured.max():g}x] on this calibration set"
-        )
-    return (float(candidates[best]),) * (len(cascade.stages) - 1)
+    @functools.cache
+    def scored() -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate threshold, and the speed-up it measures on the calibration set."""
+        # The top probabilities of the stages that can exit an instance (all but the last).
+        X = calibration.feature_matrix()
+        gating = [predict_batch(stage.model, X).max(axis=1) for stage in cascade.stages[:-1]]
+        conf = np.array(gating).reshape(len(gating), n)
+        candidates = np.unique(np.concatenate([conf.ravel(), [0.0, 1.0]]))
+        # Under a shared tau, stage s + 1 runs exactly on the instances whose
+        # running max confidence over stages 0..s is <= tau (no strict exit yet),
+        # so each candidate's total cost is a count-weighted sum (float64: int64 wraps around).
+        total = np.full(candidates.shape, float(n * costs[0]))
+        running_max = np.maximum.accumulate(conf, axis=0)
+        for cost, stage_max in zip(costs[1:], running_max):
+            total += float(cost) * np.searchsorted(np.sort(stage_max), candidates, side="right")
+        return candidates, _speedup(cascade.full_model_cost, total, n)
+
+    def calibrate(target_speedup: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE) -> tuple[float, ...]:
+        if not real(tolerance, "tolerance") > 0:  # written so that NaN fails it
+            raise ValidationError("tolerance must be positive")
+        if n * sum(costs) > sys.float_info.max:  # no candidate's total cost is larger
+            total = reprlib.repr(n * sum(costs))
+            raise NumericError(f"total cost {total} of {n} instances is beyond float range")
+        max_speedup = _speedup(cascade.full_model_cost, costs[0], 1)
+        if not 1.0 <= real(target_speedup, "target_speedup") <= max_speedup:
+            raise ValidationError(
+                f"target speed-up {target_speedup:g} outside achievable range "
+                f"[1, {max_speedup:g}] for this cascade"
+            )
+        candidates, measured = scored()
+        best = int(np.argmin(np.abs(measured - target_speedup)))
+        if abs(measured[best] - target_speedup) > tolerance * target_speedup:
+            raise ValidationError(
+                f"no threshold reaches {target_speedup:g}x within "
+                f"relative tolerance {tolerance:g}: closest {measured[best]:g}x, achievable "
+                f"range [{measured.min():g}x, {measured.max():g}x] on this calibration set"
+            )
+        return (float(candidates[best]),) * (len(cascade.stages) - 1)
+
+    return calibrate
 
 
 # A trace record's fields in the order a record is read, each with its JSON type: probs first,
@@ -491,13 +504,13 @@ def _read_record(payload, columns: tuple[list, ...]) -> None:
 
 def _read_table(records, where) -> TraceTable:
     """The table of ``(line, payload)`` trace records, read column by column:
-    each field's values are gathered as the records stream, each column is read
-    by its JSON type in one look (:func:`jsonio.typed_column`), and the trace
-    rules run once per column.  Where the look refuses a column, or reading
-    stops at a record that is not an object holding every field or at invalid
-    JSON, the records read so far (and the one it stopped at) are read again one
-    by one by :func:`_read_record`, up to the first it refuses; the trace rules
-    then run on what was read, so an error names the first bad record's line."""
+    each field's values are gathered as the records stream, and the trace rules
+    read each column once (probs after one :func:`jsonio.number_rows` look).
+    Where they refuse a value, or reading stops at a record that is not an
+    object holding every field or at invalid JSON, the records read so far (and
+    the one it stopped at) are read again one by one by :func:`_read_record`, up
+    to the first it refuses; the trace rules then run on what was read, so an
+    error names the first bad record's line."""
     lines, rows, stopped_at, refusal = [], [], [], None
     try:
         for line_no, payload in records:
@@ -511,9 +524,9 @@ def _read_table(records, where) -> TraceTable:
         refusal = exc
     if not stopped_at and refusal is None:
         probs, *fields = zip(*rows) if rows else [()] * len(_TRACE_FIELDS)
-        read = list(map(typed_column, fields, _TRACE_HINTS[1:]))
-        if None not in read and number_rows(probs) is not None and len(set(map(len, probs))) < 2:
-            return _table(where, lines, probs, *read)
+        if number_rows(probs) is not None and len(set(map(len, probs))) < 2:
+            with contextlib.suppress(ValidationError):  # named below, by the record that holds it
+                return _table(where, lines, probs, *fields)
     columns = tuple([] for _ in _TRACE_FIELDS)
     payloads = itertools.chain((dict(zip(_TRACE_KEYS, row)) for row in rows), stopped_at)
     for line_no, payload in zip(lines, payloads):

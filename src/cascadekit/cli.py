@@ -22,7 +22,7 @@ from .cascade import (
     STAGE_MODEL_FILENAME,
     Cascade,
     StageSpec,
-    calibrate_threshold,
+    calibrator,
     cascade_to_dict,
     run_batched,
     save_traces,
@@ -251,10 +251,9 @@ def cmd_run(config: PipelineConfig) -> int:
     dis_difficulty = _eval_difficulty(eval_ds)
     ids, X = eval_ds.ids(), eval_ds.feature_matrix()
     os.makedirs(config.output_dir, exist_ok=True)
+    calibrate = calibrator(base, calibration)  # one gating pass over the calibration set serves every target
     for target in config.target_speedups:
-        thresholds = calibrate_threshold(
-            base, calibration, target, config.calibration_tolerance
-        )
+        thresholds = calibrate(target, config.calibration_tolerance)
         cascade = Cascade(base.stages, thresholds, config.full_model_cost)
         traces = run_batched(cascade, ids, X)
         report = _evaluate(config, traces, eval_ds, dis_difficulty)

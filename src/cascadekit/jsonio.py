@@ -10,9 +10,10 @@ record's fault, so a malformed file always names itself.
 
 Fields are read by their type hints under one rule (:func:`typed`): an
 ``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
-and containers and dataclasses are read element by element.  A column of
-one field's values is read by the same rule in one look at the set of its
-values' exact types (:func:`typed_column`, :func:`number_rows`).  A writer
+and containers and dataclasses are read element by element.  Rows of
+numbers are read in one look at the set of their entries' exact types
+(:func:`number_rows`); a loader whose own rules read every other column
+reads a record field by field only to name a refusal.  A writer
 that builds its lines from each column's JSON text (:func:`jsonl_lines`)
 writes the bytes :func:`write_jsonl` writes.
 """
@@ -80,27 +81,6 @@ def number_list(value, where: str) -> list[float]:
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"{where} must be an array of numbers")
     return list(map(float, value))  # OverflowError for an int beyond float
-
-
-def typed_column(values: Sequence, hint) -> Sequence | None:
-    """The column form of :func:`typed` for ``hint`` ``int``, ``str``, ``float`` or
-    ``tuple[int, ...]``, in :func:`errors.column`'s idiom: ``values`` as :func:`typed` reads
-    each, when one look at the set of their exact types (and at the finiteness of floats)
-    shows that it reads every one as it is, else None; the caller then reads them value by
-    value to name the refusal.  Equal ``tuple[int, ...]`` rows come back as one tuple, so a
-    loaded table holds a tuple per distinct row, not per row (the look has made every entry
-    an ``int``, so ``(True,)`` never merges with ``(1,)``)."""
-    kinds = set(map(type, values))
-    if hint is float:
-        return values if kinds <= {float} and all(map(math.isfinite, values)) else None
-    if hint in _EXACT:
-        return values if kinds <= {hint} else None
-    if hint != tuple[int, ...]:
-        raise NotImplementedError(f"no JSON column reader for {hint!r}")
-    if not kinds <= {list, tuple} or not set(map(type, itertools.chain(*values))) <= {int}:
-        return None
-    shared: dict = {}
-    return [shared.setdefault(row, row) for row in map(tuple, values)]
 
 
 def number_rows(rows: Sequence) -> Sequence | None:

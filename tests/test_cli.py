@@ -12,6 +12,7 @@ from cascadekit import (
     Cascade,
     StageSpec,
     ValidationError,
+    calibrate_threshold,
     evaluate,
     load_cascade,
     load_dataset,
@@ -378,6 +379,34 @@ def test_run_traces_match_per_row_runs(tmp_path, calibration):
             assert cascade.thresholds[0] in confidences
         save_traces(run_cascade(cascade, eval_ds), tmp_path / "expected.jsonl")
         assert (out / f"traces_{label}.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def test_run_passes_over_the_calibration_set_once(tmp_path, monkeypatch):
+    # The gating stages score the calibration set once, and every target is calibrated from it.
+    save_dataset(planted_hard_task(200, seed=5), tmp_path / "calibration.jsonl")
+    targets = [1.5, 2.0, 3.0]
+    cfg_path = write_experiment(
+        tmp_path, stages=THREE_STAGES, calibration_dataset="calibration.jsonl", target_speedups=targets
+    )
+    assert main(["train", "--config", cfg_path]) == 0
+    rows = []
+
+    def counted(model, X):
+        rows.append(len(X))
+        return predict_batch(model, X)
+
+    monkeypatch.setattr(cascadekit.cascade, "predict_batch", counted)
+    assert main(["run", "--config", cfg_path]) == 0
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    # Then each run makes one pass per stage that some row reaches.
+    runs = [load_traces(out / f"traces_{target:g}x.jsonl") for target in targets]
+    assert rows[:2] == [200, 200]
+    assert len(rows) == 2 + sum(int(traces.exit_stage.max()) + 1 for traces in runs)
+    calibration = load_dataset(tmp_path / "calibration.jsonl")
+    for target in targets:
+        cascade = load_cascade(out / f"cascade_{target:g}x.json")
+        assert cascade.thresholds == calibrate_threshold(cascade, calibration, target)
 
 
 def test_text_pipeline_loop(tmp_path):

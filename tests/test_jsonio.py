@@ -43,7 +43,7 @@ from cascadekit import (
 )
 from cascadekit.classifier import model_to_dict
 from cascadekit.difficulty import report_to_dict
-from cascadekit.jsonio import jsonl_lines, number_rows, typed, typed_column, write_json, write_jsonl
+from cascadekit.jsonio import jsonl_lines, number_rows, write_json, write_jsonl
 
 SRC = Path(cascadekit.__file__).parent
 
@@ -339,38 +339,6 @@ def test_lines_from_column_texts_are_the_jsonl_writers(keys, rows):
         path = Path(directory) / "rows.jsonl"
         write_jsonl(path, records)
         assert "".join(jsonl_lines(texts)).encode("utf-8") == path.read_bytes()
-
-
-COLUMN_HINTS = [int, float, str, tuple[int, ...]]
-COLUMN_VALUES = JSON_VALUES | st.lists(st.integers() | st.booleans(), max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(COLUMN_HINTS), st.lists(COLUMN_VALUES, max_size=5))
-def test_a_column_look_keeps_only_what_typed_reads_as_it_is(hint, values):
-    column = typed_column(values, hint)
-    try:
-        each = [typed(value, hint, "field") for value in values]
-    except TypeError:
-        assert column is None
-        return
-    if column is not None:
-        assert list(column) == each
-        assert [type(v) for v in column] == [type(v) for v in each]
-
-
-def test_a_column_look_by_exact_type():
-    assert typed_column([0.5, 1e-320], float) == [0.5, 1e-320]
-    assert typed_column([0.5, 1], float) is None  # an integer is read value by value
-    assert typed_column([0.5, math.nan], float) is None
-    assert typed_column([1, True], int) is None
-    assert typed_column(["a", 1], str) is None
-    rows = typed_column([[2, 6], [2], [2, 6]], tuple[int, ...])
-    assert rows == [(2, 6), (2,), (2, 6)] and rows[0] is rows[2]
-    assert typed_column([[1], [True]], tuple[int, ...]) is None  # (True,) never merges with (1,)
-    assert typed_column([[1], 1], tuple[int, ...]) is None
-    with pytest.raises(NotImplementedError):
-        typed_column([], list[float])
 
 
 def test_a_number_rows_look_by_exact_type():

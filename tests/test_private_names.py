@@ -2,12 +2,16 @@
 
 A private name (``_name``, not a dunder) that a module binds by ``def``, ``class``
 or assignment must be read somewhere in ``src/``: as a name, an attribute, or an
-import.  A helper left behind when its last caller goes fails here.
+import.  So must a public name of the shared helper modules (``errors.py``,
+``jsonio.py``) that ``cascadekit.__all__`` does not export, in a module other than
+its own.  A helper left behind when its last caller goes fails here.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import cascadekit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cascadekit"
@@ -54,6 +58,23 @@ def test_every_private_module_name_is_used():
         if _private(name) and not reads[name]
     ]
     assert unused == []
+
+
+HELPER_MODULES = ("errors.py", "jsonio.py")
+
+
+def test_every_unexported_helper_is_read_by_another_module():
+    trees = _trees(SRC)
+    unread = []
+    for name in HELPER_MODULES:
+        path = PACKAGE / name
+        reads = {read for other, tree in trees.items() if other != path for read in _reads(tree)}
+        unread += [
+            f"{name}: {helper}"
+            for helper in dict.fromkeys(_bound_at_module_level(trees[path]))
+            if not helper.startswith("_") and helper not in cascadekit.__all__ and helper not in reads
+        ]
+    assert unread == []
 
 
 def test_the_check_sees_an_unused_helper_and_a_used_one():
