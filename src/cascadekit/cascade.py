@@ -10,7 +10,6 @@ row per instance, which also reads as a sequence of :class:`ExitTrace`.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import operator
@@ -42,10 +41,7 @@ from .jsonio import (
     int_text,
     iter_jsonl,
     jsonl_lines,
-    number_list,
-    number_rows,
     read_json,
-    reader,
     string_text,
     typed,
     write_json,
@@ -55,7 +51,6 @@ from .jsonio import (
 DEFAULT_FULL_MODEL_COST = 12
 DEFAULT_CALIBRATION_TOLERANCE = 0.04
 STAGE_MODEL_FILENAME = "stage{}_model.json"  # stage k's model file in a run directory
-_COSTS = tuple[int, ...]  # one hint object: building and hashing a new one per trace is slow
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,7 @@ def _checked_rows(where, probs, confidences, ids, exit_stage, executed_costs, to
     not.  A row's checks run in this order: its distribution (by
     :func:`probability_rows`), the value rule, then, given
     ``confidences``, that each is its row's largest probability, then the
-    costs.  ``probs`` may hold more rows than the other columns, and those
-    may be shorter: a load stopped by a bad record checks what it has read.
+    costs.
     """
     probs, faults = probability_rows(probs, _NOT_TABLE)
     names = ("instance_id", "exit_stage", "total_cost")
@@ -478,73 +472,50 @@ def calibrator(cascade: Cascade, calibration: Dataset) -> Callable[..., tuple[fl
     return calibrate
 
 
-# A trace record's fields in the order a record is read, each with its JSON type: probs first,
-# so a record's distribution is checked before its other fields (the order _checked_rows takes).
-_TRACE_FIELDS = (("probs", list[float]), ("confidence", float), ("instance_id", str), ("exit_stage", int),
-                 ("executed_costs", _COSTS), ("total_cost", int))
-_TRACE_KEYS, _TRACE_HINTS = zip(*_TRACE_FIELDS)
+# A trace record's fields, in the order _checked_rows takes their columns.
+_TRACE_KEYS = ("probs", "confidence", "instance_id", "exit_stage", "executed_costs", "total_cost")
 _TRACE_ROW = operator.itemgetter(*_TRACE_KEYS)
-_TRACE_READERS = tuple(zip(_TRACE_KEYS[1:], map(reader, _TRACE_HINTS[1:])))  # the fields after probs
-
-
-@decoder("trace record")
-def _read_record(payload, columns: tuple[list, ...]) -> None:
-    """Append a trace record's fields, each read by its JSON type (probs by
-    :func:`number_list`, at the first record's width), to ``columns``; a field
-    that cannot be read leaves the ones before it appended, so the record's
-    distribution is still checked first."""
-    probs = columns[0]
-    row = number_list(payload["probs"], "probs")
-    if probs and len(row) != len(probs[0]):
-        raise ValueError(f"probs has {len(row)} entries, the first record's has {len(probs[0])}")
-    probs.append(row)
-    for (key, read), values in zip(_TRACE_READERS, columns[1:]):
-        values.append(read(payload[key], key))
 
 
 def _read_table(records, where) -> TraceTable:
-    """The table of ``(line, payload)`` trace records, read column by column:
-    each field's values are gathered as the records stream, and the trace rules
-    read each column once (probs after one :func:`jsonio.number_rows` look).
-    Where they refuse a value, or reading stops at a record that is not an
-    object holding every field or at invalid JSON, the records read so far (and
-    the one it stopped at) are read again one by one by :func:`_read_record`, up
-    to the first it refuses; the trace rules then run on what was read, so an
-    error names the first bad record's line."""
-    lines, rows, stopped_at, refusal = [], [], [], None
+    """The table of ``(line, payload)`` trace records: each record's fields are gathered as the
+    records stream, and the trace rules read each column once, so a refused value is named by
+    its record's line in their words.  Reading stops at invalid JSON, at a record that is not an
+    object holding every field, and at the first record whose probs has another length than the
+    first record's (looked for only when the rows are no matrix); a fault in an earlier record
+    comes first."""
+    lines, rows, refusal = [], [], None
+
+    def malformed(line, reason) -> ValidationError:
+        return ValidationError(f"{where(line)}malformed trace record: {reason}")
+
+    def table(*columns) -> TraceTable:
+        return unchecked(TraceTable, **_checked_rows(lambda row: where(lines[row]), *columns))
+
     try:
         for line_no, payload in records:
             lines.append(line_no)
             try:
                 rows.append(_TRACE_ROW(payload))
-            except (KeyError, TypeError):  # not an object holding every field
-                stopped_at.append(payload)
+            except (KeyError, TypeError) as exc:  # not an object holding every field
+                refusal = malformed(line_no, f"missing required key {exc}" if isinstance(exc, KeyError) else exc)
                 break
-    except ValidationError as exc:  # invalid JSON: a fault in a record before it comes first
+    except ValidationError as exc:  # invalid JSON
         refusal = exc
-    if not stopped_at and refusal is None:
-        probs, *fields = zip(*rows) if rows else [()] * len(_TRACE_FIELDS)
-        if number_rows(probs) is not None and len(set(map(len, probs))) < 2:
-            with contextlib.suppress(ValidationError):  # named below, by the record that holds it
-                return _table(where, lines, probs, *fields)
-    columns = tuple([] for _ in _TRACE_FIELDS)
-    payloads = itertools.chain((dict(zip(_TRACE_KEYS, row)) for row in rows), stopped_at)
-    for line_no, payload in zip(lines, payloads):
-        try:
-            _read_record(payload, columns)
-        except ValidationError as exc:
-            refusal = ValidationError(f"{where(line_no)}{exc}")
-            break
-    table = _table(where, lines, *columns)  # a fault in an earlier record comes first
+    columns = tuple(zip(*rows)) or ((),) * len(_TRACE_KEYS)
+    try:
+        read = table(*columns)
+    except ValidationError as exc:
+        if exc.args != (_NOT_TABLE,):  # a faulty record
+            raise
+        # Gathered columns share one length, so probs rows of two widths make them no table.
+        width = len(columns[0][0])
+        row, probs = next((k, entries) for k, entries in enumerate(columns[0]) if len(entries) != width)
+        refusal = malformed(lines[row], f"probs has {len(probs)} entries, the first record's has {width}")
+        read = table(*(column[:row] for column in columns))
     if refusal is not None:
         raise refusal
-    return table
-
-
-def _table(where, lines, probs, *columns) -> TraceTable:
-    """The checked table of read trace columns, a fault named by ``where(line)``."""
-    matrix = frozen(probs, np.float64).reshape(len(probs), len(probs[0]) if probs else 0)  # JSON numbers
-    return unchecked(TraceTable, **_checked_rows(lambda row: where(lines[row]), matrix, *columns))
+    return read
 
 
 def trace_from_dict(payload: dict) -> ExitTrace:

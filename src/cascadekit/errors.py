@@ -74,13 +74,18 @@ def column(values, rule, name: str, *bounds, missing=None) -> tuple[Sequence, st
 def column_rows(rows, rule, name: str, not_sequence: str, *bounds) -> tuple[tuple[tuple, ...], str | None]:
     """The column form of ``rule`` (with its bounds) for rows of values: ``rows`` as tuples of
     the values ``rule`` stores, read in one :func:`column` look at every entry of every row, up
-    to the first row that is not a sequence (refused as ``<name> must be <not_sequence>, got
-    <row>``) or holds a refused entry, and that refusal (None for none).  When every entry is
-    stored as it is, each row is returned as ``tuple(row)``: a tuple itself."""
+    to the first row that is not a sequence (a string or a mapping is not one either; refused
+    as ``<name> must be <not_sequence>, got <row>``) or holds a refused entry, and that refusal
+    (None for none).  When every entry is stored as it is, each row is returned as
+    ``tuple(row)``: a tuple itself."""
+    # A string or a mapping iterates as its characters or its keys: one look at the set of the
+    # rows' types finds one, and only then is each row looked at.
+    odd_rows = any(issubclass(kind, (str, Mapping)) for kind in set(map(type, rows)))
+    as_row = _sequence_row if odd_rows else tuple
     read, wrong_row = [], None
     for row in rows:
         try:
-            read.append(tuple(row))
+            read.append(as_row(row))
         except TypeError:
             wrong_row = str(_refuse(name, not_sequence, row))
             break
@@ -93,9 +98,16 @@ def column_rows(rows, rule, name: str, not_sequence: str, *bounds) -> tuple[tupl
     return tuple(read), refusal or wrong_row
 
 
-def int64_column(values, name: str, *bounds, missing=None) -> tuple[Sequence, str | None]:
+def _sequence_row(row) -> tuple:
+    """``tuple(row)``, or TypeError for a string or a mapping, as for a row that is no sequence."""
+    if isinstance(row, (str, Mapping)):
+        raise TypeError
+    return tuple(row)
+
+
+def int64_column(values, name: str, *bounds) -> tuple[Sequence, str | None]:
     """:func:`column` of :func:`integer` that also refuses a value beyond int64."""
-    read, refusal = column(values, integer, name, *bounds, missing=missing)
+    read, refusal = column(values, integer, name, *bounds)
     if len(read) and np.asarray(read).dtype.kind != "i":  # uint64 or object: a value beyond int64
         row = next(k for k, value in enumerate(read) if not -(2**63) <= value < 2**63)
         return read[:row], str(_refuse(name, "an integer within int64", read[row]))
@@ -114,10 +126,16 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
     """``rows`` read by :func:`real` in :func:`column` form: the float64
     matrix (C order) of the rows read whole, and the first refused row and
     refusal (None, None for none).  An ndarray is read by one look at its
-    dtype, a sequence row by row, refusing a row that is not a flat vector;
-    either must be a matrix, else ``ValidationError(not_matrix)``."""
+    dtype, and so are lists of Python floats of one width (a JSON file's) by
+    one look at the set of the rows' types and at their entries'; any other
+    sequence is read row by row, refusing a row that is not a flat vector.
+    Either must be a matrix, else ``ValidationError(not_matrix)``."""
     nested = None
     if isinstance(rows, Sequence):
+        entries = itertools.chain.from_iterable(rows)
+        if rows and set(map(type, rows)) <= {list} and set(map(type, entries)) <= {float}:
+            with contextlib.suppress(ValueError):  # rows of two widths, refused below
+                return np.array(rows, dtype=np.float64), None, None
         flat = list(itertools.takewhile(_flat_vector, rows))
         nested = None if len(flat) == len(rows) else f"{name} must be a flat vector"
         rows = np.array(flat, dtype=object) if flat else np.empty((0, 0))  # keeps each value's type

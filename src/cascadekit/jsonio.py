@@ -10,10 +10,10 @@ record's fault, so a malformed file always names itself.
 
 Fields are read by their type hints under one rule (:func:`typed`): an
 ``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
-and containers and dataclasses are read element by element.  Rows of
-numbers are read in one look at the set of their entries' exact types
-(:func:`number_rows`); a loader whose own rules read every other column
-reads a record field by field only to name a refusal.  A writer
+a ``str`` a string that :func:`errors.string` reads (so one without
+surrogates), and containers and dataclasses are read element by element.
+A loader whose own rules read a record's values (the trace rules, say)
+gathers the raw fields and leaves every refusal to those rules.  A writer
 that builds its lines from each column's JSON text (:func:`jsonl_lines`)
 writes the bytes :func:`write_jsonl` writes.
 """
@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import reprlib
 import types
 import typing
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from json.encoder import encode_basestring_ascii
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, string
 
 # What indexing, converting or iterating a wrong-shaped JSON value raises
 # (OverflowError: a JSON integer too large for a float field).
@@ -61,13 +60,9 @@ def decoder(what: str):
 
 def typed(value, hint, where: str):
     """``value`` read as the field ``where`` of type ``hint``."""
-    return (_READERS.get(hint) or reader(hint))(value, where)
-
-
-def reader(hint) -> Callable:
-    """The ``read(value, where)`` function by which :func:`typed` reads ``hint``."""
     # Each hint's reader is built once, so a read never dispatches on the hint.
-    return _READERS.get(hint) or _READERS.setdefault(hint, _reader(hint))
+    read = _READERS.get(hint) or _READERS.setdefault(hint, _reader(hint))
+    return read(value, where)
 
 
 def from_fields(cls, payload, where: str = ""):
@@ -83,17 +78,8 @@ def number_list(value, where: str) -> list[float]:
     return list(map(float, value))  # OverflowError for an int beyond float
 
 
-def number_rows(rows: Sequence) -> Sequence | None:
-    """The column form of :func:`number_list`: ``rows`` as they are when one look at the set
-    of their exact types, and at their entries', shows that each is an array of floats
-    (which it reads as they are), else None."""
-    if set(map(type, rows)) <= {list} and set(map(type, itertools.chain(*rows))) <= {float}:
-        return rows
-    return None
-
-
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to
-_EXACT = {int: "an integer", str: "a string", bool: "a boolean"}  # type(True) is bool
+_EXACT = {int: "an integer", bool: "a boolean"}  # type(True) is bool
 _READERS: dict = {}
 
 
@@ -109,6 +95,12 @@ def _reader(hint) -> Callable:
             if type(value) is int or (type(value) is float and math.isfinite(value)):
                 return float(value)
             raise _wrong(where, "a finite number", value)
+    elif hint is str:
+        def read(value, where):
+            try:
+                return string(value, where)
+            except ValidationError as exc:  # a TypeError, so decoder names the payload
+                raise TypeError(str(exc)) from None
     elif hint in _EXACT:
         def read(value, where):
             if type(value) is not hint:

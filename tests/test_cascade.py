@@ -542,7 +542,7 @@ def test_trace_rejects_non_string_instance_id(tmp_path, bad_id):
     record["instance_id"] = bad_id
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match=r"traces\.jsonl: line 2: malformed trace record: instance_id must be a string"):
+    with pytest.raises(ValidationError, match=r"traces\.jsonl: line 2: instance_id must be a string, got "):
         load_traces(path)
 
 

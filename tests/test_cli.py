@@ -643,7 +643,7 @@ def test_exit_code_for_malformed_trace(tmp_path, capsys):
     traces.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["metrics", "--config", cfg_path, "--traces", str(traces)]) == 1
-    assert f"{traces}: line 2: malformed trace record" in capsys.readouterr().err
+    assert f"{traces}: line 2: executed_costs must be an integer >= 1, got 'x'" in capsys.readouterr().err
 
 
 def test_exit_code_for_trace_missing_costs_with_a_huge_exit_stage(tmp_path, capsys):
@@ -754,13 +754,15 @@ def test_exit_code_for_non_numeric_features(tmp_path, capsys):
         ({"num_classes": 2.5}, "num_classes must be an integer, got 2.5"),
         ({"feature_dim": "16"}, "feature_dim must be an integer, got '16'"),
         ({"calibration_tolerance": float("nan")}, "calibration_tolerance must be a finite number"),
+        ({"train_dataset": "\ud800.jsonl"}, "train_dataset must be a string without surrogates, got '\\ud800.jsonl'"),
     ],
     ids=["positive-class-string", "hidden-size-float", "num-classes-float", "feature-dim-string",
-         "tolerance-nan"],
+         "tolerance-nan", "train-dataset-surrogate"],
 )
 def test_exit_code_for_wrongly_typed_config_value(tmp_path, capsys, overrides, message):
     # "positive_class": "1" used to run and score f1 = 0, a NaN tolerance switched
-    # off the calibration miss check, and a float size ended in a TypeError traceback.
+    # off the calibration miss check, a float size ended in a TypeError traceback,
+    # and a path holding a lone surrogate in a UnicodeEncodeError traceback from open().
     cfg_path = write_experiment(tmp_path, **overrides)
     assert main(["train", "--config", cfg_path]) == 1
     assert f"error: {cfg_path}: malformed config: {message}" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ from cascadekit import (
 )
 from cascadekit.classifier import model_to_dict
 from cascadekit.difficulty import report_to_dict
-from cascadekit.jsonio import jsonl_lines, number_rows, write_json, write_jsonl
+from cascadekit.errors import real_matrix
+from cascadekit.jsonio import jsonl_lines, write_json, write_jsonl
 
 SRC = Path(cascadekit.__file__).parent
 
@@ -341,7 +343,46 @@ def test_lines_from_column_texts_are_the_jsonl_writers(keys, rows):
         assert "".join(jsonl_lines(texts)).encode("utf-8") == path.read_bytes()
 
 
-def test_a_number_rows_look_by_exact_type():
-    assert number_rows([[0.5, 0.5], [1.0]]) == [[0.5, 0.5], [1.0]]
-    for rows in ([[1, 0.0]], [[True]], [["0.5"]], ["x"], [(0.5, 0.5)]):
-        assert number_rows(rows) is None
+def _matrix_outcome(rows):
+    """``real_matrix(rows)`` as comparable values: its bits, shape, row and refusal, or its error."""
+    try:
+        matrix, row, refusal = real_matrix(rows, "probs", "not a matrix")
+    except ValidationError as exc:
+        return str(exc)
+    return matrix.tobytes(), matrix.shape, matrix.flags.c_contiguous, row, refusal
+
+
+# An int, a bool, a string or a nested list among the floats, or a row of another width.
+ODD_ROWS = [None, 1, True, "0.5", [0.5], "width"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    count=st.integers(1, 5),
+    odd=st.sampled_from(ODD_ROWS),
+    data=st.data(),
+)
+def test_rows_of_floats_are_read_in_one_look(width, count, odd, data):
+    # The one look at the rows' types casts lists of Python floats (a JSON file's); it must give
+    # the bits of the value-by-value read, which reads any other rows with unchanged refusals.
+    rows = data.draw(st.lists(st.lists(st.floats(), min_size=width, max_size=width), min_size=count,
+                              max_size=count))
+    if odd is not None:
+        row = rows[data.draw(st.integers(0, count - 1))]
+        if odd == "width":
+            row.append(0.5)
+        else:
+            row[data.draw(st.integers(0, width - 1))] = odd
+    read_by_value = []  # the arrays errors.column reads, which the one look skips
+    column = cascadekit.errors.column
+
+    def spy(values, *args, **kwargs):
+        read_by_value.append(values)
+        return column(values, *args, **kwargs)
+
+    with mock.patch.object(cascadekit.errors, "column", spy):
+        got = _matrix_outcome(rows)
+    assert got == _matrix_outcome(tuple(map(tuple, rows)))  # tuples: read value by value
+    # Only rows of floats skip the value-by-value read: cast in one look, or of two widths, no matrix.
+    assert (read_by_value == []) == (odd in (None, "width"))

@@ -4,7 +4,9 @@ A private name (``_name``, not a dunder) that a module binds by ``def``, ``class
 or assignment must be read somewhere in ``src/``: as a name, an attribute, or an
 import.  So must a public name of the shared helper modules (``errors.py``,
 ``jsonio.py``) that ``cascadekit.__all__`` does not export, in a module other than
-its own.  A helper left behind when its last caller goes fails here.
+its own.  A helper left behind when its last caller goes fails here, and so does
+an import left behind: every name a module of the package imports (``__init__.py``
+aside, which imports to export) must be read in that module.
 """
 
 import ast
@@ -75,6 +77,39 @@ def test_every_unexported_helper_is_read_by_another_module():
             if not helper.startswith("_") and helper not in cascadekit.__all__ and helper not in reads
         ]
     assert unread == []
+
+
+def _imported(tree: ast.Module):
+    """The names a module's imports bind (``from __future__`` imports aside)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in _imported(tree) if name not in loaded]
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path, tree in _trees(PACKAGE).items()
+        if path.name != "__init__.py"
+        for name in _unread_imports(tree)
+    ]
+    assert unread == []
+
+
+def test_the_check_sees_an_unused_import_and_a_used_one():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport sys\n"
+        "from .errors import real, string as text\n\ndef f(x: real):\n    return sys.argv\n"
+    )
+    assert list(_imported(tree)) == ["os", "sys", "real", "text"]
+    assert _unread_imports(tree) == ["os", "text"]
 
 
 def test_the_check_sees_an_unused_helper_and_a_used_one():

@@ -47,8 +47,8 @@ from cascadekit import (
     save_traces,
 )
 from cascadekit.cascade import trace_from_dict
-from cascadekit.errors import column, column_rows, integer
-from cascadekit.jsonio import decoder, iter_jsonl, number_list, typed, write_jsonl
+from cascadekit.errors import column, column_rows, integer, real, string
+from cascadekit.jsonio import decoder, iter_jsonl, write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,20 +100,31 @@ class OracleTrace:
         return self.distribution.predicted_label
 
 
+# A trace record's fields, in the order the loader looks them up: the first missing one is named.
+RECORD_FIELDS = ("probs", "confidence", "instance_id", "exit_stage", "executed_costs", "total_cost")
+
+
+def flat_array(value):
+    """Whether a JSON value is an array that holds no array."""
+    return type(value) is list and list not in set(map(type, value))
+
+
 @decoder("trace record")
 def oracle_record(payload):
-    """The per-record reader, with the checks each trace ran on its own."""
-    distribution = ClassDistribution(np.array(number_list(payload["probs"], "probs")))
-    conf = typed(payload["confidence"], float, "confidence")
-    instance_id = typed(payload["instance_id"], str, "instance_id")
-    if re.search("[\ud800-\udfff]", instance_id):  # JSON does not round-trip a lone surrogate
-        raise ValidationError(f"instance_id must be a string without surrogates, got {reprlib.repr(instance_id)}")
-    exit_stage = typed(payload["exit_stage"], int, "exit_stage")
-    costs = typed(payload["executed_costs"], tuple[int, ...], "executed_costs")
-    below_one = next((cost for cost in costs if cost < 1), None)  # no stage costs less than a layer
-    if below_one is not None:
-        raise ValidationError(f"executed_costs must be an integer >= 1, got {below_one}")
-    total = typed(payload["total_cost"], int, "total_cost")
+    """The per-record reader under the value rule, with the checks each trace ran on its own, in the
+    trace rules' order: every field present, the distribution, each value's type, then the confidence
+    and the costs."""
+    probs, conf, instance_id, exit_stage, costs, total = [payload[key] for key in RECORD_FIELDS]
+    if not flat_array(probs):
+        raise ValidationError("probs must be a flat vector")
+    distribution = ClassDistribution(np.array([real(p, "probs") for p in probs]))
+    instance_id = string(instance_id, "instance_id")
+    exit_stage = integer(exit_stage, "exit_stage")
+    total = integer(total, "total_cost")
+    if type(costs) is not list:
+        raise ValidationError(f"executed_costs must be a sequence of integers, got {reprlib.repr(costs)}")
+    costs = tuple(integer(cost, "executed_costs", 1) for cost in costs)  # no stage costs less than a layer
+    conf = real(conf, "confidence")
     if conf != confidence(distribution):
         raise ValidationError(f"confidence {conf!r} is not the largest of the probabilities")
     if exit_stage != len(costs) - 1 or not costs:
@@ -377,21 +388,18 @@ def _edit(record, rng, data):
 
 
 def _ragged_line(lines):
-    """The line the table loader rejects for a probs length unlike the first
-    record's, or None: reading stops at a record whose probs is unreadable."""
+    """The line the table loader refuses for a probs length unlike the first record's, or None:
+    lengths count up to a line that stops the read (invalid JSON, or no object holding every
+    field) and to a record whose probs is not a flat array."""
     width = None
     for line_no, text in enumerate(lines, start=1):
         if not text.strip():
             continue
         try:
-            probs = json.loads(text)["probs"]
+            probs = [json.loads(text)[key] for key in RECORD_FIELDS][0]
         except (ValueError, TypeError, KeyError):
             return None
-        if type(probs) is not list or not all(type(p) in (int, float) for p in probs):
-            return None
-        try:
-            [float(p) for p in probs]
-        except OverflowError:
+        if not flat_array(probs):
             return None
         if width is None:
             width = len(probs)
@@ -647,19 +655,6 @@ def test_column_writer_writes_the_per_record_bytes(table, tmp_path_factory):
     assert loaded.total_cost == table.total_cost
 
 
-def _load_counting_records(path, monkeypatch):
-    """``load_traces(path)`` (or its error) and how many records the per-record reader read."""
-    read = []
-    per_record = cascadekit.cascade._read_record
-
-    def counted(payload, columns):
-        read.append(payload)
-        return per_record(payload, columns)
-
-    monkeypatch.setattr(cascadekit.cascade, "_read_record", counted)
-    return outcome(load_traces, path), len(read)
-
-
 VALID_RECORD = {"confidence": 0.75, "executed_costs": [2], "exit_stage": 0, "instance_id": "a",
                 "probs": [0.25, 0.75], "total_cost": 2}
 
@@ -669,39 +664,60 @@ def _write_lines(path, *lines):
     return path
 
 
-def test_a_valid_file_is_read_by_columns(tmp_path, monkeypatch):
+def test_a_valid_file_is_read_by_columns(tmp_path):
     records = [dict(VALID_RECORD, instance_id=f"t{k}") for k in range(5)]
     path = _write_lines(tmp_path / "traces.jsonl", *map(json.dumps, records))
-    table, replayed = _load_counting_records(path, monkeypatch)
-    assert replayed == 0
+    table = load_traces(path)
     assert_rows_equal(table, oracle_load(path))
+    assert table.probs.dtype == np.float64 and not table.probs.flags.writeable
 
 
-def test_a_missing_key_before_invalid_json_is_reported_first(tmp_path, monkeypatch):
+def test_a_missing_key_before_invalid_json_is_reported_first(tmp_path):
     lacking = {key: value for key, value in VALID_RECORD.items() if key != "instance_id"}
     path = _write_lines(tmp_path / "traces.jsonl", json.dumps(lacking), "{broken")
-    got, _ = _load_counting_records(path, monkeypatch)
+    got = outcome(load_traces, path)
     missing = "malformed trace record: missing required key 'instance_id'"
     assert got == f"ValidationError: {path}: line 1: {missing}"
     assert got == outcome(oracle_load, path)
 
 
-def test_a_refused_type_replays_the_records(tmp_path, monkeypatch):
+def test_a_missing_key_is_reported_before_the_records_values(tmp_path):
+    lacking = {key: value for key, value in VALID_RECORD.items() if key != "total_cost"}
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(dict(lacking, probs="x", exit_stage=True)))
+    got = outcome(load_traces, path)
+    assert got == f"ValidationError: {path}: line 1: malformed trace record: missing required key 'total_cost'"
+    assert got == outcome(oracle_load, path)
+
+
+def test_a_refused_type_is_named_by_its_line(tmp_path):
     path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD),
                         json.dumps(dict(VALID_RECORD, instance_id="b", exit_stage=True)))
-    got, replayed = _load_counting_records(path, monkeypatch)
-    refused = "malformed trace record: exit_stage must be an integer, got True"
-    assert got == f"ValidationError: {path}: line 2: {refused}"
+    got = outcome(load_traces, path)
+    assert got == f"ValidationError: {path}: line 2: exit_stage must be an integer, got True"
     assert got == outcome(oracle_load, path)
-    assert replayed == 2
 
 
-def test_probability_rows_of_two_widths_are_refused(tmp_path, monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(wrong=st.dictionaries(st.sampled_from(KEYS), st.sampled_from(REPLACEMENTS), min_size=2))
+def test_a_record_with_many_faults_names_the_first_the_trace_rules_check(wrong, tmp_path_factory):
+    path = tmp_path_factory.mktemp("faults") / "traces.jsonl"
+    _write_lines(path, json.dumps(dict(VALID_RECORD, **wrong)))
+    assert outcome(load_traces, path) == outcome(oracle_load, path)
+
+
+def test_probability_rows_of_two_widths_are_refused(tmp_path):
     wider = dict(VALID_RECORD, instance_id="b", probs=[0.5, 0.25, 0.25], confidence=0.5)
     path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD), "", json.dumps(wider))
-    got, _ = _load_counting_records(path, monkeypatch)
-    assert got == (f"ValidationError: {path}: line 3: malformed trace record: "
-                   "probs has 3 entries, the first record's has 2")
+    assert outcome(load_traces, path) == (f"ValidationError: {path}: line 3: malformed trace record: "
+                                          "probs has 3 entries, the first record's has 2")
+
+
+def test_a_fault_before_rows_of_two_widths_is_reported_first(tmp_path):
+    wider = dict(VALID_RECORD, instance_id="c", probs=[0.5, 0.25, 0.25], confidence=0.5)
+    path = _write_lines(tmp_path / "traces.jsonl", json.dumps(VALID_RECORD),
+                        json.dumps(dict(VALID_RECORD, instance_id="b", total_cost=3)), json.dumps(wider))
+    got = outcome(load_traces, path)
+    assert got == f"ValidationError: {path}: line 2: total_cost must equal the sum of executed_costs"
 
 
 def test_an_integer_confidence_is_read_as_a_float(tmp_path):
@@ -716,16 +732,23 @@ def test_a_boolean_confidence_is_refused(tmp_path):
     # true equals a probability of 1.0, so only the value rule tells them apart.
     certain = dict(VALID_RECORD, probs=[0.0, 1.0], confidence=True)
     path = _write_lines(tmp_path / "traces.jsonl", json.dumps(certain))
-    refused = "malformed trace record: confidence must be a finite number, got True"
+    refused = "confidence must be a number, got True"
     assert outcome(load_traces, path) == f"ValidationError: {path}: line 1: {refused}"
     assert outcome(load_traces, path) == outcome(oracle_load, path)
+
+
+def cost_row(row):
+    """``tuple(row)``; a string or a mapping is no row of costs (it iterates as its characters or keys)."""
+    if isinstance(row, (str, dict)):
+        raise TypeError(row)
+    return tuple(row)
 
 
 def oracle_cost_rows(rows, *bounds):
     """The cost-row reader that ``errors.column_rows`` replaced: one look per
     distinct row object, and a row-by-row read when a look fails."""
     try:
-        costs = tuple(map(tuple, rows))
+        costs = tuple(map(cost_row, rows))
     except TypeError:  # a row that is not a sequence, named below
         costs = None
     if costs is not None:
@@ -735,7 +758,7 @@ def oracle_cost_rows(rows, *bounds):
     read = []
     for row in rows:
         try:
-            row = tuple(row)
+            row = cost_row(row)
         except TypeError:
             return tuple(read), f"executed_costs must be a sequence of integers, got {reprlib.repr(row)}"
         row, refusal = column(row, integer, "executed_costs", *bounds)
@@ -746,7 +769,7 @@ def oracle_cost_rows(rows, *bounds):
 
 
 ODD_COSTS = [2**70, True, False, 1.0, 2.5, "1", None, np.int64(2), np.int32(3), np.uint64(4), np.bool_(True)]
-NOT_SEQUENCES = [2, None, 2.5, True, np.int64(2), np.array(1)]
+NOT_SEQUENCES = [2, None, 2.5, True, np.int64(2), np.array(1), "12", "", {1: 2}, {}]
 
 
 @st.composite

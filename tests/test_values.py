@@ -219,6 +219,22 @@ REJECTED = [
         lambda: ExitTrace("a", 0, ClassDistribution(np.array([1.0])), 1.0, 2, 2),
         "executed_costs must be a sequence of integers, got 2",
     ),
+    # A string row was read as its characters, and a mapping row as its keys.
+    (
+        "table-cost-string-row",
+        lambda: TraceTable(("a",), [1], np.array([[1.0]]), ("12",), (3,)),
+        "trace 'a': executed_costs must be a sequence of integers, got '12'",
+    ),
+    (
+        "table-cost-mapping-row",
+        lambda: TraceTable(("a",), [0], np.array([[1.0]]), ({1: 2},), (1,)),
+        "trace 'a': executed_costs must be a sequence of integers, got {1: 2}",
+    ),
+    (
+        "report-outcomes-string",
+        lambda: DifficultyReport({"a": 0}, {"a": "yes"}, 2, (0, 1, 2)),
+        "per_seed_correct must be a sequence of booleans, got 'yes'",
+    ),
     (
         "report-count",
         lambda: _report(num_instances=2.5, exit_histogram=(1, 1.5)),
