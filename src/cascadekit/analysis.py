@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from .cascade import Cascade, run_batched, speedup_ratio
 from .dataset import Dataset
 from .errors import NumericError, ValidationError, instance_of, integer, real
-from .jsonio import decoder, from_fields, read_json, write_json
+from .jsonio import decoder, read_json, typed, write_json
 from .metrics import accuracy, scored_from_traces
 
 FEASIBILITY_SLACK = 1e-9
@@ -232,7 +232,7 @@ def scenario_to_dict(scenario: GainScenario) -> dict:
 
 @decoder("gain scenario")
 def scenario_from_dict(payload: dict) -> GainScenario:
-    return from_fields(GainScenario, payload)
+    return typed(payload, GainScenario, "")
 
 
 def save_scenario(scenario: GainScenario, path) -> None:

@@ -350,31 +350,23 @@ def run_batched(cascade: Cascade, ids: Sequence[str], X: np.ndarray) -> TraceTab
     return _exit_table(cascade, ids, stage_probs)
 
 
-def _one_predict_per_row(instances_at):
-    """A ``stage_probs`` for :func:`_exit_table` that makes one ``predict``
-    call per surviving instance, on the ``Instance`` that ``instances_at(rows)``
-    yields for it (held only for that call), and writes its probabilities into
-    the stage's block, allocated once at its full size."""
-
-    def stage_probs(model, rows):
-        probs = (predict(model, instance).probs for instance in instances_at(rows))
-        return np.fromiter(probs, dtype=(np.float64, model.num_classes), count=rows.size)
-
-    return stage_probs
-
-
 def cascade_predict(cascade: Cascade, instance: Instance) -> ExitTrace:
-    """The trace of one instance: row 0 of a one-instance run."""
+    """The trace of one instance: row 0 of a one-row :func:`run_batched`."""
     cascade, instance = instance_of(cascade, Cascade, "cascade"), instance_of(instance, Instance, "instance")
-    return _exit_table(cascade, (instance.id,), _one_predict_per_row(lambda rows: (instance,)))[0]
+    return run_batched(cascade, (instance.id,), instance.features[None])[0]
 
 
 def run_cascade(cascade: Cascade, dataset: Dataset) -> TraceTable:
-    """Traces for every instance, in dataset order.  A stage builds the
-    ``Instance`` of each row it reaches from the dataset's columns and keeps
-    none, so the memory held grows only with the traces."""
+    """Traces for every instance, in dataset order.  A stage makes one ``predict``
+    call per row it reaches, on an ``Instance`` built from the dataset's columns
+    and held only for that call, into a block allocated once at its full size."""
     cascade, dataset = instance_of(cascade, Cascade, "cascade"), instance_of(dataset, Dataset, "dataset")
-    return _exit_table(cascade, dataset.ids(), _one_predict_per_row(dataset.instances.at))
+
+    def stage_probs(model, rows):
+        probs = (predict(model, instance).probs for instance in dataset.instances.at(rows))
+        return np.fromiter(probs, dtype=(np.float64, model.num_classes), count=rows.size)
+
+    return _exit_table(cascade, dataset.ids(), stage_probs)
 
 
 def speedup_ratio(traces: Sequence[ExitTrace], full_model_cost: int) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import NO_DIFFICULTY, Dataset, Instance, _columns_of
 from .errors import NumericError, ValidationError, first_fault, frozen, integer, real, real_matrix, unchecked
-from .jsonio import decoder, from_fields, number_list, read_json, typed, write_json
+from .jsonio import decoder, number_list, read_json, typed, write_json
 
 DEFAULT_LEARNING_RATES = {"linear": 0.05, "mlp": 0.01}
 
@@ -605,8 +605,8 @@ def model_to_dict(model: ClassifierModel) -> dict:
 
 @decoder("model document")
 def model_from_dict(payload: dict) -> ClassifierModel:
-    arch = from_fields(Architecture, payload["architecture"], "architecture")
-    config = from_fields(TrainConfig, payload["train_config"], "train_config")
+    arch = typed(payload["architecture"], Architecture, "architecture")
+    config = typed(payload["train_config"], TrainConfig, "train_config")
     weights = {}
     for name, entry in payload["weights"].items():
         shape = typed(entry["shape"], tuple[int, ...], f"weights[{name!r}].shape")

@@ -38,7 +38,7 @@ from .difficulty import (
     save_report,
 )
 from .errors import NumericError, ValidationError
-from .jsonio import decoder, from_fields, read_json, write_json
+from .jsonio import decoder, read_json, typed, write_json
 from .metrics import MetricsReport, evaluate, metrics_to_dict, save_metrics, write_sweep_csv
 
 DEFAULT_SWEEP_THRESHOLDS = tuple(i / 20 for i in range(21))
@@ -94,7 +94,7 @@ class PipelineConfig:
 
 @decoder("config")
 def config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
-    config = from_fields(PipelineConfig, payload)
+    config = typed(payload, PipelineConfig, "")
     keys = "train_dataset output_dir calibration_dataset eval_dataset difficulty_report".split()
     # Relative paths resolve against base_dir; os.path.join keeps an absolute one as it is.
     paths = {k: os.path.join(base_dir, p) for k in keys if (p := getattr(config, k)) is not None}

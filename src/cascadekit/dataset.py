@@ -370,10 +370,14 @@ def load_dataset(
     labels are validated against it.
 
     Records are appended to the columns field by field; the rules of
-    :class:`Dataset` then run once per column.  An error names the first
-    faulty record as reading record by record would: a fault of a record
-    alone by its line, one across records (a repeated id, a width unlike
-    the first record's, a label out of range) by the instance.
+    :class:`Dataset` then run once per column.  A record's "label",
+    "difficulty" and "features" are read by their JSON types as they are
+    appended (an ``array("q")`` would take true as 1), its "text" by
+    :func:`hash_featurize`, and its "id" only by the id column's rule, as
+    for a dataset built in Python.  An error names the first faulty
+    record as reading record by record would: a fault of a record alone
+    by its line, one across records (a repeated id, a width unlike the
+    first record's, a label out of range) by the instance.
     """
     if format not in ("jsonl_features", "jsonl_text"):
         raise ValidationError(f"unknown dataset format {format!r}")
@@ -385,18 +389,18 @@ def load_dataset(
 
     @decoder("dataset record")
     def append(record) -> None:
-        """Append a record's fields, each read by its JSON type, to the
-        columns; its id goes last, so the records with an id are whole."""
+        """Append a record's fields to the columns; its id goes last, so
+        the records with an id are whole."""
         nonlocal width, wrong_width
         if not isinstance(record, dict):
             raise ValidationError("record must be a JSON object")
         if format == "jsonl_text":
-            row = hash_featurize(typed(record["text"], str, "text"), feature_dim)
+            row = hash_featurize(record["text"], feature_dim)
         else:
             row = number_list(record["features"], "features")
             if not row:
                 raise ValidationError("'features' is empty")
-        inst_id, label = typed(record["id"], str, "id"), typed(record["label"], int, "label")
+        inst_id, label = record["id"], typed(record["label"], int, "label")  # the id column rule reads the id
         difficulty = typed(record.get("difficulty"), _DIFFICULTY, "difficulty")
         if width is None:
             width = len(row)

@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import Architecture, TrainConfig, predict_batch, train_arrays
 from .dataset import Dataset, assign_folds
 from .errors import ValidationError, boolean, column, column_rows, integer, string_keys
-from .jsonio import decoder, from_fields, read_json, write_json
+from .jsonio import decoder, read_json, typed, write_json
 
 DEFAULT_NUM_FOLDS = 8
 DEFAULT_NUM_SEEDS = 5
@@ -125,7 +125,7 @@ def report_to_dict(report: DifficultyReport) -> dict:
 
 @decoder("difficulty report")
 def report_from_dict(payload: dict) -> DifficultyReport:
-    return from_fields(DifficultyReport, payload)
+    return typed(payload, DifficultyReport, "")
 
 
 def save_report(report: DifficultyReport, path) -> None:

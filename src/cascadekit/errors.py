@@ -127,15 +127,15 @@ def real_matrix(rows, name: str, not_matrix: str) -> tuple[np.ndarray, int | Non
     matrix (C order) of the rows read whole, and the first refused row and
     refusal (None, None for none).  An ndarray is read by one look at its
     dtype, and so are lists of Python floats of one width (a JSON file's) by
-    one look at the set of the rows' types and at their entries'; any other
-    sequence is read row by row, refusing a row that is not a flat vector.
-    Either must be a matrix, else ``ValidationError(not_matrix)``."""
+    one look at the set of the rows' types and at their entries', cast frozen;
+    any other sequence is read row by row, refusing a row that is not a flat
+    vector.  Either must be a matrix, else ``ValidationError(not_matrix)``."""
     nested = None
     if isinstance(rows, Sequence):
         entries = itertools.chain.from_iterable(rows)
         if rows and set(map(type, rows)) <= {list} and set(map(type, entries)) <= {float}:
             with contextlib.suppress(ValueError):  # rows of two widths, refused below
-                return np.array(rows, dtype=np.float64), None, None
+                return frozen(np.array(rows, dtype=np.float64)), None, None
         flat = list(itertools.takewhile(_flat_vector, rows))
         nested = None if len(flat) == len(rows) else f"{name} must be a flat vector"
         rows = np.array(flat, dtype=object) if flat else np.empty((0, 0))  # keeps each value's type

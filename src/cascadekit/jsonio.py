@@ -8,10 +8,11 @@ raises, with ``<path>:`` in front; :func:`iter_jsonl` yields each JSONL
 record with its line number, which the JSONL loaders put in front of a
 record's fault, so a malformed file always names itself.
 
-Fields are read by their type hints under one rule (:func:`typed`): an
-``int`` is a JSON integer (never a boolean), a ``float`` a finite number,
-a ``str`` a string that :func:`errors.string` reads (so one without
-surrogates), and containers and dataclasses are read element by element.
+Fields are read by their type hints (:func:`typed`): an ``int``, ``bool``,
+``str`` or ``float`` by the value rule (:func:`errors.integer`,
+:func:`errors.boolean`, :func:`errors.string`, :func:`errors.real`), in its
+words, and a ``float`` must also be finite; containers and dataclasses are
+read element by element.
 A loader whose own rules read a record's values (the trace rules, say)
 gathers the raw fields and leaves every refusal to those rules.  A writer
 that builds its lines from each column's JSON text (:func:`jsonl_lines`)
@@ -30,10 +31,10 @@ import typing
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from json.encoder import encode_basestring_ascii
 
-from .errors import NumericError, ValidationError, string
+from .errors import NumericError, ValidationError, boolean, integer, real, string
 
 # What indexing, converting or iterating a wrong-shaped JSON value raises
-# (OverflowError: a JSON integer too large for a float field).
+# (OverflowError: a JSON integer too large for a float array or an int64 column).
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -65,12 +66,6 @@ def typed(value, hint, where: str):
     return read(value, where)
 
 
-def from_fields(cls, payload, where: str = ""):
-    """Dataclass ``cls`` from a JSON object, each field read by its annotation;
-    unknown keys are errors, and only fields with a default may be left out."""
-    return typed(payload, cls, where)
-
-
 def number_list(value, where: str) -> list[float]:
     """A JSON array of numbers as a list of floats (``np.asarray`` would also take "1.5" and true)."""
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
@@ -79,7 +74,7 @@ def number_list(value, where: str) -> list[float]:
 
 
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers parse to
-_EXACT = {int: "an integer", bool: "a boolean"}  # type(True) is bool
+_SCALARS = {int: integer, bool: boolean, str: string, float: real}
 _READERS: dict = {}
 
 
@@ -90,21 +85,15 @@ def _wrong(where: str, expected: str, value) -> TypeError:
 def _reader(hint) -> Callable:
     """Build the ``read(value, where)`` function of one type hint."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint is float:
-        def read(value, where):
-            if type(value) is int or (type(value) is float and math.isfinite(value)):
-                return float(value)
-            raise _wrong(where, "a finite number", value)
-    elif hint is str:
+    if hint in _SCALARS:
+        rule, finite = _SCALARS[hint], hint is float
         def read(value, where):
             try:
-                return string(value, where)
+                value = rule(value, where)
             except ValidationError as exc:  # a TypeError, so decoder names the payload
                 raise TypeError(str(exc)) from None
-    elif hint in _EXACT:
-        def read(value, where):
-            if type(value) is not hint:
-                raise _wrong(where, _EXACT[hint], value)
+            if finite and not math.isfinite(value):
+                raise _wrong(where, "a finite number", value)
             return value
     elif origin is types.UnionType and len(args) == 2 and type(None) in args:
         inner = _reader(args[0] if args[1] is type(None) else args[1])

@@ -21,7 +21,7 @@ from .cascade import ExitTrace, TraceTable, speedup_ratio
 from .dataset import NO_DIFFICULTY, Dataset, flags_by_id
 from .errors import ValidationError, column, first_fault, frozen, int64_column, integer, real, refused_at
 from .errors import instance_of, unchecked
-from .jsonio import decoder, from_fields, read_json, write_json
+from .jsonio import decoder, read_json, typed, write_json
 
 DEFAULT_ECE_BINS = 10
 
@@ -311,7 +311,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
 
 @decoder("metrics report")
 def metrics_from_dict(payload: dict) -> MetricsReport:
-    return from_fields(MetricsReport, payload)
+    return typed(payload, MetricsReport, "")
 
 
 def save_metrics(report: MetricsReport, path) -> None:

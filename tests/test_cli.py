@@ -32,6 +32,7 @@ from cascadekit import (
 )
 from cascadekit.cli import PipelineConfig, StageConfig, config_from_dict, load_config, main
 from cascadekit.classifier import Architecture, TrainConfig
+from cascadekit.jsonio import write_jsonl
 from test_trace_table import MISSING_COSTS, RECORD_WITHOUT_COSTS
 
 
@@ -766,6 +767,22 @@ def test_exit_code_for_wrongly_typed_config_value(tmp_path, capsys, overrides, m
     cfg_path = write_experiment(tmp_path, **overrides)
     assert main(["train", "--config", cfg_path]) == 1
     assert f"error: {cfg_path}: malformed config: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_for_a_config_without_stages(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path, stages=[])
+    assert main(["train", "--config", cfg_path]) == 1
+    assert f"error: {cfg_path}: config needs at least one stage" in capsys.readouterr().err
+
+
+def test_exit_code_for_dar_training_without_difficulty_labels(tmp_path, capsys):
+    cfg_path = write_experiment(tmp_path, train={"epochs": 2, "dar_weight": 0.5})
+    train = tmp_path / "train.jsonl"
+    records = [json.loads(line) for line in train.read_text().splitlines()]
+    write_jsonl(train, [{k: v for k, v in record.items() if k != "difficulty"} for record in records])
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "run the label command first" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

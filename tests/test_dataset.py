@@ -442,7 +442,15 @@ def test_load_rejects_non_string_id(tmp_path, bad_id):
         + json.dumps({"id": bad_id, "label": 1, "features": [2.0]})
         + "\n"
     )
-    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: malformed dataset record: id must be a string"):
+    # The id column's rule reads it, as for a dataset built in Python.
+    with pytest.raises(ValidationError, match=r"d\.jsonl: line 2: id must be a string, got "):
+        load_dataset(path)
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"id": "r1", "label": 0, "features": [1.0]}\n{"id": "\xff", "label": 0}\n')
+    with pytest.raises(ValidationError, match=r"d\.jsonl: not UTF-8 text"):
         load_dataset(path)
 
 
@@ -517,12 +525,12 @@ def oracle_load(path, format="jsonl_features", *, feature_dim=None, num_classes=
         if not isinstance(record, dict):
             raise ValidationError("record must be a JSON object")
         if format == "jsonl_text":
-            features = hash_featurize(typed(record["text"], str, "text"), feature_dim)
+            features = hash_featurize(record["text"], feature_dim)
         else:
             features = np.array(number_list(record["features"], "features"))
             if not features.size:
                 raise ValidationError("'features' is empty")
-        inst_id, label = typed(record["id"], str, "id"), typed(record["label"], int, "label")
+        inst_id, label = record["id"], typed(record["label"], int, "label")  # Instance reads the id
         difficulty = typed(record.get("difficulty"), int | None, "difficulty")
         return Instance(inst_id, features, label, difficulty)
 

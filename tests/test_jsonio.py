@@ -44,8 +44,8 @@ from cascadekit import (
 )
 from cascadekit.classifier import model_to_dict
 from cascadekit.difficulty import report_to_dict
-from cascadekit.errors import real_matrix
-from cascadekit.jsonio import jsonl_lines, write_json, write_jsonl
+from cascadekit.errors import boolean, frozen, integer, real, real_matrix, string
+from cascadekit.jsonio import jsonl_lines, typed, write_json, write_jsonl
 
 SRC = Path(cascadekit.__file__).parent
 
@@ -289,6 +289,42 @@ def test_no_decoder_coerces_json_values():
     assert offenders == []
 
 
+# Every kind of JSON value: booleans, null, integers (one beyond int64, one beyond float range),
+# floats (negative zero, NaN, the infinities), strings (one holding a lone surrogate), an array, an object.
+JSON_SCALARS = [True, False, None, 0, -1, 2**70, 2**1100, -0.0, 2.5, math.nan, math.inf, -math.inf,
+                "x", "t\ud800", [1, 2.5], {"a": 1}]
+VALUE_RULES = {int: integer, bool: boolean, str: string, float: real}
+
+
+def _read_outcome(read, value):
+    """What ``read(value, "f")`` gives: the value with its type, or the refusal's type and words."""
+    try:
+        got = read(value, "f")
+    except (TypeError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return type(got), repr(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.one_of(st.sampled_from(JSON_SCALARS), st.integers(), st.floats(), st.text()),
+    hint=st.sampled_from(sorted(VALUE_RULES, key=repr)),
+)
+def test_scalar_fields_are_read_by_the_value_rule(value, hint):
+    # A JSON field of a scalar type reads as the value rule reads it, its refusal re-raised as a
+    # TypeError in the same words (so decoder names the payload); a float must also be finite.
+    def rule(value, where):
+        read = VALUE_RULES[hint](value, where)
+        if hint is float and not math.isfinite(read):
+            raise ValidationError(f"{where} must be a finite number, got {read!r}")
+        return read
+
+    want = _read_outcome(rule, value)
+    if want[0] is ValidationError:
+        want = (TypeError, want[1])
+    assert _read_outcome(lambda value, where: typed(value, hint, where), value) == want
+
+
 def test_on_disk_format(tmp_path):
     write_json(tmp_path / "doc.json", {"b": [1, 2.5], "a": None})
     assert (tmp_path / "doc.json").read_text() == (
@@ -350,6 +386,15 @@ def _matrix_outcome(rows):
     except ValidationError as exc:
         return str(exc)
     return matrix.tobytes(), matrix.shape, matrix.flags.c_contiguous, row, refusal
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width),
+                                                        min_size=1, max_size=5)))
+def test_rows_of_floats_are_cast_into_a_frozen_matrix(rows):
+    # Frozen as cast, so a checked object keeps it and no writable copy lives on beside it.
+    matrix, _, _ = real_matrix(rows, "probs", "not a matrix")
+    assert frozen(matrix) is matrix
 
 
 # An int, a bool, a string or a nested list among the floats, or a row of another width.

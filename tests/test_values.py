@@ -77,7 +77,7 @@ from cascadekit import (
     tiered_task,
     train,
 )
-from cascadekit.classifier import model_to_dict
+from cascadekit.classifier import model_to_dict, total_loss
 from cascadekit.dataset import InstanceColumns
 
 SOURCES = pathlib.Path(cascadekit.__file__).parent
@@ -491,6 +491,12 @@ REJECTED = [
         f"instance must be an Instance, got {reprlib.repr(np.zeros(2))}",
     ),
     (
+        # A one-row run_batched, refused in predict_batch's words.
+        "cascade-predict-width",
+        lambda: cascade_predict(_cascade(), Instance("x", np.zeros(3), 0)),
+        "feature matrix has 3 columns, model expects 2",
+    ),
+    (
         "run-batched-cascade",
         lambda: run_batched("x", ["a"], [[0.0, 0.0]]),
         "cascade must be a Cascade, got 'x'",
@@ -572,6 +578,26 @@ REJECTED = [
     ("gain-dataset", lambda: empirical_gain(_cascade(), _cascade(), None), "dataset must be a Dataset, got None"),
     ("speedup-traces-none", lambda: speedup_ratio(None, 12), "traces must be a Sequence, got None"),
     ("speedup-trace-row", lambda: speedup_ratio([5], 12), "traces must be an ExitTrace, got 5"),
+    # Refusals that no other test reaches.
+    ("evaluate-no-traces", lambda: evaluate([], _dataset(2), 12), "evaluate needs at least one scored instance"),
+    ("report-speedup-nan", lambda: _report(speedup=float("nan")), "speedup = nan is not a positive finite number"),
+    (
+        "scored-confidence-matrix",
+        lambda: ScoredTable(np.full((2, 2), 0.5), [0, 1], [0, 1]),
+        "scored columns must be flat and of one length",
+    ),
+    ("scenario-layer-count", lambda: _scenario(layer_counts=(0, 12)), "layer counts must be >= 1"),
+    (
+        "trace-ids-scalar",
+        lambda: TraceTable(5, [0], [[0.5, 0.5]], ((2,),), (2,)),
+        "trace columns must be flat (probs a matrix) and of one length",
+    ),
+    (
+        "instance-columns-lengths",
+        lambda: Dataset(InstanceColumns(("a", "b"), np.zeros((3, 2)), [0, 0, 0], [-1, -1, -1]), 2, 2),
+        "instance columns must be of one length, the features a matrix",
+    ),
+    ("loss-empty-batch", lambda: total_loss(_linear(), [], TrainConfig()), "batch must be non-empty"),
 ]
 
 
